@@ -21,6 +21,8 @@ import json
 import logging
 import os
 import sys
+import uuid
+from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -49,11 +51,16 @@ from .scoring import (
     model_metadata,
     rule_based_model,
     save_model,
-    score_matrix,
     train,
 )
 from .seeds import derive_seed
-from .simulate import OverlapError, run_replay, sweep_exploration, train_eval_split_experiment
+from .simulate import (
+    OverlapError,
+    run_replay,
+    summary_row,
+    sweep_exploration,
+    train_eval_split_experiment,
+)
 from .synthgen import ScenarioError, generate_cohort, resolve_scenario
 
 log = logging.getLogger("banditriage")
@@ -83,15 +90,17 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _atomic(path: Path):
-    """Yield a temp path; on success rename it over the target."""
+    """Yield a new, uniquely named temp path beside the target; on success
+    rename it over the target, on failure remove it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         yield tmp
         os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -109,12 +118,17 @@ def _csv_text(header: list, rows: list[list], comment: str | None = None) -> str
     return buf.getvalue()
 
 
+def _dict_csv_text(rows: list[dict], comment: str) -> str:
+    """CSV of rows that share their keys; the first row's keys are the header."""
+    return _csv_text(list(rows[0]), [list(r.values()) for r in rows], comment)
+
+
 class Manifest:
     """Run metadata: subcommand, inputs/outputs, seed, version, timestamps."""
 
     def __init__(self, subcommand: str, args: argparse.Namespace, out_dir: Path):
         self.subcommand = subcommand
-        self.seed = getattr(args, "seed", None)
+        self.seed = args.seed
         self.config_path = getattr(args, "config", None)
         self.out_dir = out_dir
         self.path = out_dir / f"{subcommand}.manifest.json"
@@ -244,11 +258,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     manifest = Manifest("synth", args, Path(args.out_dir))
-    params = resolve_scenario(args.scenario)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        params = replace(params, seed=args.seed)
+    params = replace(resolve_scenario(args.scenario), seed=args.seed)
     cohort = generate_cohort(params)
     out = _out_path(args, args.out)
     with _atomic(out) as tmp:
@@ -289,7 +299,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(
         regularization=args.regularization,
         epochs=args.epochs,
-        seed=derive_seed(args.seed or 0, "train"),
+        seed=derive_seed(args.seed, "train"),
         class_weighting=args.class_weighting,
     )
     model = train(X, y, ModelKind(args.kind), config)
@@ -329,7 +339,7 @@ def cmd_simulate(args) -> int:
         retrain_every=args.retrain_every,
         retrain_kind=ModelKind(args.retrain_kind),
         weeks=weeks,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
 
     out_trace = _out_path(args, args.out_trace)
@@ -337,26 +347,18 @@ def cmd_simulate(args) -> int:
         trace.to_jsonl(tmp, manifest=manifest.name)
     manifest.note_artifact(out_trace)
 
-    rows = trace.summary_rows()
-    header = list(rows[0].keys())
     out_summary = _out_path(args, args.out_summary)
-    _write_text(
-        out_summary,
-        _csv_text(header, [[r[h] for h in header] for r in rows], f"manifest: {manifest.name}"),
-    )
+    summary = [summary_row(p) for p in trace.period_dicts()]
+    _write_text(out_summary, _dict_csv_text(summary, f"manifest: {manifest.name}"))
     manifest.note_artifact(out_summary)
 
     sel_rows = []
     for p in trace.periods:
-        version_model = trace.lineage[p.model_version].model
-        ids = cohort.week_ids(p.period)
-        X = cohort.week_features(p.period)
-        s = dict(zip(ids.tolist(), score_matrix(version_model, X).tolist()))
-        for rid in p.selection.exploit_ids:
-            sel_rows.append([rid, p.period, "exploit", "", repr(s[rid])])
-        for rid in p.selection.explore_ids:
-            arm = p.selection.arm_assignments.get(rid, "")
-            sel_rows.append([rid, p.period, "explore", arm, repr(s[rid])])
+        sel = p.selection
+        for i, (rid, score) in enumerate(zip(sel.all_ids, sel.scores)):
+            channel = "exploit" if i < len(sel.exploit_ids) else "explore"
+            arm = sel.arm_assignments.get(rid, "")
+            sel_rows.append([rid, p.period, channel, arm, repr(score)])
     out_selections = _out_path(args, args.out_selections)
     _write_text(
         out_selections,
@@ -383,7 +385,7 @@ def cmd_sweep(args) -> int:
     model = _load_model_arg(args, manifest)
     rhos = _parse_float_list(args.rho_list, "--rho-list")
     capacities = _parse_int_list(args.k_list, "--k-list")
-    rows = sweep_exploration(cohort, model, rhos, capacities, seed=args.seed or 0)
+    rows = sweep_exploration(cohort, model, rhos, capacities, seed=args.seed)
     out = _out_path(args, args.out)
     _write_text(
         out,
@@ -413,7 +415,7 @@ def cmd_bootstrap(args) -> int:
         replicates=args.replicates,
         level=args.level,
         weeks=weeks,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     out = _out_path(args, args.out)
     _write_text(
@@ -446,20 +448,13 @@ def cmd_report(args) -> int:
                     periods.append(obj)
         if not periods:
             raise DataError(f"{args.trace}: no period records")
-        header = ["period", "pool", "positives", "k_exploit", "k_explore",
-                  "recall", "precision", "f1", "model_version"]
-        rows = [
-            [p["period"], p["pool_size"], p["pool_positives"],
-             len(p["exploit_ids"]), len(p["explore_ids"]),
-             p["recall"], p["precision"] if p["precision"] is not None else "",
-             p["f1"] if p["f1"] is not None else "", p["model_version"]]
-            for p in periods
-        ]
         out = _out_path(args, "trace_summary.csv")
-        _write_text(out, _csv_text(header, rows, f"manifest: {manifest.name}"))
+        _write_text(
+            out, _dict_csv_text([summary_row(p) for p in periods], f"manifest: {manifest.name}")
+        )
         manifest.note_artifact(out)
         wrote_any = True
-        print(f"trace summary ({len(rows)} periods) -> {out}")
+        print(f"trace summary ({len(periods)} periods) -> {out}")
 
     if args.cohort:
         cohort = _load_cohort_arg(args, manifest)
@@ -485,14 +480,9 @@ def cmd_report(args) -> int:
             manifest.note_input(args.model)
             ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [1000, 2000, 3000, 4000, 5000]
             eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
-            rows_d = weekly_recall_table(cohort, model, ks, weeks=eval_weeks, seed=args.seed or 0)
-            header = list(rows_d[0].keys())
+            rows_d = weekly_recall_table(cohort, model, ks, weeks=eval_weeks, seed=args.seed)
             out = _out_path(args, "weekly_recall.csv")
-            _write_text(
-                out,
-                _csv_text(header, [[r[h] for h in header] for r in rows_d],
-                          f"manifest: {manifest.name}"),
-            )
+            _write_text(out, _dict_csv_text(rows_d, f"manifest: {manifest.name}"))
             manifest.note_artifact(out)
             print(f"weekly recall table -> {out}")
 
@@ -508,14 +498,9 @@ def cmd_report(args) -> int:
             ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [1000, 2000, 3000, 4000, 5000]
             eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
             rows_m = model_comparison_table(cohort, named, ks,
-                                            weeks=eval_weeks, seed=args.seed or 0)
-            header = list(rows_m[0].keys())
+                                            weeks=eval_weeks, seed=args.seed)
             out = _out_path(args, "model_comparison.csv")
-            _write_text(
-                out,
-                _csv_text(header, [[r[h] for h in header] for r in rows_m],
-                          f"manifest: {manifest.name}"),
-            )
+            _write_text(out, _dict_csv_text(rows_m, f"manifest: {manifest.name}"))
             manifest.note_artifact(out)
             print(f"model comparison ({len(rows_m)} models) -> {out}")
 
@@ -529,7 +514,7 @@ def cmd_report(args) -> int:
                 _parse_week_range(args.weeks_b),
                 _parse_week_range(args.weeks),
                 ks,
-                seed=args.seed or 0,
+                seed=args.seed,
             )
             out = _out_path(args, "crossover.csv")
             _write_text(
@@ -737,6 +722,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(
                     f"the following arguments are required: --{flag.replace('_', '-')}"
                 )
+        if args.seed is None:
+            # The effective seed: a scenario carries its own, everything else uses 0.
+            args.seed = resolve_scenario(args.scenario).seed if args.subcommand == "synth" else 0
         return args.func(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

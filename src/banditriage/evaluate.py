@@ -14,13 +14,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
 from .records import FEATURE_NAMES, Cohort
-from .policy import rank_candidates
+from .policy import rank_candidates, top_k
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -31,43 +31,42 @@ class MetricError(Exception):
     """A metric is undefined for the given inputs."""
 
 
-def _positives(pool: Mapping[int, bool]) -> set[int]:
-    return {record_id for record_id, positive in pool.items() if positive}
+def _hits(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> int:
+    """Positives among the selected pool positions; positions must be distinct."""
+    selected = np.asarray(selected, dtype=np.int64)
+    outside = selected[(selected < 0) | (selected >= len(labels))]
+    if len(outside):
+        raise MetricError(f"selected positions outside the pool: {sorted(outside.tolist())[:5]}")
+    return int(np.count_nonzero(labels[selected]))
 
 
-def recall_at_k(selected: Iterable[int], pool: Mapping[int, bool]) -> float:
+def recall_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the pool's positives captured by the selection.
 
-    ``pool`` maps record_id -> positive?. A pool without positives yields
-    0.0 (logged): dropping such periods silently would bias means upward.
+    ``labels`` is the pool's boolean ground truth and ``selected`` holds
+    distinct positions in it. A pool without positives yields 0.0 (logged):
+    dropping such periods silently would bias means upward.
     """
-    selected = set(selected)
-    outside = selected - pool.keys()
-    if outside:
-        raise MetricError(f"selected ids outside the pool: {sorted(outside)[:5]}")
-    positives = _positives(pool)
+    labels = np.asarray(labels, dtype=bool)
+    hits = _hits(selected, labels)
+    positives = int(np.count_nonzero(labels))
     if not positives:
         log.warning("recall undefined: pool has no positives; reporting 0.0")
         return 0.0
-    return len(selected & positives) / len(positives)
+    return hits / positives
 
 
-def precision_at_k(selected: Iterable[int], pool: Mapping[int, bool]) -> float:
+def precision_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
     """Fraction of the selection that is positive. Empty selection is undefined."""
-    selected = set(selected)
-    if not selected:
+    if len(selected) == 0:
         raise MetricError("precision undefined for an empty selection")
-    outside = selected - pool.keys()
-    if outside:
-        raise MetricError(f"selected ids outside the pool: {sorted(outside)[:5]}")
-    return len(selected & _positives(pool)) / len(selected)
+    return _hits(selected, np.asarray(labels, dtype=bool)) / len(selected)
 
 
-def f1_at_k(selected: Iterable[int], pool: Mapping[int, bool]) -> float:
+def f1_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
     """Harmonic mean 2PR/(P+R); 0.0 when P + R == 0."""
-    selected = set(selected)
-    p = precision_at_k(selected, pool)
-    r = recall_at_k(selected, pool)
+    p = precision_at_k(selected, labels)
+    r = recall_at_k(selected, labels)
     if p + r == 0.0:
         return 0.0
     return 2.0 * p * r / (p + r)
@@ -159,13 +158,9 @@ def weekly_recall_at_k(
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     out = {}
     for week in weeks:
-        ids = cohort.week_ids(week)
-        X = cohort.week_features(week)
-        y = cohort.week_labels(week)
-        ranked = rank_candidates(model, ids, X, derive_seed(seed, "week", week))
-        selected = set(ranked[: min(k, len(ranked))].tolist())
-        pool = dict(zip(ids.tolist(), y.tolist()))
-        out[week] = recall_at_k(selected, pool)
+        scores = score_matrix(model, cohort.week_features(week))
+        top = rank_candidates(scores, derive_seed(seed, "week", week), k)
+        out[week] = recall_at_k(top, cohort.week_labels(week))
     return out
 
 
@@ -232,17 +227,13 @@ def bootstrap_ci(
         for scores, y in per_week:
             n = len(y)
             idx = rng.integers(0, n, size=n)
-            s_res = scores[idx]
             y_res = y[idx]
-            n_pos = int(y_res.sum())
-            if n_pos == 0:
+            if not y_res.any():
+                # No tie-break draw here: replicate streams depend on skipping it.
                 week_recalls.append(0.0)
                 continue
             any_positive = True
-            perm = rng.permutation(n)
-            order = np.argsort(-s_res[perm], kind="stable")
-            top = perm[order][: min(k, n)]
-            week_recalls.append(float(y_res[top].sum()) / n_pos)
+            week_recalls.append(recall_at_k(top_k(scores[idx], k, rng), y_res))
         if not any_positive:
             skipped += 1
             log.warning("bootstrap replicate %d skipped: no positives in any week", r)
@@ -343,21 +334,23 @@ def model_comparison_table(
 ) -> list[dict]:
     """One row per model: mean weekly recall and F1 at each capacity."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    labels = [cohort.week_labels(week) for week in weeks]
     rows = []
     for name, model in models.items():
+        # One full ranking per week; each capacity takes its prefix.
+        ranked = [
+            rank_candidates(
+                score_matrix(model, cohort.week_features(week)),
+                derive_seed(seed, "cmp", name, week),
+            )
+            for week in weeks
+        ]
         row: dict = {"model": name}
         for k in ks:
-            recalls, f1s = [], []
-            for week in weeks:
-                ids = cohort.week_ids(week)
-                X = cohort.week_features(week)
-                y = cohort.week_labels(week)
-                ranked = rank_candidates(model, ids, X, derive_seed(seed, "cmp", name, week))
-                selected = set(ranked[: min(k, len(ranked))].tolist())
-                pool = dict(zip(ids.tolist(), y.tolist()))
-                recalls.append(recall_at_k(selected, pool))
-                f1s.append(f1_at_k(selected, pool) if selected else 0.0)
-            row[f"recall@{k}"] = float(np.mean(recalls))
-            row[f"f1@{k}"] = float(np.mean(f1s))
+            tops = [order[:k] for order in ranked]
+            row[f"recall@{k}"] = float(np.mean([recall_at_k(t, y) for t, y in zip(tops, labels)]))
+            row[f"f1@{k}"] = float(
+                np.mean([f1_at_k(t, y) if len(t) else 0.0 for t, y in zip(tops, labels)])
+            )
         rows.append(row)
     return rows

@@ -182,12 +182,14 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class Selection:
-    """One period's decision: who gets tested, through which channel."""
+    """One period's decision: who gets tested, through which channel, and
+    each pick's score under the model that ranked the pool."""
 
     exploit_ids: tuple[int, ...]
     explore_ids: tuple[int, ...]
     arm_assignments: Mapping[int, str] = field(default_factory=dict)
     explore_shortfall: int = 0
+    scores: tuple[float, ...] = ()  # one per entry of all_ids, in that order
 
     @property
     def all_ids(self) -> tuple[int, ...]:
@@ -209,25 +211,24 @@ def split_budget(capacity: int, exploration_fraction: float) -> tuple[int, int]:
     return capacity - k_explore, k_explore
 
 
-def rank_candidates(
-    model: RiskModel,
-    ids: np.ndarray | Sequence[int],
-    X: np.ndarray,
-    seed: int,
-) -> np.ndarray:
-    """ids in descending score order; ties broken by a seeded pre-shuffle.
+def top_k(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions of the k highest scores, best first.
 
-    The pool is permuted uniformly at random before a stable sort, so tie
-    order is reproducible for a given seed but carries no input-order bias.
+    Ties are broken by a pre-shuffle: the pool is permuted uniformly at
+    random (one ``rng.permutation`` draw) before a stable sort, so tie order
+    is reproducible for a given rng state but carries no input-order bias.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 0:
+    perm = rng.permutation(len(scores))
+    return perm[np.argsort(-scores[perm], kind="stable")[:k]]
+
+
+def rank_candidates(scores: np.ndarray, seed: int, k: int | None = None) -> np.ndarray:
+    """:func:`top_k` of a pool's scores (the whole ranking when k is None),
+    with the tie-break stream derived from ``seed``."""
+    if len(scores) == 0:
         raise PolicyError("cannot rank an empty pool")
-    scores = score_matrix(model, X)
     rng = np.random.default_rng(derive_seed(seed, "rank"))
-    perm = rng.permutation(len(ids))
-    order = np.argsort(-scores[perm], kind="stable")
-    return ids[perm[order]]
+    return top_k(scores, len(scores) if k is None else k, rng)
 
 
 def thompson_allocate(
@@ -293,33 +294,36 @@ def select(
         raise PolicyError("cannot select from an empty pool")
     seed = config.seed if seed is None else seed
     k_exploit, k_explore = split_budget(config.capacity, config.exploration_fraction)
-    ranked = rank_candidates(model, ids, X, seed)
+    scores = score_matrix(model, X)
+    ranked = rank_candidates(scores, seed)
 
-    if len(ids) <= config.capacity:
+    def picked(exploit: np.ndarray, explore: np.ndarray, **extra) -> Selection:
         return Selection(
-            exploit_ids=tuple(ranked[:k_exploit].tolist()),
-            explore_ids=tuple(ranked[k_exploit:].tolist()),
+            exploit_ids=tuple(ids[exploit].tolist()),
+            explore_ids=tuple(ids[explore].tolist()),
+            scores=tuple(scores[np.concatenate([exploit, explore])].tolist()),
+            **extra,
         )
 
+    if len(ids) <= config.capacity:
+        return picked(ranked[:k_exploit], ranked[k_exploit:])
+
     exploit = ranked[:k_exploit]
-    taken = set(exploit.tolist())
-    rest_mask = np.array([i not in taken for i in ids.tolist()], dtype=bool)
-    rest_ids = ids[rest_mask]
-    rest_X = X[rest_mask]
+    rest_mask = np.ones(len(ids), dtype=bool)
+    rest_mask[exploit] = False
+    rest = np.flatnonzero(rest_mask)
 
     if k_explore == 0:
-        return Selection(exploit_ids=tuple(exploit.tolist()), explore_ids=())
+        return picked(exploit, rest[:0])
 
     if config.sampler is Sampler.UNIFORM_RANDOM:
         rng = np.random.default_rng(derive_seed(seed, "explore"))
-        take = min(k_explore, len(rest_ids))
-        chosen = rng.choice(rest_ids, size=take, replace=False)
-        return Selection(
-            exploit_ids=tuple(exploit.tolist()),
-            explore_ids=tuple(chosen.tolist()),
-            explore_shortfall=k_explore - take,
-        )
+        take = min(k_explore, len(rest))
+        chosen = rng.choice(rest, size=take, replace=False)
+        return picked(exploit, chosen, explore_shortfall=k_explore - take)
 
+    rest_ids = ids[rest]
+    rest_X = X[rest]
     states = list(arm_states) if arm_states is not None else [
         ArmState.initial(spec) for spec in config.arms
     ]
@@ -333,9 +337,6 @@ def select(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
     picks, shortfall = thompson_allocate(states, k_explore, rest_ids, rest_X, seed)
-    return Selection(
-        exploit_ids=tuple(exploit.tolist()),
-        explore_ids=tuple(pid for pid, _ in picks),
-        arm_assignments={pid: arm for pid, arm in picks},
-        explore_shortfall=shortfall,
-    )
+    row_of = {rid: row for row, rid in zip(rest.tolist(), rest_ids.tolist())}
+    chosen = np.array([row_of[pid] for pid, _ in picks], dtype=np.int64)
+    return picked(exploit, chosen, arm_assignments=dict(picks), explore_shortfall=shortfall)

@@ -333,14 +333,14 @@ class Cohort:
     week_index: Mapping[int, int]  # record_id -> week number
 
     def __post_init__(self):
-        by_id = {}
+        seen = set()
         grouped: dict[int, list[TestRecord]] = {}
         for rec in self.records:
-            if rec.record_id in by_id:
+            if rec.record_id in seen:
                 raise ValueError(f"duplicate record_id {rec.record_id}")
             if rec.record_id not in self.week_index:
                 raise ValueError(f"record {rec.record_id} has no week assignment")
-            by_id[rec.record_id] = rec
+            seen.add(rec.record_id)
             grouped.setdefault(self.week_index[rec.record_id], []).append(rec)
         views = {}
         for week, recs in grouped.items():
@@ -348,7 +348,6 @@ class Cohort:
             X = np.stack([featurize(r) for r in recs]) if recs else np.zeros((0, N_FEATURES))
             y = np.array([r.is_positive for r in recs], dtype=bool)
             views[week] = (ids, X, y)
-        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_views", views)
 
     @classmethod
@@ -363,20 +362,21 @@ class Cohort:
     def weeks(self) -> tuple[int, ...]:
         return tuple(sorted(self._views))
 
-    def record(self, record_id: int) -> TestRecord:
-        return self._by_id[record_id]
+    def _view(self, week: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        try:
+            return self._views[week]
+        except KeyError:
+            have = ", ".join(str(w) for w in self.weeks) or "none"
+            raise DataError(f"week {week} is not in the cohort (its weeks: {have})") from None
 
     def week_ids(self, week: int) -> np.ndarray:
-        return self._views[week][0]
+        return self._view(week)[0]
 
     def week_features(self, week: int) -> np.ndarray:
-        return self._views[week][1]
+        return self._view(week)[1]
 
     def week_labels(self, week: int) -> np.ndarray:
-        return self._views[week][2]
-
-    def week_records(self, week: int) -> list[TestRecord]:
-        return [self._by_id[i] for i in self._views[week][0]]
+        return self._view(week)[2]
 
     def positives_by_week(self) -> dict[int, int]:
         return {w: int(self._views[w][2].sum()) for w in self.weeks}
@@ -429,7 +429,8 @@ def load_cohort(
     mapping = mapping or ValueMapping.default()
 
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark.
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CohortFormatError(f"cannot read {path}: {exc}") from exc
 

@@ -66,14 +66,6 @@ def rule_based_model() -> RiskModel:
     return RiskModel(kind=ModelKind.RULE_BASED, weights=RULE_WEIGHTS.copy(), bias=0.0)
 
 
-def rule_score(fv: np.ndarray) -> float:
-    """2*contact + cough + fever; integer-valued in {0,1,2,3,4}."""
-    fv = np.asarray(fv, dtype=float)
-    if fv.shape != (N_FEATURES,):
-        raise ValueError(f"expected a base feature vector of dim {N_FEATURES}, got shape {fv.shape}")
-    return float(RULE_WEIGHTS @ fv)
-
-
 def poly2_dim(d: int) -> int:
     return d + d * (d - 1) // 2
 
@@ -84,24 +76,18 @@ def pair_order(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
-def expand_poly2(fv: np.ndarray) -> np.ndarray:
-    """Append all distinct pairwise products to the base features.
+def expand_poly2(X: np.ndarray) -> np.ndarray:
+    """Append all distinct pairwise products to the rows of a base feature matrix.
 
     Squares are omitted: inputs are binary, so x*x == x adds nothing.
-    Accepts a single vector (1-D) or a stacked matrix (2-D, row per vector).
     """
-    fv = np.asarray(fv, dtype=float)
-    single = fv.ndim == 1
-    X = fv[None, :] if single else fv
-    d = X.shape[1]
-    pairs = pair_order(d)
-    if pairs:
-        left = X[:, [i for i, _ in pairs]]
-        right = X[:, [j for _, j in pairs]]
-        out = np.hstack([X, left * right])
-    else:
-        out = X.copy()
-    return out[0] if single else out
+    X = np.asarray(X, dtype=float)
+    pairs = pair_order(X.shape[1])
+    if not pairs:
+        return X.copy()
+    left = X[:, [i for i, _ in pairs]]
+    right = X[:, [j for _, j in pairs]]
+    return np.hstack([X, left * right])
 
 
 @dataclass(frozen=True)
@@ -205,20 +191,8 @@ def train(
     return RiskModel(kind=kind, weights=best_w[:-1], bias=float(best_w[-1]), base_dim=base_dim)
 
 
-def score(model: RiskModel, fv: np.ndarray) -> float:
-    """Risk score of one base feature vector under the model."""
-    fv = np.asarray(fv, dtype=float)
-    if fv.shape != (model.base_dim,):
-        raise ValueError(
-            f"feature vector of shape {fv.shape} does not match model base_dim {model.base_dim}"
-        )
-    if model.kind is ModelKind.POLY2:
-        fv = expand_poly2(fv)
-    return float(model.weights @ fv + model.bias)
-
-
 def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`score` over rows of a base feature matrix."""
+    """Risk score of every row of a base feature matrix under the model."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.base_dim:
         raise ValueError(
@@ -261,38 +235,35 @@ def save_model(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def model_metadata(path: str | Path) -> dict[str, str]:
-    """Header fields of a saved model (kind, trained_weeks, manifest, ...)."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or text[0] != _FORMAT_TAG:
+def _read_model_file(path: str | Path) -> tuple[dict[str, str], list[str]]:
+    """Header fields of a saved model (up to and including ``weights``) and
+    the lines that follow the header."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != _FORMAT_TAG:
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
     fields = {}
-    for line in text[1:]:
+    for i, line in enumerate(lines[1:], start=1):
         key, _, value = line.partition(" ")
         fields[key] = value
         if key == "weights":
-            break
-    return fields
+            return fields, lines[i + 1 :]
+    return fields, []
+
+
+def model_metadata(path: str | Path) -> dict[str, str]:
+    """Header fields of a saved model (kind, trained_weeks, manifest, ...)."""
+    return _read_model_file(path)[0]
 
 
 def load_model(path: str | Path) -> RiskModel:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or text[0] != _FORMAT_TAG:
-        raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
-    fields = {}
-    idx = 1
-    for idx in range(1, len(text)):
-        key, _, value = text[idx].partition(" ")
-        fields[key] = value
-        if key == "weights":
-            break
+    fields, rest = _read_model_file(path)
     for required in ("kind", "base_dim", "feature_hash", "bias", "weights"):
         if required not in fields:
             raise ValueError(f"{path}: missing field {required!r}")
     if fields["feature_hash"] != feature_order_hash():
         raise ValueError(f"{path}: feature order hash mismatch; model is for a different encoding")
     n_weights = int(fields["weights"])
-    weight_lines = text[idx + 1 : idx + 1 + n_weights]
+    weight_lines = rest[:n_weights]
     if len(weight_lines) != n_weights:
         raise ValueError(f"{path}: expected {n_weights} weight lines")
     weights = np.array([float(line) for line in weight_lines])

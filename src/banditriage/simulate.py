@@ -109,56 +109,51 @@ class SimulationTrace:
             ],
         }
 
+    def period_dicts(self) -> list[dict]:
+        """One JSON object per period: the trace's record of that period."""
+        return [
+            {
+                "type": "period",
+                "period": p.period,
+                "pool_size": p.pool_size,
+                "pool_positives": p.pool_positives,
+                "exploit_ids": list(p.selection.exploit_ids),
+                "explore_ids": list(p.selection.explore_ids),
+                "arm_assignments": {str(k): v for k, v in p.selection.arm_assignments.items()},
+                "explore_shortfall": p.selection.explore_shortfall,
+                "revealed": {str(k): bool(v) for k, v in p.revealed.items()},
+                "recall": p.recall,
+                "precision": p.precision,
+                "f1": p.f1,
+                "model_version": p.model_version,
+                "arm_posteriors": p.arm_posteriors,
+                "events": p.events,
+            }
+            for p in self.periods
+        ]
+
     def to_jsonl(self, path, *, manifest: str = "-") -> None:
         """One JSON object per line: a header, then one record per period."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(self.header_dict(manifest), sort_keys=True) + "\n")
-            for p in self.periods:
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "period",
-                            "period": p.period,
-                            "pool_size": p.pool_size,
-                            "pool_positives": p.pool_positives,
-                            "exploit_ids": list(p.selection.exploit_ids),
-                            "explore_ids": list(p.selection.explore_ids),
-                            "arm_assignments": {
-                                str(k): v for k, v in p.selection.arm_assignments.items()
-                            },
-                            "explore_shortfall": p.selection.explore_shortfall,
-                            "revealed": {str(k): bool(v) for k, v in p.revealed.items()},
-                            "recall": p.recall,
-                            "precision": p.precision,
-                            "f1": p.f1,
-                            "model_version": p.model_version,
-                            "arm_posteriors": p.arm_posteriors,
-                            "events": p.events,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for obj in [self.header_dict(manifest)] + self.period_dicts():
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for p in self.periods:
-            k_exploit = len(p.selection.exploit_ids)
-            k_explore = len(p.selection.explore_ids)
-            rows.append(
-                {
-                    "period": p.period,
-                    "pool": p.pool_size,
-                    "positives": p.pool_positives,
-                    "k_exploit": k_exploit,
-                    "k_explore": k_explore,
-                    "recall": p.recall,
-                    "precision": "" if p.precision is None else p.precision,
-                    "f1": "" if p.f1 is None else p.f1,
-                    "model_version": p.model_version,
-                }
-            )
-        return rows
+
+def summary_row(period: dict) -> dict:
+    """The summary CSV row of one trace period object: an entry of
+    :meth:`SimulationTrace.period_dicts`, or the same object read back from
+    a trace file."""
+    return {
+        "period": period["period"],
+        "pool": period["pool_size"],
+        "positives": period["pool_positives"],
+        "k_exploit": len(period["exploit_ids"]),
+        "k_explore": len(period["explore_ids"]),
+        "recall": period["recall"],
+        "precision": "" if period["precision"] is None else period["precision"],
+        "f1": "" if period["f1"] is None else period["f1"],
+        "model_version": period["model_version"],
+    }
 
 
 def run_replay(
@@ -210,7 +205,7 @@ def run_replay(
         ids = cohort.week_ids(period)
         X = cohort.week_features(period)
         y = cohort.week_labels(period)
-        id_to_pos = {int(rid): row for row, rid in enumerate(ids.tolist())}
+        row_of = {rid: row for row, rid in enumerate(ids.tolist())}
         events: list[str] = []
 
         selection = select(
@@ -219,14 +214,13 @@ def run_replay(
         if selection.explore_shortfall:
             events.append(f"explore shortfall {selection.explore_shortfall}")
 
-        revealed = {int(rid): bool(y[id_to_pos[rid]]) for rid in selection.all_ids}
+        rows = np.array([row_of[rid] for rid in selection.all_ids], dtype=np.int64)
+        revealed = {rid: bool(v) for rid, v in zip(selection.all_ids, y[rows].tolist())}
 
-        pool_truth = dict(zip((int(i) for i in ids.tolist()), (bool(v) for v in y.tolist())))
-        selected_set = set(selection.all_ids)
-        rec = recall_at_k(selected_set, pool_truth)
-        if selected_set:
-            prec = precision_at_k(selected_set, pool_truth)
-            f1 = f1_at_k(selected_set, pool_truth)
+        rec = recall_at_k(rows, y)
+        if len(rows):
+            prec = precision_at_k(rows, y)
+            f1 = f1_at_k(rows, y)
         else:
             prec = None
             f1 = None
@@ -241,12 +235,9 @@ def run_replay(
             new_states.append(update_arm(state, pos, len(assigned) - pos))
         arm_states = new_states
 
-        if policy.retrain_on == "all_labeled":
-            store_ids = list(selection.all_ids)
-        else:
-            store_ids = list(selection.explore_ids)
-        if store_ids:
-            rows = [id_to_pos[rid] for rid in store_ids]
+        if policy.retrain_on == "exploration_only":
+            rows = rows[len(selection.exploit_ids):]
+        if len(rows):
             labeled_X.append(X[rows])
             labeled_y.append(y[rows])
             labeled_periods.append(period)

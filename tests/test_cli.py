@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _atomic, build_parser, main
 from banditriage.records import REQUIRED_COLUMNS
 
 
@@ -311,3 +311,116 @@ class TestDeterminism:
                          "--out-dir", str(out), "--seed", "9", "--quiet"],
             tmp_path,
         )
+
+
+class TestMissingWeeks:
+    @pytest.fixture
+    def default_cohort(self, workdir):
+        # the default scenario spans weeks 1-8
+        assert run(["synth", "--scenario", "default", "--out", "cohort.csv",
+                    "--out-dir", str(workdir), "--seed", "1", "--quiet"]) == EXIT_OK
+        return workdir / "cohort.csv"
+
+    def test_simulate_past_the_cohort(self, workdir, default_cohort, capsys):
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
+        code = run(["simulate", "--cohort", str(default_cohort), "--rule-based",
+                    "--policy", str(policy), "--weeks", "4-12",
+                    "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "week 9" in err
+        assert "Traceback" not in err
+
+    def test_bootstrap_past_the_cohort(self, workdir, default_cohort, capsys):
+        code = run(["bootstrap", "--cohort", str(default_cohort), "--rule-based",
+                    "--k", "50", "--weeks", "4-12", "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "week 9" in err
+        assert "Traceback" not in err
+
+
+class TestByteOrderMark:
+    def test_bom_export_ingests_like_plain(self, workdir, small_cohort_csv, capsys):
+        # the synthetic cohort minus its "# manifest" comment line
+        text = "".join(small_cohort_csv.read_text(encoding="utf-8").splitlines(True)[1:])
+        (workdir / "plain.csv").write_text(text, encoding="utf-8")
+        (workdir / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+        capsys.readouterr()
+        outputs = {}
+        for name in ("plain", "bom"):
+            code = run(["ingest", "--input", str(workdir / f"{name}.csv"),
+                        "--out-dir", str(workdir / name), "--quiet"])
+            assert code == EXIT_OK
+            outputs[name] = (capsys.readouterr().out.split(" -> ")[0],
+                             (workdir / name / "cohort.csv").read_bytes())
+        assert outputs["bom"] == outputs["plain"]
+        assert outputs["plain"][0].startswith("accepted ")
+
+
+class TestAtomicWrites:
+    def test_existing_tmp_file_survives(self, workdir):
+        bystander = workdir / "cohort.csv.tmp"
+        bystander.write_text("not ours\n", encoding="utf-8")
+        assert run(["synth", "--scenario", "oracle", "--out", "cohort.csv",
+                    "--out-dir", str(workdir), "--seed", "1", "--quiet"]) == EXIT_OK
+        assert bystander.read_text(encoding="utf-8") == "not ours\n"
+        assert (workdir / "cohort.csv").read_text(encoding="utf-8").startswith("# manifest")
+        assert sorted(p.name for p in workdir.glob("*.tmp")) == ["cohort.csv.tmp"]
+
+    def test_failed_write_leaves_target_and_no_temp(self, workdir):
+        target = workdir / "out.csv"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with _atomic(target) as tmp:
+                tmp.write_text("half", encoding="utf-8")
+                raise RuntimeError("writer failed")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert list(workdir.glob("*.tmp")) == []
+
+
+class TestManifestSeed:
+    def manifest_seed(self, workdir, subcommand):
+        return json.loads((workdir / f"{subcommand}.manifest.json").read_text())["seed"]
+
+    def test_synth_records_scenario_seed(self, workdir):
+        common = ["synth", "--scenario", "default", "--out-dir", str(workdir), "--quiet"]
+        assert run(common) == EXIT_OK
+        assert self.manifest_seed(workdir, "synth") == 20200311
+        assert run(common + ["--seed", "5"]) == EXIT_OK
+        assert self.manifest_seed(workdir, "synth") == 5
+
+    def test_train_and_simulate_record_effective_seed(self, workdir, small_cohort_csv):
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
+        calls = {
+            "train": ["train", "--cohort", str(small_cohort_csv), "--weeks", "1-2",
+                      "--kind", "linear", "--out", "m.txt"],
+            "simulate": ["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                         "--policy", str(policy), "--weeks", "3-4"],
+        }
+        for subcommand, argv in calls.items():
+            common = argv + ["--out-dir", str(workdir), "--quiet"]
+            assert run(common) == EXIT_OK
+            assert self.manifest_seed(workdir, subcommand) == 0
+            assert run(common + ["--seed", "8"]) == EXIT_OK
+            assert self.manifest_seed(workdir, subcommand) == 8
+
+
+class TestTraceSummary:
+    def test_report_trace_equals_simulate_summary(self, workdir, small_cohort_csv):
+        policy = workdir / "p.policy"
+        policy.write_text(
+            "[policy]\ncapacity = 600\nexploration_fraction = 0.3\n", encoding="utf-8"
+        )
+        assert run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(policy), "--out-dir", str(workdir),
+                    "--seed", "2", "--quiet"]) == EXIT_OK
+        assert run(["report", "--trace", str(workdir / "trace.jsonl"),
+                    "--out-dir", str(workdir), "--quiet"]) == EXIT_OK
+        summary = (workdir / "summary.csv").read_text(encoding="utf-8").splitlines()
+        traced = (workdir / "trace_summary.csv").read_text(encoding="utf-8").splitlines()
+        assert summary[0].startswith("# manifest") and traced[0].startswith("# manifest")
+        assert traced[1:] == summary[1:]
+        assert len(summary) > 3

@@ -23,33 +23,35 @@ from banditriage.synthgen import generate_cohort, planted_model, resolve_scenari
 from conftest import small_params
 
 
-POOL = {1: True, 2: True, 3: True, 4: True, 5: False, 6: False, 7: False, 8: False}
+# Pool labels by position: positions 0-3 positive, 4-7 negative.
+POOL = np.array([True, True, True, True, False, False, False, False])
 
 
 class TestRecall:
     def test_three_of_four_positives(self):
-        assert recall_at_k({1, 2, 3, 5}, POOL) == 0.75
+        assert recall_at_k([0, 1, 2, 4], POOL) == 0.75
 
     def test_empty_selection(self):
-        assert recall_at_k(set(), POOL) == 0.0
+        assert recall_at_k([], POOL) == 0.0
 
     def test_no_positives_logs_zero(self, caplog):
         with caplog.at_level("WARNING"):
-            value = recall_at_k({1}, {1: False, 2: False})
+            value = recall_at_k([0], np.array([False, False]))
         assert value == 0.0
         assert "no positives" in caplog.text
 
     def test_selected_outside_pool(self):
         with pytest.raises(MetricError):
-            recall_at_k({99}, POOL)
+            recall_at_k([99], POOL)
+        with pytest.raises(MetricError):
+            recall_at_k([-1], POOL)
 
     def test_monotone_under_superset_growth(self):
         rng = np.random.default_rng(0)
-        ids = list(POOL)
         prev = 0.0
-        chosen: set[int] = set()
-        for i in rng.permutation(len(ids)):
-            chosen.add(ids[i])
+        chosen: list[int] = []
+        for i in rng.permutation(len(POOL)):
+            chosen.append(int(i))
             now = recall_at_k(chosen, POOL)
             assert now >= prev
             prev = now
@@ -57,16 +59,16 @@ class TestRecall:
 
 class TestPrecisionF1:
     def test_perfect(self):
-        assert precision_at_k({1, 2, 3, 4}, POOL) == 1.0
-        assert f1_at_k({1, 2, 3, 4}, POOL) == 1.0
+        assert precision_at_k([0, 1, 2, 3], POOL) == 1.0
+        assert f1_at_k([0, 1, 2, 3], POOL) == 1.0
 
     def test_zero_precision_gives_zero_f1(self):
-        assert precision_at_k({5, 6}, POOL) == 0.0
-        assert f1_at_k({5, 6}, POOL) == 0.0
+        assert precision_at_k([4, 5], POOL) == 0.0
+        assert f1_at_k([4, 5], POOL) == 0.0
 
     def test_empty_selection_undefined(self):
         with pytest.raises(MetricError):
-            precision_at_k(set(), POOL)
+            precision_at_k([], POOL)
 
     def test_published_operating_point(self):
         # precision 0.672 with recall 0.344 must combine to F1 ~ 0.455
@@ -76,15 +78,14 @@ class TestPrecisionF1:
 
     def test_f1_identity_against_independent_recomputation(self):
         rng = np.random.default_rng(3)
-        ids = list(POOL)
         for _ in range(50):
-            take = rng.integers(1, len(ids) + 1)
-            selected = set(rng.choice(ids, size=take, replace=False).tolist())
+            take = rng.integers(1, len(POOL) + 1)
+            selected = rng.choice(len(POOL), size=take, replace=False).tolist()
             p = precision_at_k(selected, POOL)
             r = recall_at_k(selected, POOL)
             f1 = f1_at_k(selected, POOL)
             # independent recomputation from raw counts
-            tp = len(selected & {1, 2, 3, 4})
+            tp = len(set(selected) & {0, 1, 2, 3})
             expect = 0.0 if tp == 0 else 2 * (tp / len(selected)) * (tp / 4) / (
                 tp / len(selected) + tp / 4
             )

@@ -16,9 +16,10 @@ from banditriage.policy import (
     select,
     split_budget,
     thompson_allocate,
+    top_k,
     update_arm,
 )
-from banditriage.scoring import RiskModel, ModelKind, rule_based_model
+from banditriage.scoring import RiskModel, ModelKind, rule_based_model, score_matrix
 
 from conftest import feature_array
 
@@ -31,6 +32,11 @@ def pool_of(vectors):
     ids = np.arange(len(vectors), dtype=np.int64)
     X = np.stack(vectors)
     return ids, X
+
+
+def ranked_ids(model, ids, X, seed):
+    """The pool's ids in the model's seeded ranking order."""
+    return ids[rank_candidates(score_matrix(model, X), seed)]
 
 
 class TestSplitBudget:
@@ -64,19 +70,19 @@ class TestRankCandidates:
             feature_array(contact_with_confirmed=1, cough=1),  # rule score 3
             feature_array(fever=1, cough=1),              # rule score 2
         ])
-        ranked = rank_candidates(rule_based_model(), ids, X, seed=0)
+        ranked = ranked_ids(rule_based_model(), ids, X, seed=0)
         assert ranked.tolist() == [1, 2, 0]
 
     def test_contact_outranks_fever_only(self):
         ids, X = pool_of([feature_array(fever=1), feature_array(contact_with_confirmed=1)])
-        ranked = rank_candidates(rule_based_model(), ids, X, seed=4)
+        ranked = ranked_ids(rule_based_model(), ids, X, seed=4)
         assert ranked.tolist() == [1, 0]
 
     def test_ties_reproducible_and_seed_dependent(self):
         ids, X = pool_of([feature_array() for _ in range(50)])  # all score 0
-        a = rank_candidates(rule_based_model(), ids, X, seed=1)
-        b = rank_candidates(rule_based_model(), ids, X, seed=1)
-        c = rank_candidates(rule_based_model(), ids, X, seed=2)
+        a = ranked_ids(rule_based_model(), ids, X, seed=1)
+        b = ranked_ids(rule_based_model(), ids, X, seed=1)
+        c = ranked_ids(rule_based_model(), ids, X, seed=2)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert sorted(a.tolist()) == list(range(50))
@@ -89,15 +95,30 @@ class TestRankCandidates:
         first = np.zeros(10)
         trials = 4000
         for s in range(trials):
-            first[rank_candidates(model, ids, X, seed=s)[0]] += 1
+            first[ranked_ids(model, ids, X, seed=s)[0]] += 1
         freq = first / trials
         sigma = np.sqrt(0.1 * 0.9 / trials)
         assert np.all(np.abs(freq - 0.1) < 3 * sigma)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(PolicyError):
-            rank_candidates(rule_based_model(), np.array([], dtype=np.int64),
-                            np.zeros((0, 9)), seed=0)
+            rank_candidates(score_matrix(rule_based_model(), np.zeros((0, 9))), seed=0)
+
+    def test_top_k_is_prefix_of_full_ranking(self):
+        scores = np.repeat([3.0, 1.0, 2.0, 0.0], 25)  # heavy ties
+        for seed in range(5):
+            full = top_k(scores, len(scores), np.random.default_rng(seed))
+            assert sorted(full.tolist()) == list(range(100))
+            assert np.all(np.diff(scores[full]) <= 0)
+            for k in (0, 1, 30, 100, 150):
+                part = top_k(scores, k, np.random.default_rng(seed))
+                assert np.array_equal(part, full[:k])
+
+    def test_rank_candidates_k_is_prefix(self):
+        scores = np.repeat([1.0, 0.0], 20)
+        full = rank_candidates(scores, seed=3)
+        assert np.array_equal(rank_candidates(scores, seed=3, k=7), full[:7])
+        assert np.array_equal(rank_candidates(scores, seed=3, k=99), full)
 
 
 def uniform_config(capacity, rho, **kv):
@@ -125,7 +146,7 @@ class TestSelect:
         config = uniform_config(20, 0.0)
         sel = select(ids, X, rule_based_model(), config, seed=5)
         assert sel.explore_ids == ()
-        ranked = rank_candidates(rule_based_model(), ids, X, seed=5)
+        ranked = ranked_ids(rule_based_model(), ids, X, seed=5)
         assert sel.exploit_ids == tuple(ranked[:20].tolist())
 
     def test_pure_exploration_is_uniform_sample(self):
@@ -168,6 +189,20 @@ class TestSelect:
         freq = counts / trials
         sigma = np.sqrt(0.1 * 0.9 / trials)
         assert np.all(np.abs(freq - 0.1) < 3 * sigma)
+
+    def test_scores_belong_to_the_picks(self):
+        # ids that differ from pool positions, so a position/id mix-up shows
+        ids, X = self.make_pool(n=120)
+        ids = 1000 + np.random.default_rng(1).permutation(len(ids))
+        model = linear_model(cough=0.5, fever=1.5, contact_with_confirmed=2.0)
+        score_of = dict(zip(ids.tolist(), score_matrix(model, X).tolist()))
+        thompson = PolicyConfig(
+            capacity=40, exploration_fraction=0.5, sampler=Sampler.THOMPSON,
+            arms=(ArmSpec("c", CONTACT), ArmSpec("n", NO_CONTACT)),
+        )
+        for config in (uniform_config(40, 0.5), uniform_config(500, 0.3), thompson):
+            sel = select(ids, X, model, config, seed=4)
+            assert sel.scores == tuple(score_of[i] for i in sel.all_ids)
 
     def test_selection_rejects_overlap(self):
         with pytest.raises(PolicyError):

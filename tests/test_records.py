@@ -11,6 +11,7 @@ from banditriage.records import (
     REQUIRED_COLUMNS,
     Cohort,
     CohortFormatError,
+    DataError,
     Gender,
     Indication,
     MappingFormatError,
@@ -297,6 +298,11 @@ class TestCohort:
         assert len(toy_cohort.week_ids(11)) == 4
         assert toy_cohort.week_labels(11).sum() == 2
         assert toy_cohort.week_features(12).shape == (4, len(FEATURE_NAMES))
+
+    def test_missing_week_is_data_error(self, toy_cohort):
+        for lookup in (toy_cohort.week_ids, toy_cohort.week_features, toy_cohort.week_labels):
+            with pytest.raises(DataError, match=r"week 13 .*11, 12"):
+                lookup(13)
 
     def test_subset_weeks(self, toy_cohort):
         sub = toy_cohort.subset_weeks([12])

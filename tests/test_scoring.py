@@ -16,9 +16,7 @@ from banditriage.scoring import (
     pair_order,
     poly2_dim,
     rule_based_model,
-    rule_score,
     save_model,
-    score,
     score_matrix,
     train,
     RULE_WEIGHTS,
@@ -26,6 +24,15 @@ from banditriage.scoring import (
 from banditriage.synthgen import RiskCoefficients, generate_cohort
 
 from conftest import feature_array, small_params
+
+
+def score_one(model, fv):
+    """A single vector's score, through score_matrix on a one-row stack."""
+    return float(score_matrix(model, np.asarray(fv)[None, :])[0])
+
+
+def rule_score(fv):
+    return score_one(rule_based_model(), fv)
 
 
 class TestRuleScore:
@@ -55,16 +62,16 @@ class TestRuleScore:
 
 class TestExpandPoly2:
     def test_single_feature_no_pairs(self):
-        assert np.array_equal(expand_poly2(np.array([1.0])), np.array([1.0]))
+        assert np.array_equal(expand_poly2(np.array([[1.0]])), np.array([[1.0]]))
 
     def test_three_features(self):
-        out = expand_poly2(np.array([1.0, 0.0, 1.0]))
+        out = expand_poly2(np.array([[1.0, 0.0, 1.0]]))
         # pairs in lexicographic order: (0,1), (0,2), (1,2)
-        assert np.array_equal(out, np.array([1, 0, 1, 0, 1, 0.0]))
+        assert np.array_equal(out, np.array([[1, 0, 1, 0, 1, 0.0]]))
 
     def test_base_nine_expands_to_45(self):
         assert poly2_dim(9) == 45
-        assert expand_poly2(np.zeros(9)).shape == (45,)
+        assert expand_poly2(np.zeros((1, 9))).shape == (1, 45)
 
     def test_pair_order_is_lexicographic(self):
         assert pair_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -80,7 +87,7 @@ class TestExpandPoly2:
         X = (rng.random((5, 9)) < 0.5).astype(float)
         out = expand_poly2(X)
         for i in range(5):
-            assert np.array_equal(out[i], expand_poly2(X[i]))
+            assert np.array_equal(out[i], expand_poly2(X[i : i + 1])[0])
 
 
 def separable_dataset(n=200, seed=0):
@@ -163,7 +170,7 @@ class TestTrain:
 class TestScore:
     def test_zero_model_scores_zero(self):
         model = RiskModel(kind=ModelKind.LINEAR, weights=np.zeros(9), bias=0.0)
-        assert score(model, feature_array(cough=1, other_indication=1)) == 0.0
+        assert score_one(model, feature_array(cough=1, other_indication=1)) == 0.0
 
     def test_linear_with_rule_weights_equals_rule_score(self):
         model = RiskModel(kind=ModelKind.LINEAR, weights=RULE_WEIGHTS.copy(), bias=0.0)
@@ -172,17 +179,17 @@ class TestScore:
             fv = (rng.random(9) < 0.5).astype(float)
             fv[5:8] = 0.0
             fv[5 + rng.integers(3)] = 1.0
-            assert score(model, fv) == rule_score(fv)
+            assert score_one(model, fv) == rule_score(fv)
 
     def test_rule_based_model_matches_rule_score(self):
         model = rule_based_model()
         fv = feature_array(contact_with_confirmed=1, fever=1)
-        assert score(model, fv) == rule_score(fv) == 3.0
+        assert score_one(model, fv) == rule_score(fv) == 3.0
 
     def test_dimension_mismatch(self):
         model = rule_based_model()
         with pytest.raises(ValueError):
-            score(model, np.zeros(4))
+            score_one(model, np.zeros(4))
         with pytest.raises(ValueError):
             score_matrix(model, np.zeros((3, 4)))
 
