@@ -434,8 +434,21 @@ def cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
+def _model_entries(text: str) -> dict[str, str]:
+    """--models entries by table name (file stem or rule_based), which must be distinct."""
+    entries: dict[str, str] = {}
+    for entry in (e.strip() for e in text.split(",")):
+        name = "rule_based" if entry == "rule_based" else Path(entry).stem
+        if name in entries:
+            raise UsageError(f"--models entries {entries[name]!r} and {entry!r} share the "
+                             f"name {name!r} and would make one row; rename one file")
+        entries[name] = entry
+    return entries
+
+
 def cmd_report(args) -> int:
     manifest = Manifest("report", args, Path(args.out_dir))
+    model_entries = _model_entries(args.models) if args.models else {}
     wrote_any = False
 
     if args.trace:
@@ -488,13 +501,9 @@ def cmd_report(args) -> int:
 
         if args.models:
             named = {}
-            for entry in args.models.split(","):
-                entry = entry.strip()
-                if entry == "rule_based":
-                    named["rule_based"] = rule_based_model()
-                else:
-                    named[Path(entry).stem] = load_model(entry)
-                    manifest.note_input(entry)
+            for name, entry in model_entries.items():
+                named[name] = rule_based_model() if entry == "rule_based" else load_model(entry)
+                manifest.note_input(None if entry == "rule_based" else entry)
             ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [1000, 2000, 3000, 4000, 5000]
             eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
             rows_m = model_comparison_table(cohort, named, ks,
@@ -669,8 +678,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_defaults(args: argparse.Namespace, parser_actions) -> None:
-    """--config file entries fill flags the command line left at default."""
+def _flags_given(subparser: argparse.ArgumentParser, arg_strings: list[str]) -> set[str]:
+    """Dests of the flags in ``arg_strings``, as argparse matches them (abbreviated,
+    ``--flag=value``): parse into a namespace it leaves alone where no flag is given."""
+    unset = object()
+    namespace = argparse.Namespace(**{a.dest: unset for a in subparser._actions})  # noqa: SLF001
+    subparser.parse_args(arg_strings, namespace=namespace)
+    return {dest for dest, value in vars(namespace).items() if value is not unset}
+
+
+def _apply_config_defaults(args: argparse.Namespace, subparser, arg_strings: list[str]) -> None:
+    """--config file entries fill the flags ``arg_strings`` did not give."""
     if not args.config:
         return
     path = Path(args.config)
@@ -685,13 +703,13 @@ def _apply_config_defaults(args: argparse.Namespace, parser_actions) -> None:
         if not sep:
             raise DataError(f"{path}:{line_number}: expected key = value")
         entries[key.strip().replace("-", "_")] = value.strip()
-    known = {a.dest: a for a in parser_actions}
+    known = {a.dest: a for a in subparser._actions}  # noqa: SLF001
+    given = _flags_given(subparser, arg_strings)
     for key, raw in entries.items():
         if key not in known:
             raise DataError(f"{path}: unknown option {key!r} for this subcommand")
         action = known[key]
-        current = getattr(args, key)
-        if current != action.default:
+        if key in given:
             continue  # explicit command line wins
         if isinstance(action, argparse._StoreTrueAction):
             setattr(args, key, raw.lower() in ("1", "true", "yes"))
@@ -705,6 +723,7 @@ def _apply_config_defaults(args: argparse.Namespace, parser_actions) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
@@ -715,8 +734,8 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.ERROR if args.quiet else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        actions = parser._subparsers._group_actions[0].choices[args.subcommand]._actions  # noqa: SLF001
-        _apply_config_defaults(args, actions)
+        subparser = parser._subparsers._group_actions[0].choices[args.subcommand]  # noqa: SLF001
+        _apply_config_defaults(args, subparser, argv[argv.index(args.subcommand) + 1:])
         for flag in getattr(args, "required_flags", ()):
             if getattr(args, flag) is None:
                 raise UsageError(

@@ -1,10 +1,12 @@
 """Candidate test records: parsing, validation, featurization, week assignment.
 
 Input is a delimited text file with one row per performed test (the public
-"tested individuals" export schema). Rows become immutable :class:`TestRecord`
-values; scorers consume the fixed-order binary encoding from :func:`featurize`.
-Records are pooled by ISO-8601 week number, the time frame used everywhere
-downstream (selection, retraining, metrics).
+"tested individuals" export schema). Each accepted row becomes one entry of a
+:class:`Cohort`, a frozen set of equal-length numpy columns holding the row's
+id, date and categorical codes. Scorers consume the fixed-order binary
+encoding (:data:`FEATURE_NAMES`) the cohort derives from those codes. Records
+are pooled by ISO-8601 week number, the time frame used everywhere downstream
+(selection, retraining, metrics); a cohort therefore lies within one ISO year.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import configparser
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
-from enum import Enum
+from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,33 +24,39 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# The enum values are the codes a cohort stores; the lower-case member names
+# are the canonical names that mapping files target.
 
-class TriState(Enum):
+
+class TriState(IntEnum):
     """Symptom flag: observed present, observed absent, or not collected."""
 
-    PRESENT = "present"
-    ABSENT = "absent"
-    UNKNOWN = "unknown"
+    ABSENT = 0
+    PRESENT = 1
+    UNKNOWN = 2
 
 
-class Gender(Enum):
-    FEMALE = "female"
-    MALE = "male"
-    UNKNOWN = "unknown"
+class Gender(IntEnum):
+    MALE = 0
+    FEMALE = 1
+    UNKNOWN = 2
 
 
-class Indication(Enum):
-    """Reason the test was performed. Closed three-way vocabulary."""
+class Indication(IntEnum):
+    """Reason the test was performed. Closed three-way vocabulary, in the
+    order of the one-hot feature trio."""
 
-    CONTACT_WITH_CONFIRMED = "contact_with_confirmed"
-    ABROAD = "abroad"
-    OTHER = "other"
+    CONTACT_WITH_CONFIRMED = 0
+    ABROAD = 1
+    OTHER = 2
 
 
-class TestResult(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    OTHER = "other"
+class TestResult(IntEnum):
+    __test__ = False  # a domain type, not a pytest test class
+
+    NEGATIVE = 0
+    POSITIVE = 1
+    OTHER = 2
 
 
 SYMPTOM_FIELDS: tuple[str, ...] = (
@@ -74,6 +82,12 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
     ("test_date",) + SYMPTOM_FIELDS + ("corona_result", "gender", "test_indication")
 )
 
+#: Layout of the tuple :func:`parse_record` returns and
+#: :meth:`Cohort.from_records` takes.
+ROW_FIELDS: tuple[str, ...] = (
+    ("record_id", "test_date") + SYMPTOM_FIELDS + ("indication", "gender", "result")
+)
+
 
 class DataError(Exception):
     """Base class for ingestion failures."""
@@ -94,57 +108,6 @@ class CohortFormatError(DataError):
 
 class MappingFormatError(DataError):
     """A value-mapping file is malformed."""
-
-
-@dataclass(frozen=True)
-class TestRecord:
-    """One candidate-period row. Immutable once parsed."""
-
-    record_id: int
-    test_date: date
-    cough: TriState
-    fever: TriState
-    sore_throat: TriState
-    shortness_of_breath: TriState
-    head_ache: TriState
-    gender: Gender
-    test_indication: Indication
-    result: TestResult
-
-    @property
-    def is_positive(self) -> bool:
-        return self.result is TestResult.POSITIVE
-
-    def symptoms(self) -> tuple[TriState, ...]:
-        return tuple(getattr(self, name) for name in SYMPTOM_FIELDS)
-
-
-def featurize(record: TestRecord) -> np.ndarray:
-    """Encode a record in the canonical 9-entry binary order.
-
-    Unknown symptom values encode as 0.0, identical to absent: rows with
-    uncollected symptoms are kept and read as "no indication of the symptom"
-    rather than dropped (use ``null_policy="drop"`` at load time for the
-    strict alternative).
-    """
-    v = np.zeros(N_FEATURES)
-    for i, name in enumerate(SYMPTOM_FIELDS):
-        if getattr(record, name) is TriState.PRESENT:
-            v[i] = 1.0
-    if record.test_indication is Indication.CONTACT_WITH_CONFIRMED:
-        v[5] = 1.0
-    elif record.test_indication is Indication.ABROAD:
-        v[6] = 1.0
-    else:
-        v[7] = 1.0
-    if record.gender is Gender.FEMALE:
-        v[8] = 1.0
-    return v
-
-
-def week_of(d: date) -> int:
-    """ISO-8601 week number of the date's year (Monday-Sunday weeks)."""
-    return d.isocalendar()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +145,12 @@ _DEFAULT_SYMPTOM = {
     "na": TriState.UNKNOWN,
 }
 
-_MAPPING_TARGETS = {
-    "corona_result": {e.value: e for e in TestResult},
-    "test_indication": {e.value: e for e in Indication},
-    "gender": {e.value: e for e in Gender},
-    "symptom": {e.value: e for e in TriState},
+#: Mapping-file section -> (ValueMapping field, canonical enum).
+_SECTIONS = {
+    "corona_result": ("result", TestResult),
+    "test_indication": ("indication", Indication),
+    "gender": ("gender", Gender),
+    "symptom": ("symptom", TriState),
 }
 
 
@@ -206,12 +170,8 @@ class ValueMapping:
 
     @classmethod
     def default(cls) -> "ValueMapping":
-        return cls(
-            result=dict(_DEFAULT_RESULT),
-            indication=dict(_DEFAULT_INDICATION),
-            gender=dict(_DEFAULT_GENDER),
-            symptom=dict(_DEFAULT_SYMPTOM),
-        )
+        return cls(dict(_DEFAULT_RESULT), dict(_DEFAULT_INDICATION), dict(_DEFAULT_GENDER),
+                   dict(_DEFAULT_SYMPTOM))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ValueMapping":
@@ -226,20 +186,15 @@ class ValueMapping:
         except configparser.Error as exc:
             raise MappingFormatError(f"bad mapping file {path}: {exc}") from exc
 
-        base = cls.default()
-        tables = {
-            "corona_result": dict(base.result),
-            "test_indication": dict(base.indication),
-            "gender": dict(base.gender),
-            "symptom": dict(base.symptom),
-        }
+        tables = asdict(cls.default())
         for section in parser.sections():
-            if section not in _MAPPING_TARGETS:
+            if section not in _SECTIONS:
                 raise MappingFormatError(
                     f"unknown mapping section [{section}] "
-                    f"(expected one of {sorted(_MAPPING_TARGETS)})"
+                    f"(expected one of {sorted(_SECTIONS)})"
                 )
-            canon = _MAPPING_TARGETS[section]
+            field_name, enum = _SECTIONS[section]
+            canon = {e.name.lower(): e for e in enum}
             for raw, target in parser.items(section):
                 target = target.strip().lower()
                 if target not in canon:
@@ -247,13 +202,8 @@ class ValueMapping:
                         f"[{section}] {raw!r} -> {target!r}: not a canonical value "
                         f"(expected one of {sorted(canon)})"
                     )
-                tables[section][raw] = canon[target]
-        return cls(
-            result=tables["corona_result"],
-            indication=tables["test_indication"],
-            gender=tables["gender"],
-            symptom=tables["symptom"],
-        )
+                tables[field_name][raw] = canon[target]
+        return cls(**tables)
 
 
 def parse_record(
@@ -262,8 +212,8 @@ def parse_record(
     *,
     record_id: int = 0,
     study_window: tuple[date, date] | None = None,
-) -> TestRecord:
-    """Parse one raw CSV row into a validated record.
+) -> tuple:
+    """Validate one raw CSV row; return its values in :data:`ROW_FIELDS` order.
 
     Missing or empty symptom cells become UNKNOWN. Result and indication go
     through the closed vocabulary; anything unmappable raises
@@ -286,13 +236,12 @@ def parse_record(
                 "test_date", raw_date, f"outside study window {lo}..{hi}"
             )
 
-    symptoms = {}
+    symptoms = []
     for name in SYMPTOM_FIELDS:
-        raw = cell(name).lower()
-        state = mapping.symptom.get(raw)
+        state = mapping.symptom.get(cell(name).lower())
         if state is None:
             raise RecordParseError(name, cell(name), "unmappable symptom value")
-        symptoms[name] = state
+        symptoms.append(state)
 
     raw_result = cell("corona_result")
     result = mapping.result.get(raw_result.lower())
@@ -310,57 +259,99 @@ def parse_record(
     # first-class state, so unexpected values degrade instead of rejecting.
     gender = mapping.gender.get(cell("gender").lower(), Gender.UNKNOWN)
 
-    return TestRecord(
-        record_id=record_id,
-        test_date=test_date,
-        gender=gender,
-        test_indication=indication,
-        result=result,
-        **symptoms,
-    )
+    return (record_id, test_date, *symptoms, indication, gender, result)
 
 
 # ---------------------------------------------------------------------------
-# Cohort: an immutable collection of records pooled by week, with the numeric
-# views (ids / features / labels per week) prebuilt so it is cheap and safe to
-# share across threads.
+# Cohort: equal-length columns, one entry per record in record order, with
+# the numeric views (ids / features / labels per week) derived once so it is
+# cheap and safe to share across threads.
 # ---------------------------------------------------------------------------
 
+_COLUMN_DTYPES = {
+    "record_id": np.int64,
+    "test_date": "datetime64[D]",
+    "symptoms": np.int8,
+    "indication": np.int8,
+    "gender": np.int8,
+    "result": np.int8,
+}
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    records: tuple[TestRecord, ...]
-    week_index: Mapping[int, int]  # record_id -> week number
+    """Columns of one cohort, one entry per record in record order. Arrays
+    already of their column's dtype are kept, not copied.
+
+    ``symptoms`` holds the :class:`TriState` codes in :data:`SYMPTOM_FIELDS`
+    order; unknown symptoms encode as 0.0, identical to absent, so rows with
+    uncollected symptoms are kept and read as "no indication of the symptom"
+    (``null_policy="drop"`` at load time is the strict alternative).
+    """
+
+    record_id: np.ndarray  # int64
+    test_date: np.ndarray  # datetime64[D]
+    symptoms: np.ndarray  # int8, shape (n, 5): TriState codes
+    indication: np.ndarray  # int8 Indication codes
+    gender: np.ndarray  # int8 Gender codes
+    result: np.ndarray  # int8 TestResult codes
 
     def __post_init__(self):
-        seen = set()
-        grouped: dict[int, list[TestRecord]] = {}
-        for rec in self.records:
-            if rec.record_id in seen:
-                raise ValueError(f"duplicate record_id {rec.record_id}")
-            if rec.record_id not in self.week_index:
-                raise ValueError(f"record {rec.record_id} has no week assignment")
-            seen.add(rec.record_id)
-            grouped.setdefault(self.week_index[rec.record_id], []).append(rec)
-        views = {}
-        for week, recs in grouped.items():
-            ids = np.array([r.record_id for r in recs], dtype=np.int64)
-            X = np.stack([featurize(r) for r in recs]) if recs else np.zeros((0, N_FEATURES))
-            y = np.array([r.is_positive for r in recs], dtype=bool)
-            views[week] = (ids, X, y)
+        for name, dtype in _COLUMN_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = len(self.record_id)
+        if self.symptoms.shape != (n, len(SYMPTOM_FIELDS)) or any(
+            len(getattr(self, f.name)) != n for f in fields(self)
+        ):
+            raise ValueError("cohort columns differ in length")
+        ids, counts = np.unique(self.record_id, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate record_id {ids[counts > 1][0]}")
+
+        # ISO calendar once per distinct date.
+        days, day_of_record = np.unique(self.test_date, return_inverse=True)
+        iso = [d.isocalendar() for d in days.astype(object)]
+        years = sorted({y for y, _, _ in iso})
+        if len(years) > 1:
+            raise DataError(f"dates span ISO years {', '.join(map(str, years))}, but weeks are "
+                            "numbered within one; select one year with ingest "
+                            "--window-start/--window-end")
+        week = np.array([w for _, w, _ in iso], dtype=np.int64)[day_of_record]
+
+        order = np.argsort(week, kind="stable")  # keeps record order within a week
+        weeks, starts = np.unique(week[order], return_index=True)
+        X = np.zeros((n, N_FEATURES))
+        X[:, :5] = self.symptoms[order] == TriState.PRESENT
+        X[np.arange(n), 5 + self.indication[order]] = 1.0
+        X[:, 8] = self.gender[order] == Gender.FEMALE
+        ids = self.record_id[order]
+        y = self.result[order] == TestResult.POSITIVE
+        ends = [*starts[1:], n]
+        views = {int(w): (ids[a:b], X[a:b], y[a:b]) for w, a, b in zip(weeks, starts, ends)}
+        object.__setattr__(self, "_week", week)
         object.__setattr__(self, "_views", views)
 
     @classmethod
-    def from_records(cls, records: Sequence[TestRecord]) -> "Cohort":
-        week_index = {r.record_id: week_of(r.test_date) for r in records}
-        return cls(records=tuple(records), week_index=week_index)
+    def from_records(cls, records: Sequence[tuple]) -> "Cohort":
+        """Build a cohort from row tuples in :data:`ROW_FIELDS` order, as
+        :func:`parse_record` returns them."""
+        col = {name: [r[i] for r in records] for i, name in enumerate(ROW_FIELDS)}
+        return cls(
+            record_id=col["record_id"],
+            test_date=np.array([d.toordinal() - _EPOCH_ORDINAL for d in col["test_date"]]),
+            symptoms=np.array([col[s] for s in SYMPTOM_FIELDS], dtype=np.int8).T.copy(),
+            indication=col["indication"],
+            gender=col["gender"],
+            result=col["result"],
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.record_id)
 
     @property
     def weeks(self) -> tuple[int, ...]:
-        return tuple(sorted(self._views))
+        return tuple(self._views)
 
     def _view(self, week: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         try:
@@ -382,10 +373,8 @@ class Cohort:
         return {w: int(self._views[w][2].sum()) for w in self.weeks}
 
     def subset_weeks(self, weeks: Iterable[int]) -> "Cohort":
-        wanted = set(weeks)
-        recs = [r for r in self.records if self.week_index[r.record_id] in wanted]
-        idx = {r.record_id: self.week_index[r.record_id] for r in recs}
-        return Cohort(records=tuple(recs), week_index=idx)
+        keep = np.isin(self._week, list(weeks))
+        return Cohort(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
 
 
 @dataclass
@@ -435,39 +424,41 @@ def load_cohort(
         raise CohortFormatError(f"cannot read {path}: {exc}") from exc
 
     report = LoadReport()
-    records: list[TestRecord] = []
+    records: list[tuple] = []
+    symptom_slice = slice(2, 2 + len(SYMPTOM_FIELDS))
     with fh:
-        filtered = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(filtered, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise CohortFormatError(f"{path}: empty file, no header row")
-        header = [h.strip() for h in reader.fieldnames]
-        for column in REQUIRED_COLUMNS:
-            if column not in header:
-                raise CohortFormatError(f"{path}: header is missing column {column!r}")
+        try:
+            filtered = (line for line in fh if not line.startswith("#"))
+            reader = csv.DictReader(filtered, delimiter=delimiter)
+            if reader.fieldnames is None:
+                raise CohortFormatError(f"{path}: empty file, no header row")
+            header = [h.strip() for h in reader.fieldnames]
+            for column in REQUIRED_COLUMNS:
+                if column not in header:
+                    raise CohortFormatError(f"{path}: header is missing column {column!r}")
 
-        next_id = 0
-        for row_number, row in enumerate(reader, start=1):
-            report.n_rows += 1
-            try:
-                rec = parse_record(
-                    row, mapping, record_id=next_id, study_window=study_window
-                )
-            except RecordParseError as exc:
-                report.rejections.append((row_number, str(exc)))
-                continue
-            if rec.result is TestResult.OTHER and not keep_other_results:
-                report.rejections.append(
-                    (row_number, "result 'other' excluded (keep_other_results retains)")
-                )
-                continue
-            if null_policy == "drop" and TriState.UNKNOWN in rec.symptoms():
-                report.rejections.append(
-                    (row_number, "unknown symptom value (null_policy=drop)")
-                )
-                continue
-            records.append(rec)
-            next_id += 1
+            for row_number, row in enumerate(reader, start=1):
+                report.n_rows += 1
+                try:
+                    rec = parse_record(
+                        row, mapping, record_id=len(records), study_window=study_window
+                    )
+                except RecordParseError as exc:
+                    report.rejections.append((row_number, str(exc)))
+                    continue
+                if rec[-1] is TestResult.OTHER and not keep_other_results:
+                    report.rejections.append(
+                        (row_number, "result 'other' excluded (keep_other_results retains)")
+                    )
+                    continue
+                if null_policy == "drop" and TriState.UNKNOWN in rec[symptom_slice]:
+                    report.rejections.append(
+                        (row_number, "unknown symptom value (null_policy=drop)")
+                    )
+                    continue
+                records.append(rec)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
 
     report.n_accepted = len(records)
     if report.n_rejected:
@@ -480,24 +471,19 @@ def load_cohort(
     return Cohort.from_records(records), report
 
 
-_OUT_SYMPTOM = {TriState.PRESENT: "1", TriState.ABSENT: "0", TriState.UNKNOWN: ""}
-_OUT_INDICATION = {
-    Indication.CONTACT_WITH_CONFIRMED: "Contact with confirmed",
-    Indication.ABROAD: "Abroad",
-    Indication.OTHER: "Other",
-}
-_OUT_GENDER = {Gender.FEMALE: "female", Gender.MALE: "male", Gender.UNKNOWN: ""}
+# Output spellings, indexed by code.
+_OUT_SYMPTOM = np.array(["0", "1", ""], dtype=object)
+_OUT_RESULT = np.array([e.name.lower() for e in TestResult], dtype=object)
+_OUT_GENDER = np.array(["male", "female", ""], dtype=object)
+_OUT_INDICATION = np.array(["Contact with confirmed", "Abroad", "Other"], dtype=object)
 
 
-def cohort_to_rows(cohort: Cohort) -> list[list[str]]:
-    rows = []
-    for rec in cohort.records:
-        rows.append(
-            [rec.test_date.isoformat()]
-            + [_OUT_SYMPTOM[s] for s in rec.symptoms()]
-            + [rec.result.value, _OUT_GENDER[rec.gender], _OUT_INDICATION[rec.test_indication]]
-        )
-    return rows
+def cohort_to_rows(cohort: Cohort) -> list[tuple[str, ...]]:
+    """The cohort's rows in the ingestion schema (:data:`REQUIRED_COLUMNS`)."""
+    columns = [np.datetime_as_string(cohort.test_date, unit="D"), *_OUT_SYMPTOM[cohort.symptoms].T,
+               _OUT_RESULT[cohort.result], _OUT_GENDER[cohort.gender],
+               _OUT_INDICATION[cohort.indication]]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path, *, header_comment: str | None = None) -> None:

@@ -23,11 +23,8 @@ import numpy as np
 from .records import (
     FEATURE_NAMES,
     N_FEATURES,
-    SYMPTOM_FIELDS,
     Cohort,
     Gender,
-    Indication,
-    TestRecord,
     TestResult,
     TriState,
 )
@@ -128,8 +125,7 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
     ind_probs = prev[_INDICATION_SLICE] / prev[_INDICATION_SLICE].sum()
     ind_cum = np.cumsum(ind_probs)
 
-    records: list[TestRecord] = []
-    next_id = 0
+    dates, symptoms, indication, gender, result = [], [], [], [], []
     for week in params.week_list():
         n = params.n_per_week
         coeffs = params.coefficients_for_week(week)
@@ -150,30 +146,23 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
         positive = label_u < p
         masked = mask_u < params.unknown_rate
 
-        for i in range(n):
-            symptoms = {}
-            for j, name in enumerate(SYMPTOM_FIELDS):
-                if masked[i, j]:
-                    symptoms[name] = TriState.UNKNOWN
-                else:
-                    symptoms[name] = TriState.PRESENT if X[i, j] else TriState.ABSENT
-            indication = (
-                Indication.CONTACT_WITH_CONFIRMED,
-                Indication.ABROAD,
-                Indication.OTHER,
-            )[ind_choice[i]]
-            records.append(
-                TestRecord(
-                    record_id=next_id,
-                    test_date=date.fromisocalendar(params.year, week, 1 + (i % 7)),
-                    gender=Gender.FEMALE if X[i, _FEMALE_IDX] else Gender.MALE,
-                    test_indication=indication,
-                    result=TestResult.POSITIVE if positive[i] else TestResult.NEGATIVE,
-                    **symptoms,
-                )
-            )
-            next_id += 1
-    return Cohort.from_records(records)
+        # Record i of the week is dated on weekday 1 + (i % 7).
+        monday = np.datetime64(date.fromisocalendar(params.year, week, 1), "D")
+        dates.append(monday + np.arange(n) % 7)
+        # Codes: TriState ABSENT/PRESENT are 0/1, Indication follows the one-hot order.
+        symptoms.append(np.where(masked, TriState.UNKNOWN, X[:, :5]))
+        indication.append(ind_choice)
+        gender.append(np.where(X[:, _FEMALE_IDX] == 1.0, Gender.FEMALE, Gender.MALE))
+        result.append(np.where(positive, TestResult.POSITIVE, TestResult.NEGATIVE))
+
+    return Cohort(
+        record_id=np.arange(params.n_per_week * len(dates)),
+        test_date=np.concatenate(dates),
+        symptoms=np.concatenate(symptoms),
+        indication=np.concatenate(indication),
+        gender=np.concatenate(gender),
+        result=np.concatenate(result),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from banditriage.records import (
     FEATURE_NAMES,
+    SYMPTOM_FIELDS,
     Cohort,
     Gender,
     Indication,
-    TestRecord,
     TestResult,
     TriState,
 )
@@ -25,16 +25,15 @@ def make_record(
     indication=Indication.OTHER,
     **symptoms,
 ):
-    fields = {name: TriState.ABSENT for name in
-              ("cough", "fever", "sore_throat", "shortness_of_breath", "head_ache")}
-    fields.update(symptoms)
-    return TestRecord(
-        record_id=record_id,
-        test_date=test_date,
-        gender=gender,
-        test_indication=indication,
-        result=result,
-        **fields,
+    """One row tuple in ``records.ROW_FIELDS`` order; symptoms default to absent."""
+    assert set(symptoms) <= set(SYMPTOM_FIELDS), symptoms
+    return (
+        record_id,
+        test_date,
+        *(symptoms.get(name, TriState.ABSENT) for name in SYMPTOM_FIELDS),
+        indication,
+        gender,
+        result,
     )
 
 

@@ -74,6 +74,19 @@ class TestIngest:
         assert err.startswith("error: data:")
         assert "fever" in err
 
+    def test_unreadable_text_is_data_error(self, workdir, capsys):
+        # a cell past the csv module's field size limit, and bytes that are not UTF-8
+        row = "2020-03-11,0,0,0,0,0,negative,{},Other\n"
+        header = ",".join(REQUIRED_COLUMNS) + "\n"
+        (workdir / "big.csv").write_text(header + row.format("x" * 200_000), encoding="utf-8")
+        (workdir / "latin1.csv").write_bytes((header + row.format("männlich")).encode("latin-1"))
+        for name in ("big.csv", "latin1.csv"):
+            code = run(["ingest", "--input", str(workdir / name), "--out-dir", str(workdir),
+                        "--quiet"])
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("error: data:") and "unreadable as delimited text" in err
+
     def test_missing_required_flag_is_usage_error(self, workdir, capsys):
         assert run(["ingest", "--out-dir", str(workdir)]) == EXIT_USAGE
         assert "error: usage:" in capsys.readouterr().err
@@ -218,6 +231,20 @@ class TestSweepBootstrapReport:
         assert lines[3].startswith("model,")  # stem of model.txt
         assert len(lines) == 4
 
+    def test_report_models_sharing_a_stem_is_usage_error(
+        self, workdir, small_cohort_csv, small_model, capsys
+    ):
+        for sub in ("a", "b"):
+            (workdir / sub).mkdir()
+            (workdir / sub / "model.txt").write_bytes(small_model.read_bytes())
+        code = run(["report", "--cohort", str(small_cohort_csv),
+                    "--models", f"{workdir / 'a' / 'model.txt'},{workdir / 'b' / 'model.txt'}",
+                    "--k-list", "100", "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "a/model.txt" in err and "b/model.txt" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()  # nothing written before the check
+
     def test_report_from_trace(self, workdir, small_cohort_csv, small_model):
         policy = workdir / "p.policy"
         policy.write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
@@ -254,6 +281,28 @@ class TestConfigFile:
                     "--out-dir", str(workdir), "--seed", "1", "--quiet"])
         assert code == EXIT_OK
         assert (workdir / "explicit.csv").exists()
+
+    def test_explicit_flag_equal_to_its_default_beats_config(self, workdir):
+        cfg = workdir / "c.cfg"
+        cfg.write_text("out = fromcfg.csv\nseed = 3\n", encoding="utf-8")
+        code = run(["synth", "--scenario", "oracle", "--config", str(cfg),
+                    "--out", "synthetic.csv", "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_OK
+        assert (workdir / "synthetic.csv").exists()
+        assert not (workdir / "fromcfg.csv").exists()
+        # the config-only value still applies
+        manifest = json.loads((workdir / "synth.manifest.json").read_text())
+        assert manifest["seed"] == 3
+
+    def test_abbreviated_and_equals_flags_count_as_given(self, workdir):
+        cfg = workdir / "c.cfg"
+        cfg.write_text("out = fromcfg.csv\nscenario = default\n", encoding="utf-8")
+        code = run(["synth", "--scen=oracle", "--config", str(cfg), "--out=synthetic.csv",
+                    "--out-dir", str(workdir), "--seed", "1", "--quiet"])
+        assert code == EXIT_OK
+        assert not (workdir / "fromcfg.csv").exists()
+        lines = (workdir / "synthetic.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 + 6 * 1000  # comment, header, the oracle's 6 weeks of 1000
 
     def test_unknown_config_key_is_data_error(self, workdir):
         cfg = workdir / "run.config"
@@ -424,3 +473,35 @@ class TestTraceSummary:
         assert summary[0].startswith("# manifest") and traced[0].startswith("# manifest")
         assert traced[1:] == summary[1:]
         assert len(summary) > 3
+
+
+class TestIsoYears:
+    def write_raw(self, workdir, dates) -> Path:
+        lines = [",".join(REQUIRED_COLUMNS)]
+        lines += [f"{d},1,0,0,0,1,positive,female,Other" for d in dates]
+        raw = workdir / "raw.csv"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return raw
+
+    def test_ingest_spanning_two_iso_years_is_data_error(self, workdir, capsys):
+        raw = self.write_raw(workdir, ["2020-12-21", "2020-12-28", "2021-01-06"])
+        code = run(["ingest", "--input", str(raw), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "2020, 2021" in err
+        assert "--window-start" in err and "Traceback" not in err
+        assert not (workdir / "cohort.csv").exists()
+
+    def test_window_selects_one_iso_year(self, workdir):
+        raw = self.write_raw(workdir, ["2020-12-21", "2020-12-28", "2021-01-06"])
+        code = run(["ingest", "--input", str(raw), "--window-start", "2020-12-01",
+                    "--window-end", "2020-12-31", "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_OK
+
+    def test_year_end_dates_of_one_iso_week_load_as_week_53(self, workdir):
+        raw = self.write_raw(workdir, ["2020-12-28", "2021-01-01"])
+        assert run(["ingest", "--input", str(raw), "--out-dir", str(workdir), "--quiet"]) == EXIT_OK
+        assert run(["report", "--cohort", str(workdir / "cohort.csv"),
+                    "--out-dir", str(workdir), "--quiet"]) == EXIT_OK
+        counts = (workdir / "weekly_counts.csv").read_text(encoding="utf-8").splitlines()
+        assert counts[1:] == ["week,tests,positives", "53,2,2"]

@@ -1,0 +1,173 @@
+"""Property tests for ingestion: the cohort CSV round trip is exact, every
+input row is either accepted or rejected, and bad input only ever raises
+:class:`DataError` (exit 2 at the command line, never an internal error)."""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import tempfile
+from datetime import date
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from banditriage.cli import EXIT_DATA, EXIT_OK, main
+from banditriage.records import (
+    REQUIRED_COLUMNS,
+    SYMPTOM_FIELDS,
+    Cohort,
+    DataError,
+    Gender,
+    Indication,
+    TestResult,
+    TriState,
+    load_cohort,
+    write_cohort_csv,
+)
+
+COLUMNS = ("record_id", "test_date", "symptoms", "indication", "gender", "result")
+
+
+@st.composite
+def one_iso_year_rows(draw) -> list[tuple]:
+    """Row tuples dated within one ISO year, mixing every code, ids in order."""
+    year = draw(st.integers(1990, 2040))
+    last_week = date(year, 12, 28).isocalendar()[1]
+    day = st.dates(date.fromisocalendar(year, 1, 1), date.fromisocalendar(year, last_week, 7))
+    row = st.tuples(
+        day,
+        *[st.sampled_from(TriState)] * len(SYMPTOM_FIELDS),
+        st.sampled_from(Indication),
+        st.sampled_from(Gender),
+        st.sampled_from(TestResult),
+    )
+    return [(i, *r) for i, r in enumerate(draw(st.lists(row, max_size=40)))]
+
+
+def reference_views(rows) -> dict[int, tuple[list, list, list]]:
+    """The per-record loop the columnar cohort replaced: group by ISO week in
+    record order and encode each record on its own."""
+    views: dict[int, tuple[list, list, list]] = {}
+    for record_id, day, *symptoms, indication, gender, result in rows:
+        v = [1.0 if s is TriState.PRESENT else 0.0 for s in symptoms] + [0.0] * 4
+        v[5 + [Indication.CONTACT_WITH_CONFIRMED, Indication.ABROAD,
+               Indication.OTHER].index(indication)] = 1.0
+        v[8] = 1.0 if gender is Gender.FEMALE else 0.0
+        ids, X, y = views.setdefault(day.isocalendar()[1], ([], [], []))
+        ids.append(record_id)
+        X.append(v)
+        y.append(result is TestResult.POSITIVE)
+    return views
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_iso_year_rows())
+def test_week_views_equal_the_per_record_encoding(rows):
+    cohort = Cohort.from_records(rows)
+    expected = reference_views(rows)
+    assert cohort.weeks == tuple(sorted(expected))
+    for week, (ids, X, y) in expected.items():
+        assert cohort.week_ids(week).tolist() == ids
+        assert cohort.week_features(week).tolist() == X
+        assert cohort.week_labels(week).tolist() == y
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_iso_year_rows().map(Cohort.from_records))
+def test_cohort_csv_round_trip_is_exact(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        write_cohort_csv(cohort, path, header_comment="manifest: x.json")
+        loaded, report = load_cohort(path, keep_other_results=True)
+    assert report.n_rejected == 0 and report.n_accepted == len(cohort)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(loaded, column), getattr(cohort, column)), column
+    assert loaded.weeks == cohort.weeks
+    for week in cohort.weeks:
+        for view in (Cohort.week_ids, Cohort.week_features, Cohort.week_labels):
+            a, b = view(loaded, week), view(cohort, week)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
+                max_size=12)
+_CELLS = {
+    "test_date": st.one_of(st.sampled_from(["2020-03-09", "2020-03-17", "2020-12-31",
+                                            "2021-01-01", "2020-02-30", ""]), _TEXT),
+    "symptom": st.one_of(st.sampled_from(["1", "0", "", "none", "NULL", " na ", "2"]), _TEXT),
+    "corona_result": st.one_of(st.sampled_from(["positive", "Negative", "other", "?"]), _TEXT),
+    "gender": st.one_of(st.sampled_from(["female", "MALE", "", "unknown"]), _TEXT),
+    "test_indication": st.one_of(
+        st.sampled_from(["Contact with confirmed", "abroad", "Other", "??"]), _TEXT),
+}
+_ROW = st.tuples(*[_CELLS["symptom" if c in SYMPTOM_FIELDS else c] for c in REQUIRED_COLUMNS])
+
+
+@st.composite
+def fuzzed_exports(draw) -> tuple[str, int]:
+    """Export text (optional BOM, ``#`` lines between rows) and its data-row count."""
+    out = io.StringIO()
+    if draw(st.booleans()):
+        out.write("\ufeff")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS)
+    n_rows = 0
+    for cells in draw(st.lists(_ROW, max_size=30)):
+        if draw(st.booleans()):
+            out.write(f"#{draw(_TEXT)}\n")
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(cells)
+        n_rows += not line.getvalue().startswith("#")  # a comment line, not a row
+        out.write(line.getvalue())
+    return out.getvalue(), n_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_exports(), st.booleans(), st.sampled_from(["as_absent", "drop"]))
+def test_fuzzed_rows_are_accepted_or_rejected(export, keep_other, null_policy):
+    text, n_rows = export
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cohort, report = load_cohort(
+                path, keep_other_results=keep_other, null_policy=null_policy
+            )
+        except DataError as exc:  # the one allowed failure: dates of two ISO years
+            assert "ISO years" in str(exc)
+            return
+    assert report.n_rows == n_rows
+    assert report.n_accepted + report.n_rejected == n_rows
+    assert report.n_accepted == len(cohort)
+    assert [number for number, _ in report.rejections] == sorted(
+        {number for number, _ in report.rejections})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=400))
+def test_arbitrary_bytes_raise_only_data_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_bytes(b",".join(c.encode() for c in REQUIRED_COLUMNS) + b"\n" + raw)
+        try:
+            cohort, report = load_cohort(path)
+        except DataError:
+            return
+    assert report.n_accepted + report.n_rejected == report.n_rows
+    assert report.n_accepted == len(cohort)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fuzzed_exports())
+def test_fuzzed_ingest_exits_ok_or_data_error(export):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = Path(tmp) / "export.csv"
+        path.write_text(export[0], encoding="utf-8")
+        code = main(["ingest", "--input", str(path), "--out-dir", tmp, "--quiet"])
+    assert code in (EXIT_OK, EXIT_DATA)
+    assert "Traceback" not in err.getvalue()

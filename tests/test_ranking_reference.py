@@ -110,13 +110,8 @@ def ref_bootstrap_means(cohort, model, k, replicates, seed):
 @pytest.fixture(scope="module")
 def cohort():
     base = generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=(1, 4), seed=23))
-    relabelled = [
-        replace(r, result=records.TestResult.NEGATIVE)
-        if records.week_of(r.test_date) == EMPTY_WEEK
-        else r
-        for r in base.records
-    ]
-    out = records.Cohort.from_records(relabelled)
+    in_empty_week = np.array([d.isocalendar()[1] == EMPTY_WEEK for d in base.test_date.tolist()])
+    out = replace(base, result=np.where(in_empty_week, records.TestResult.NEGATIVE, base.result))
     assert out.week_labels(EMPTY_WEEK).sum() == 0
     return out
 

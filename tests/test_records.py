@@ -15,14 +15,14 @@ from banditriage.records import (
     Gender,
     Indication,
     MappingFormatError,
+    ROW_FIELDS,
+    SYMPTOM_FIELDS,
     RecordParseError,
     TestResult,
     TriState,
     ValueMapping,
-    featurize,
     load_cohort,
     parse_record,
-    week_of,
     write_cohort_csv,
 )
 from banditriage.synthgen import generate_cohort
@@ -48,18 +48,30 @@ def row(**kv):
     return base
 
 
+def fields_of(rec: tuple) -> dict:
+    """A parsed row tuple keyed by ``ROW_FIELDS``."""
+    return dict(zip(ROW_FIELDS, rec))
+
+
+def features_of(rec: tuple) -> np.ndarray:
+    """One record's feature vector, read from the week view of a one-row cohort."""
+    cohort = Cohort.from_records([rec])
+    (week,) = cohort.weeks
+    return cohort.week_features(week)[0]
+
+
 class TestParseRecord:
     def test_missing_symptom_becomes_unknown(self):
-        rec = parse_record(
+        rec = fields_of(parse_record(
             row(cough="1", fever="", test_indication="Contact with confirmed"), MAPPING
-        )
-        assert rec.cough is TriState.PRESENT
-        assert rec.fever is TriState.UNKNOWN
-        assert rec.test_indication is Indication.CONTACT_WITH_CONFIRMED
+        ))
+        assert rec["cough"] is TriState.PRESENT
+        assert rec["fever"] is TriState.UNKNOWN
+        assert rec["indication"] is Indication.CONTACT_WITH_CONFIRMED
 
     def test_all_zero_symptoms_absent(self):
-        rec = parse_record(row(), MAPPING)
-        assert all(s is TriState.ABSENT for s in rec.symptoms())
+        rec = fields_of(parse_record(row(), MAPPING))
+        assert all(rec[s] is TriState.ABSENT for s in SYMPTOM_FIELDS)
 
     def test_unknown_indication_rejected(self):
         with pytest.raises(RecordParseError) as err:
@@ -83,13 +95,13 @@ class TestParseRecord:
         parse_record(row(), MAPPING, study_window=window)  # in-window parses
 
     def test_unmapped_gender_degrades_to_unknown(self):
-        assert parse_record(row(gender="n/a"), MAPPING).gender is Gender.UNKNOWN
+        assert fields_of(parse_record(row(gender="n/a"), MAPPING))["gender"] is Gender.UNKNOWN
 
 
 class TestFeaturize:
     def test_unknown_reads_as_absent(self):
         rec = make_record(fever=TriState.UNKNOWN)
-        assert np.array_equal(featurize(rec), np.array([0, 0, 0, 0, 0, 0, 0, 1, 0.0]))
+        assert np.array_equal(features_of(rec), np.array([0, 0, 0, 0, 0, 0, 0, 1, 0.0]))
 
     def test_direct_encoding(self):
         rec = make_record(
@@ -98,16 +110,16 @@ class TestFeaturize:
             indication=Indication.CONTACT_WITH_CONFIRMED,
             gender=Gender.FEMALE,
         )
-        assert np.array_equal(featurize(rec), np.array([1, 1, 0, 0, 0, 1, 0, 0, 1.0]))
+        assert np.array_equal(features_of(rec), np.array([1, 1, 0, 0, 0, 1, 0, 0, 1.0]))
 
     def test_unknown_and_absent_encode_identically(self):
         a = make_record(fever=TriState.UNKNOWN)
         b = make_record(fever=TriState.ABSENT)
-        assert np.array_equal(featurize(a), featurize(b))
+        assert np.array_equal(features_of(a), features_of(b))
 
-    @pytest.mark.parametrize("indication", list(Indication))
+    @pytest.mark.parametrize("indication", list(Indication), ids=lambda e: f"Indication.{e.name}")
     def test_indication_one_hot_sums_to_one(self, indication):
-        v = featurize(make_record(indication=indication))
+        v = features_of(make_record(indication=indication))
         assert v[5:8].sum() == 1.0
 
     def test_values_are_binary(self):
@@ -119,11 +131,17 @@ class TestFeaturize:
                 indication=list(Indication)[rng.integers(3)],
                 gender=list(Gender)[rng.integers(3)],
             )
-            assert set(np.unique(featurize(rec))) <= {0.0, 1.0}
+            assert set(np.unique(features_of(rec))) <= {0.0, 1.0}
 
     def test_deterministic(self):
         rec = make_record(cough=TriState.PRESENT)
-        assert np.array_equal(featurize(rec), featurize(rec))
+        assert np.array_equal(features_of(rec), features_of(rec))
+
+
+def week_of(d: date) -> int:
+    """The week a one-record cohort dated ``d`` pools its record into."""
+    (week,) = Cohort.from_records([make_record(test_date=d)]).weeks
+    return week
 
 
 class TestWeekOf:
@@ -151,7 +169,7 @@ class TestLoadCohort:
         cohort, report = load_cohort(path)
         assert len(cohort) == 3
         assert report.n_rejected == 0
-        assert [r.record_id for r in cohort.records] == [0, 1, 2]
+        assert cohort.record_id.tolist() == [0, 1, 2]
 
     def test_bad_date_row_rejected(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [row(), row(test_date="bogus"), row()])
@@ -180,8 +198,8 @@ class TestLoadCohort:
         assert len(cohort) == 1
         cohort, report = load_cohort(path, keep_other_results=True)
         assert len(cohort) == 2
-        kept = cohort.records[0]
-        assert kept.result is TestResult.OTHER and not kept.is_positive
+        assert cohort.result[0] == TestResult.OTHER
+        assert not cohort.week_labels(11)[0]
 
     def test_null_policy_drop(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [row(fever=""), row()])
@@ -224,13 +242,13 @@ class TestMappingFile:
             encoding="utf-8",
         )
         mapping = ValueMapping.from_file(mf)
-        rec = parse_record(
+        rec = fields_of(parse_record(
             row(corona_result="Positivo", test_indication="viaje"), mapping
-        )
-        assert rec.result is TestResult.POSITIVE
-        assert rec.test_indication is Indication.ABROAD
+        ))
+        assert rec["result"] is TestResult.POSITIVE
+        assert rec["indication"] is Indication.ABROAD
         # defaults still present
-        assert parse_record(row(), mapping).result is TestResult.NEGATIVE
+        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
 
     def test_bad_canonical_target(self, tmp_path):
         mf = tmp_path / "bad.mapping"
@@ -250,7 +268,7 @@ class TestMappingFile:
         path = resources.files("banditriage").joinpath("mappings", "default.mapping")
         with resources.as_file(path) as p:
             mapping = ValueMapping.from_file(p)
-        assert parse_record(row(), mapping).result is TestResult.NEGATIVE
+        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
 
     def test_shipped_hebrew_mapping_covers_raw_export_values(self):
         from importlib import resources
@@ -258,15 +276,15 @@ class TestMappingFile:
         path = resources.files("banditriage").joinpath("mappings", "hebrew_export.mapping")
         with resources.as_file(path) as p:
             mapping = ValueMapping.from_file(p)
-        rec = parse_record(
+        rec = fields_of(parse_record(
             row(corona_result="חיובי", test_indication="מגע עם מאומת", gender="נקבה"),
             mapping,
-        )
-        assert rec.result is TestResult.POSITIVE
-        assert rec.test_indication is Indication.CONTACT_WITH_CONFIRMED
-        assert rec.gender is Gender.FEMALE
+        ))
+        assert rec["result"] is TestResult.POSITIVE
+        assert rec["indication"] is Indication.CONTACT_WITH_CONFIRMED
+        assert rec["gender"] is Gender.FEMALE
         # the overlay keeps the English defaults usable too
-        assert parse_record(row(), mapping).result is TestResult.NEGATIVE
+        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
 
 
 class TestRoundTrip:
@@ -277,14 +295,12 @@ class TestRoundTrip:
         loaded, report = load_cohort(path)
         assert report.n_rejected == 0
         assert len(loaded) == len(cohort)
-        for a, b in zip(cohort.records, loaded.records):
-            assert a.record_id == b.record_id
-            assert a.test_date == b.test_date
-            assert a.symptoms() == b.symptoms()
-            assert a.result == b.result
-            assert a.test_indication == b.test_indication
-            assert np.array_equal(featurize(a), featurize(b))
-        assert loaded.week_index == cohort.week_index
+        for column in ("record_id", "test_date", "symptoms", "result", "indication", "gender"):
+            assert np.array_equal(getattr(loaded, column), getattr(cohort, column)), column
+        assert loaded.weeks == cohort.weeks
+        for week in cohort.weeks:
+            assert np.array_equal(loaded.week_ids(week), cohort.week_ids(week))
+            assert np.array_equal(loaded.week_features(week), cohort.week_features(week))
 
 
 class TestCohort:
@@ -308,3 +324,47 @@ class TestCohort:
         sub = toy_cohort.subset_weeks([12])
         assert sub.weeks == (12,)
         assert len(sub) == 4
+
+    def test_week_views_keep_record_order_dtypes_and_contiguity(self):
+        recs = [
+            make_record(record_id=0, test_date=date(2020, 3, 16), cough=TriState.PRESENT),
+            make_record(record_id=1, test_date=date(2020, 3, 9), result=TestResult.POSITIVE),
+            make_record(record_id=2, test_date=date(2020, 3, 17), gender=Gender.FEMALE),
+        ]
+        cohort = Cohort.from_records(recs)
+        assert cohort.weeks == (11, 12)
+        assert cohort.week_ids(12).tolist() == [0, 2]
+        assert cohort.week_features(12)[:, 0].tolist() == [1.0, 0.0]
+        assert cohort.week_features(12)[:, 8].tolist() == [0.0, 1.0]
+        assert cohort.week_labels(11).tolist() == [True]
+        for week in cohort.weeks:
+            views = cohort.week_ids(week), cohort.week_features(week), cohort.week_labels(week)
+            assert [v.dtype for v in views] == [np.int64, np.float64, np.bool_]
+            assert all(v.flags.c_contiguous for v in views)
+
+    def test_empty_cohort(self):
+        cohort = Cohort.from_records([])
+        assert len(cohort) == 0 and cohort.weeks == ()
+        assert cohort.symptoms.shape == (0, len(SYMPTOM_FIELDS))
+
+
+class TestIsoYear:
+    def test_dates_spanning_two_iso_years_rejected(self):
+        recs = [make_record(record_id=0, test_date=date(2020, 12, 21)),
+                make_record(record_id=1, test_date=date(2021, 1, 6))]
+        with pytest.raises(DataError, match=r"ISO years 2020, 2021.*--window-start/--window-end"):
+            Cohort.from_records(recs)
+
+    def test_year_end_dates_in_one_iso_week_form_week_53(self):
+        # 2021-01-01 is a Friday of ISO week 2020-W53.
+        recs = [make_record(record_id=0, test_date=date(2020, 12, 28)),
+                make_record(record_id=1, test_date=date(2021, 1, 1))]
+        cohort = Cohort.from_records(recs)
+        assert cohort.weeks == (53,)
+        assert cohort.week_ids(53).tolist() == [0, 1]
+
+    def test_subset_of_one_year_cohort_keeps_weeks(self):
+        cohort = generate_cohort(small_params(weeks=(10, 12), n_per_week=20))
+        sub = cohort.subset_weeks([10, 12])
+        assert sub.weeks == (10, 12)
+        assert np.array_equal(sub.week_ids(12), cohort.week_ids(12))

@@ -102,9 +102,7 @@ class TestGenerateCohort:
         cohort = generate_cohort(small_params(unknown_rate=1.0))
         from banditriage.records import TriState
 
-        assert all(
-            all(s is TriState.UNKNOWN for s in rec.symptoms()) for rec in cohort.records
-        )
+        assert (cohort.symptoms == TriState.UNKNOWN).all()
 
     def test_regime_shift_changes_correlation(self):
         base = RiskCoefficients(
