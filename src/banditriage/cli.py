@@ -199,6 +199,23 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"bad {flag} list {text!r}") from None
 
 
+def _parse_study_window(args) -> tuple[date, date] | None:
+    if not (args.window_start or args.window_end):
+        return None
+    if not (args.window_start and args.window_end):
+        raise UsageError("--window-start and --window-end go together")
+    window = []
+    for flag, text in (("--window-start", args.window_start), ("--window-end", args.window_end)):
+        try:
+            window.append(date.fromisoformat(text))
+        except ValueError as exc:
+            raise UsageError(f"bad {flag} date {text!r} ({exc})") from None
+    if window[0] > window[1]:
+        raise UsageError(f"--window-start {args.window_start} is after "
+                         f"--window-end {args.window_end}")
+    return window[0], window[1]
+
+
 def _load_cohort_arg(args, manifest: Manifest):
     manifest.note_input(args.cohort)
     cohort, _ = load_cohort(args.cohort)
@@ -220,17 +237,13 @@ def _load_model_arg(args, manifest: Manifest):
 
 
 def cmd_ingest(args) -> int:
+    window = _parse_study_window(args)
     manifest = Manifest("ingest", args, Path(args.out_dir))
     manifest.note_input(args.input)
     mapping = ValueMapping.default()
     if args.mapping:
         manifest.note_input(args.mapping)
         mapping = ValueMapping.from_file(args.mapping)
-    window = None
-    if args.window_start or args.window_end:
-        if not (args.window_start and args.window_end):
-            raise UsageError("--window-start and --window-end go together")
-        window = (date.fromisoformat(args.window_start), date.fromisoformat(args.window_end))
 
     cohort, report = load_cohort(
         args.input,

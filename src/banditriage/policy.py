@@ -231,6 +231,47 @@ def rank_candidates(scores: np.ndarray, seed: int, k: int | None = None) -> np.n
     return top_k(scores, len(scores) if k is None else k, rng)
 
 
+class _ArmMembers:
+    """One arm's members as positions into the id-sorted pool, with a Fenwick
+    tree (Fenwick, SP&E 1994) over which of them are still untested, so the
+    r-th remaining member and a removal each cost O(log n). The state is
+    int32 numpy arrays, read and written through memoryviews, which index
+    to plain ints at about half the cost of numpy scalar indexing."""
+
+    def __init__(self, member: np.ndarray):
+        positions = np.flatnonzero(member).astype(np.int32)
+        local = np.cumsum(member, dtype=np.int32)  # 1-based member index
+        local[~member] = 0  # 0: not a member
+        # node i of a tree over all-present members counts lowbit(i) of them
+        nodes = np.arange(len(positions) + 1, dtype=np.int32)
+        self.positions, self.local = memoryview(positions), memoryview(local)
+        self.tree = memoryview(nodes & -nodes)
+        self.size = self.remaining = len(positions)
+        self.top = 1 << (self.size.bit_length() - 1) if self.size else 0
+
+    def nth(self, r: int) -> int:
+        """Pool position of the r-th (0-based) remaining member."""
+        tree, size, node, step = self.tree, self.size, 0, self.top
+        while step:
+            nxt = node + step
+            if nxt <= size and tree[nxt] <= r:
+                node = nxt
+                r -= tree[nxt]
+            step >>= 1
+        return self.positions[node]
+
+    def discard(self, position: int) -> None:
+        """Remove a remaining pool position; no-op if it is not a member."""
+        i = self.local[position]
+        if not i:
+            return
+        tree, size = self.tree, self.size
+        while i <= size:
+            tree[i] -= 1
+            i += i & -i
+        self.remaining -= 1
+
+
 def thompson_allocate(
     arms: Sequence[ArmState],
     k: int,
@@ -240,34 +281,39 @@ def thompson_allocate(
 ) -> tuple[list[tuple[int, str]], int]:
     """Assign up to k exploration slots across arms by Thompson sampling.
 
-    Per slot: draw theta ~ Beta(alpha, beta) for every arm with untested
-    members left, give the slot to the argmax arm, and pick one of its
-    remaining members uniformly. Posteriors are frozen for the whole batch.
-    Returns (picks as (record_id, arm_name), shortfall). A positive shortfall
-    means the covered pool ran out before k slots were filled.
+    Per slot: draw theta ~ Beta(alpha, beta) (one scalar ``rng.beta``) for
+    every arm with untested members left, in arm order; give the slot to the
+    first argmax arm; pick its r-th remaining member in ascending record_id
+    order, r = ``rng.integers(remaining)``; remove the pick from every arm.
+    Posteriors are frozen for the whole batch. The pool is sorted once and a
+    slot costs O(log n) plus the draws. Returns (picks as (record_id,
+    arm_name), shortfall). A positive shortfall means the covered pool ran
+    out before k slots were filled.
     """
     if k < 0:
         raise PolicyError("k must be >= 0")
     if not arms:
         raise PolicyError("need at least one arm")
     ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        raise PolicyError("pool record ids must be unique")
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
 
-    members: dict[str, set[int]] = {
-        arm.name: set(ids[arm.spec.predicate.mask(X)].tolist()) for arm in arms
-    }
+    members = {arm.name: _ArmMembers(arm.spec.predicate.mask(X)[order]) for arm in arms}
     picks: list[tuple[int, str]] = []
     for _ in range(k):
-        live = [arm for arm in arms if members[arm.name]]
+        live = [arm for arm in arms if members[arm.name].remaining]
         if not live:
             break
         draws = [rng.beta(arm.alpha, arm.beta) for arm in live]
         winner = live[int(np.argmax(draws))]
-        pool = sorted(members[winner.name])
-        chosen = pool[int(rng.integers(len(pool)))]
-        picks.append((chosen, winner.name))
+        pool = members[winner.name]
+        position = pool.nth(int(rng.integers(pool.remaining)))
+        picks.append((int(sorted_ids[position]), winner.name))
         for remaining in members.values():
-            remaining.discard(chosen)
+            remaining.discard(position)
     shortfall = k - len(picks)
     if shortfall:
         log.warning("thompson allocation truncated: %d uncovered slots", shortfall)
@@ -322,6 +368,7 @@ def select(
         chosen = rng.choice(rest, size=take, replace=False)
         return picked(exploit, chosen, explore_shortfall=k_explore - take)
 
+    rest = rest[np.argsort(ids[rest], kind="stable")]  # the allocator's own id order
     rest_ids = ids[rest]
     rest_X = X[rest]
     states = list(arm_states) if arm_states is not None else [
@@ -332,11 +379,10 @@ def select(
         for state in states:
             covered |= state.spec.predicate.mask(rest_X)
         if not covered.all():
-            missing = rest_ids[~covered]
+            missing = ids[np.sort(rest[~covered])]  # in pool order
             raise UncoveredCandidateError(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
     picks, shortfall = thompson_allocate(states, k_explore, rest_ids, rest_X, seed)
-    row_of = {rid: row for row, rid in zip(rest.tolist(), rest_ids.tolist())}
-    chosen = np.array([row_of[pid] for pid, _ in picks], dtype=np.int64)
+    chosen = rest[np.searchsorted(rest_ids, [pid for pid, _ in picks])]
     return picked(exploit, chosen, arm_assignments=dict(picks), explore_shortfall=shortfall)

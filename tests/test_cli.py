@@ -91,6 +91,28 @@ class TestIngest:
         assert run(["ingest", "--out-dir", str(workdir)]) == EXIT_USAGE
         assert "error: usage:" in capsys.readouterr().err
 
+    def test_malformed_window_date_is_usage_error(self, workdir, capsys):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows(), encoding="utf-8")
+        code = run(["ingest", "--input", str(raw), "--window-start", "2020-13-01",
+                    "--window-end", "2020-12-31", "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert "--window-start" in err and "2020-13-01" in err
+        assert not (workdir / "cohort.csv").exists()
+
+    def test_reversed_window_is_usage_error_before_reading(self, workdir, capsys):
+        # the input does not exist: the flags are refused before it is opened
+        code = run(["ingest", "--input", str(workdir / "missing.csv"),
+                    "--window-start", "2020-12-31", "--window-end", "2020-01-01",
+                    "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert "2020-12-31" in err and "2020-01-01" in err
+        assert not (workdir / "ingest.manifest.json").exists()
+
     def test_input_not_mutated(self, workdir):
         raw = workdir / "raw.csv"
         raw.write_text(raw_rows(), encoding="utf-8")

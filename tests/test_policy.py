@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banditriage.evaluate import recall_at_k
 from banditriage.policy import (
     ArmPredicate,
     ArmSpec,
@@ -19,7 +22,9 @@ from banditriage.policy import (
     top_k,
     update_arm,
 )
+from banditriage.records import FEATURE_NAMES
 from banditriage.scoring import RiskModel, ModelKind, rule_based_model, score_matrix
+from banditriage.seeds import derive_seed
 
 from conftest import feature_array
 
@@ -271,6 +276,12 @@ class TestThompson:
         assert {pid for pid, _ in picks} == set(range(5))
         assert shortfall == 0
 
+    def test_repeated_record_id_rejected(self):
+        ids, X = self.two_arm_pool(n_contact=3, n_other=0)
+        arms = [ArmState.initial(ArmSpec("c", CONTACT))]
+        with pytest.raises(PolicyError, match="unique"):
+            thompson_allocate(arms, 1, np.array([4, 9, 4]), X, seed=0)
+
     def test_strict_coverage_error(self):
         ids, X = self.two_arm_pool(n_contact=5, n_other=5)
         config = PolicyConfig(
@@ -290,6 +301,99 @@ class TestThompson:
         assert len(sel.explore_ids) == 5  # only covered candidates reachable
         assert sel.explore_shortfall == 3
         assert all(sel.arm_assignments[i] == "c" for i in sel.explore_ids)
+
+
+def reference_thompson_allocate(arms, k, ids, X, seed):
+    """The set-and-sort allocator the Fenwick-tree one replaced: O(n log n)
+    per slot, same rng calls, the oracle for its picks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rng = np.random.default_rng(derive_seed(seed, "thompson"))
+    members = {arm.name: set(ids[arm.spec.predicate.mask(X)].tolist()) for arm in arms}
+    picks = []
+    for _ in range(k):
+        live = [arm for arm in arms if members[arm.name]]
+        if not live:
+            break
+        draws = [rng.beta(arm.alpha, arm.beta) for arm in live]
+        winner = live[int(np.argmax(draws))]
+        pool = sorted(members[winner.name])
+        chosen = pool[int(rng.integers(len(pool)))]
+        picks.append((chosen, winner.name))
+        for remaining in members.values():
+            remaining.discard(chosen)
+    return picks, k - len(picks)
+
+
+@st.composite
+def pools(draw, max_size=120):
+    """Unique record ids in no particular order, with random binary features."""
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 10**9), st.integers(0, 2 ** len(FEATURE_NAMES) - 1)),
+        unique_by=lambda row: row[0], max_size=max_size,
+    ))
+    ids = np.array([rid for rid, _ in rows], dtype=np.int64)
+    bits = np.array([b for _, b in rows], dtype=np.int64).reshape(-1, 1)
+    X = ((bits >> np.arange(len(FEATURE_NAMES))) & 1).astype(float)
+    return ids, X
+
+
+@st.composite
+def arm_sets(draw):
+    """1-5 arms over random one- or two-clause predicates (so they overlap
+    and leave some of the pool uncovered) with random Beta posteriors."""
+    arms = []
+    for i in range(draw(st.integers(1, 5))):
+        names = draw(st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=2,
+                              unique=True))
+        predicate = ArmPredicate(tuple((name, float(draw(st.integers(0, 1)))) for name in names))
+        arms.append(ArmState(ArmSpec(f"arm{i}", predicate),
+                             alpha=draw(st.floats(0.1, 50.0)), beta=draw(st.floats(0.1, 50.0))))
+    return arms
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools(), arm_sets(), st.data(), st.integers(0, 2**32 - 1))
+def test_thompson_allocate_matches_reference(pool, arms, data, seed):
+    ids, X = pool
+    k = data.draw(st.integers(0, len(ids) + 5), label="k")  # up to past the covered pool
+    assert thompson_allocate(arms, k, ids, X, seed) == reference_thompson_allocate(
+        arms, k, ids, X, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools(max_size=80).filter(lambda pool: len(pool[0]) > 0), arm_sets(),
+       st.integers(1, 100), st.floats(0.0, 1.0), st.sampled_from(Sampler),
+       st.integers(0, 2**32 - 1), st.data())
+def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
+    ids, X = pool
+    weights = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(FEATURE_NAMES),
+                                 max_size=len(FEATURE_NAMES)), label="weights")
+    model = RiskModel(kind=ModelKind.LINEAR, weights=np.array(weights), bias=0.0)
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)),
+                                label="labels"), dtype=bool)
+    config = PolicyConfig(capacity=capacity, exploration_fraction=rho, sampler=sampler,
+                          arms=tuple(arm.spec for arm in arms))
+    sel = select(ids, X, model, config, arm_states=arms, seed=seed)
+    k_exploit, k_explore = split_budget(capacity, rho)
+    row_of = {rid: row for row, rid in enumerate(ids.tolist())}
+
+    assert len(sel.exploit_ids) == min(k_exploit, len(ids))
+    if len(ids) > capacity:
+        assert len(sel.explore_ids) + sel.explore_shortfall == k_explore
+    else:
+        assert sorted(sel.all_ids) == sorted(ids.tolist())
+    assert len(set(sel.all_ids)) == len(sel.all_ids)
+    assert set(sel.explore_ids) <= set(ids.tolist()) - set(sel.exploit_ids)
+    if sampler is Sampler.THOMPSON and len(ids) > capacity:
+        assert set(sel.arm_assignments) == set(sel.explore_ids)
+        predicate_of = {arm.name: arm.spec.predicate for arm in arms}
+        for rid, name in sel.arm_assignments.items():
+            assert predicate_of[name].mask(X[[row_of[rid]]])[0]
+    else:
+        assert not sel.arm_assignments
+    positions = [row_of[rid] for rid in sel.all_ids]
+    assert sel.scores == tuple(score_matrix(model, X)[positions].tolist())
+    assert 0.0 <= recall_at_k(positions, labels) <= 1.0
 
 
 class TestUpdateArm:
