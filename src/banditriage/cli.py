@@ -192,11 +192,23 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise UsageError(f"bad {flag} list {text!r}") from None
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _capacity(text: str) -> int:
+    """argparse type of --k and of each --k-list entry: at least one test."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        k = int(text)
     except ValueError:
-        raise UsageError(f"bad {flag} list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad capacity {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"capacity must be >= 1, got {k}")
+    return k
+
+
+def _capacity_list(text: str) -> list[int]:
+    """argparse type of --k-list: comma-separated capacities."""
+    ks = [_capacity(x) for x in text.split(",") if x.strip()]
+    if not ks:
+        raise argparse.ArgumentTypeError(f"no capacity in {text!r}")
+    return ks
 
 
 def _parse_study_window(args) -> tuple[date, date] | None:
@@ -397,8 +409,7 @@ def cmd_sweep(args) -> int:
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
     rhos = _parse_float_list(args.rho_list, "--rho-list")
-    capacities = _parse_int_list(args.k_list, "--k-list")
-    rows = sweep_exploration(cohort, model, rhos, capacities, seed=args.seed)
+    rows = sweep_exploration(cohort, model, rhos, args.k_list, seed=args.seed)
     out = _out_path(args, args.out)
     _write_text(
         out,
@@ -462,6 +473,7 @@ def _model_entries(text: str) -> dict[str, str]:
 def cmd_report(args) -> int:
     manifest = Manifest("report", args, Path(args.out_dir))
     model_entries = _model_entries(args.models) if args.models else {}
+    eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
     wrote_any = False
 
     if args.trace:
@@ -501,11 +513,10 @@ def cmd_report(args) -> int:
         wrote_any = True
         print(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")
 
+        ks = args.k_list or [1000, 2000, 3000, 4000, 5000]
         if args.recall_table and args.model:
             model = load_model(args.model)
             manifest.note_input(args.model)
-            ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [1000, 2000, 3000, 4000, 5000]
-            eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
             rows_d = weekly_recall_table(cohort, model, ks, weeks=eval_weeks, seed=args.seed)
             out = _out_path(args, "weekly_recall.csv")
             _write_text(out, _dict_csv_text(rows_d, f"manifest: {manifest.name}"))
@@ -517,8 +528,6 @@ def cmd_report(args) -> int:
             for name, entry in model_entries.items():
                 named[name] = rule_based_model() if entry == "rule_based" else load_model(entry)
                 manifest.note_input(None if entry == "rule_based" else entry)
-            ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [1000, 2000, 3000, 4000, 5000]
-            eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
             rows_m = model_comparison_table(cohort, named, ks,
                                             weeks=eval_weeks, seed=args.seed)
             out = _out_path(args, "model_comparison.csv")
@@ -529,13 +538,12 @@ def cmd_report(args) -> int:
         if args.crossover:
             if not (args.weeks_a and args.weeks_b and args.weeks):
                 raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
-            ks = _parse_int_list(args.k_list, "--k-list") if args.k_list else [100, 300, 1000, 3000]
             rows_x = train_eval_split_experiment(
                 cohort,
                 _parse_week_range(args.weeks_a),
                 _parse_week_range(args.weeks_b),
-                _parse_week_range(args.weeks),
-                ks,
+                eval_weeks,
+                args.k_list or [100, 300, 1000, 3000],
                 seed=args.seed,
             )
             out = _out_path(args, "crossover.csv")
@@ -653,18 +661,20 @@ def build_parser() -> _Parser:
     p.add_argument("--rule-based", action="store_true", help="sweep the fixed rule instead")
     p.add_argument("--rho-list", default="0.3,0.4,0.5,0.6,0.7",
                    help="comma-separated exploration fractions")
-    p.add_argument("--k-list", default="1000", help="comma-separated capacities")
+    p.add_argument("--k-list", type=_capacity_list, default="1000",
+                   help="comma-separated capacities, each >= 1")
     p.add_argument("--out", default="sweep.csv", help="output table file name")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bootstrap", help="Student-t confidence interval on mean weekly recall")
+    p = sub.add_parser("bootstrap",
+                       help="percentile bootstrap confidence interval on mean weekly recall")
     _add_common(p)
     p.add_argument("--cohort", default=None, help="cohort CSV")
     p.set_defaults(required_flags=("cohort", "k"))
     p.add_argument("--model", default=None, help="model file")
     p.add_argument("--rule-based", action="store_true", help="use the fixed rule")
-    p.add_argument("--k", type=int, default=None, help="tests per week")
-    p.add_argument("--replicates", type=int, default=10, help="bootstrap replicate count")
+    p.add_argument("--k", type=_capacity, default=None, help="tests per week (>= 1)")
+    p.add_argument("--replicates", type=int, default=200, help="bootstrap replicate count")
     p.add_argument("--level", type=float, default=0.95, help="confidence level")
     p.add_argument("--weeks", default=None, help="weeks to evaluate, e.g. 13-16 (default: all)")
     p.add_argument("--out", default="bootstrap.csv", help="output file name")
@@ -685,7 +695,8 @@ def build_parser() -> _Parser:
     p.add_argument("--weeks-a", default=None, help="first training range, e.g. 10-12")
     p.add_argument("--weeks-b", default=None, help="second training range, e.g. 21-23")
     p.add_argument("--weeks", default=None, help="evaluation weeks, e.g. 24-26")
-    p.add_argument("--k-list", default=None, help="comma-separated capacities")
+    p.add_argument("--k-list", type=_capacity_list, default=None,
+                   help="comma-separated capacities, each >= 1")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -726,12 +737,11 @@ def _apply_config_defaults(args: argparse.Namespace, subparser, arg_strings: lis
             continue  # explicit command line wins
         if isinstance(action, argparse._StoreTrueAction):
             setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif action.type is int:
-            setattr(args, key, int(raw))
-        elif action.type is float:
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+            continue
+        try:
+            setattr(args, key, action.type(raw) if action.type else raw)
+        except argparse.ArgumentTypeError as exc:
+            raise DataError(f"{path}: {key}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

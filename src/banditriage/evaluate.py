@@ -3,9 +3,10 @@ feature correlations, and bootstrap confidence intervals on mean weekly recall.
 
 The bootstrap resamples each week's pool with replacement to its original
 size (per-record, stratified by week), recomputes the ranking per replicate,
-and applies a two-sided Student-t critical value to the replicate means. The
-trained model is never refit inside a replicate: the interval measures
-ranking variance under resampling, not training variance.
+and reports the percentile interval of the replicate means (Efron &
+Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 13). The trained
+model is never refit inside a replicate: the interval measures ranking
+variance under resampling, not training variance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .records import FEATURE_NAMES, Cohort
 from .policy import rank_candidates, top_k
@@ -191,17 +191,19 @@ def bootstrap_ci(
     cohort: Cohort,
     model: RiskModel,
     k: int,
-    replicates: int = 10,
+    replicates: int = 200,
     level: float = 0.95,
     *,
     weeks: Sequence[int] | None = None,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Student-t confidence interval on mean weekly recall@k.
+    """Percentile bootstrap confidence interval on mean weekly recall@k.
 
     Each replicate resamples every week's pool with replacement to its
-    original size and recomputes the top-k recall; the interval is
-    mean +/- t* s/sqrt(R) over the R replicate means. Replicates are seeded
+    original size and recomputes the top-k recall; the interval runs between
+    the (1 - level)/2 and (1 + level)/2 quantiles of the R replicate means,
+    so its width estimates the sampling spread of the recall and does not
+    shrink as R grows. ``mean`` is the replicate mean. Replicates are seeded
     by replicate index, so a parallel run would reproduce the serial result.
     A replicate whose every week has zero positives is skipped and counted.
     """
@@ -242,65 +244,15 @@ def bootstrap_ci(
 
     if len(means) < 2:
         raise MetricError("fewer than 2 usable bootstrap replicates")
-    mean = float(np.mean(means))
-    s = float(np.std(means, ddof=1))
-    t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=len(means) - 1))
-    half = t_crit * s / math.sqrt(len(means))
+    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return BootstrapResult(
-        mean=mean,
-        lo=mean - half,
-        hi=mean + half,
+        mean=float(np.mean(means)),
+        lo=float(lo),
+        hi=float(hi),
         level=level,
         k=k,
         replicate_means=means,
         skipped_replicates=skipped,
-    )
-
-
-@dataclass
-class MetricReport:
-    """One model's metric across weeks at one capacity, with its interval.
-
-    ``mean`` is the bootstrap replicate mean (the reported value the interval
-    belongs to); ``per_week`` holds the plug-in full-pool weekly values.
-    """
-
-    model_id: str
-    k: int
-    per_week: dict[int, float]
-    mean: float
-    ci: tuple[float, float] | None = None
-    level: float = 0.95
-
-    def __post_init__(self):
-        if self.ci is not None:
-            lo, hi = self.ci
-            if not lo <= self.mean <= hi:
-                raise MetricError(f"interval ({lo}, {hi}) does not bracket {self.mean}")
-
-
-def recall_report(
-    cohort: Cohort,
-    model: RiskModel,
-    k: int,
-    *,
-    model_id: str = "model",
-    replicates: int = 10,
-    level: float = 0.95,
-    weeks: Sequence[int] | None = None,
-    seed: int = 0,
-) -> MetricReport:
-    """Weekly recall@k plus its bootstrap interval, as one report row."""
-    per_week = weekly_recall_at_k(cohort, model, k, weeks=weeks, seed=seed)
-    boot = bootstrap_ci(cohort, model, k, replicates=replicates, level=level,
-                        weeks=weeks, seed=seed)
-    return MetricReport(
-        model_id=model_id,
-        k=k,
-        per_week=per_week,
-        mean=boot.mean,
-        ci=(boot.lo, boot.hi),
-        level=level,
     )
 
 

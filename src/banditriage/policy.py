@@ -116,6 +116,11 @@ def update_arm(arm: ArmState, positives: int, negatives: int) -> ArmState:
     return replace(arm, alpha=arm.alpha + positives, beta=arm.beta + negatives)
 
 
+_POLICY_KEYS = {"capacity", "exploration_fraction", "sampler", "retrain_on",
+                "strict_arm_coverage"}
+_ARM_KEYS = {"predicate", "alpha", "beta"}
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     capacity: int
@@ -123,7 +128,6 @@ class PolicyConfig:
     sampler: Sampler = Sampler.UNIFORM_RANDOM
     arms: tuple[ArmSpec, ...] = ()
     retrain_on: str = "all_labeled"  # "all_labeled" | "exploration_only"
-    seed: int = 0
     strict_arm_coverage: bool = False
 
     def __post_init__(self):
@@ -141,17 +145,31 @@ class PolicyConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PolicyConfig":
-        """Load an INI policy file: a [policy] block plus [arm NAME] blocks."""
+        """Load an INI policy file: a [policy] block plus [arm NAME] blocks.
+        A section or key outside that layout is an error, not ignored."""
         parser = configparser.ConfigParser(interpolation=None)
         read = parser.read(path, encoding="utf-8")
         if not read:
             raise PolicyError(f"cannot read policy file {path}")
         if "policy" not in parser:
             raise PolicyError(f"{path}: missing [policy] section")
+        for section in parser.sections():
+            if section == "policy":
+                known = _POLICY_KEYS
+            elif section.startswith("arm "):
+                known = _ARM_KEYS
+            else:
+                raise PolicyError(f"{path}: unknown section [{section}] "
+                                  f"(want [policy] or [arm NAME])")
+            unknown = sorted(set(parser[section]) - known)
+            if unknown:
+                raise PolicyError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
         pol = parser["policy"]
+        if "capacity" not in pol:
+            raise PolicyError(f"{path}: [policy] needs a capacity")
         arms = []
         for section in parser.sections():
-            if not section.startswith("arm "):
+            if section == "policy":
                 continue
             name = section[4:].strip()
             block = parser[section]
@@ -175,7 +193,6 @@ class PolicyConfig:
             sampler=sampler,
             arms=tuple(arms),
             retrain_on=pol.get("retrain_on", "all_labeled").strip(),
-            seed=pol.getint("seed", 0),
             strict_arm_coverage=pol.getboolean("strict_arm_coverage", False),
         )
 
@@ -218,6 +235,8 @@ def top_k(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     random (one ``rng.permutation`` draw) before a stable sort, so tie order
     is reproducible for a given rng state but carries no input-order bias.
     """
+    if k < 0:
+        raise PolicyError(f"k must be >= 0, got {k}")
     perm = rng.permutation(len(scores))
     return perm[np.argsort(-scores[perm], kind="stable")[:k]]
 
@@ -326,7 +345,8 @@ def select(
     model: RiskModel,
     config: PolicyConfig,
     arm_states: Sequence[ArmState] | None = None,
-    seed: int | None = None,
+    *,
+    seed: int,
 ) -> Selection:
     """One period's selection from the pool (ids, X) under the policy.
 
@@ -338,7 +358,6 @@ def select(
     ids = np.asarray(ids, dtype=np.int64)
     if len(ids) == 0:
         raise PolicyError("cannot select from an empty pool")
-    seed = config.seed if seed is None else seed
     k_exploit, k_explore = split_budget(config.capacity, config.exploration_fraction)
     scores = score_matrix(model, X)
     ranked = rank_candidates(scores, seed)

@@ -228,7 +228,7 @@ def save_model(
         f"kind {model.kind.value}",
         f"base_dim {model.base_dim}",
         f"feature_hash {feature_order_hash()}",
-        f"bias {model.bias!r}",
+        f"bias {float(model.bias)!r}",
         f"weights {len(model.weights)}",
     ]
     lines.extend(repr(float(w)) for w in model.weights)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -263,12 +263,7 @@ def run_replay(
             X_train = np.vstack(labeled_X)
             y_train = np.concatenate(labeled_y)
             try:
-                cfg = TrainConfig(
-                    regularization=base_config.regularization,
-                    epochs=base_config.epochs,
-                    seed=derive_seed(seed, "train", period),
-                    class_weighting=base_config.class_weighting,
-                )
+                cfg = replace(base_config, seed=derive_seed(seed, "train", period))
                 model = train(X_train, y_train, retrain_kind, cfg)
             except DegenerateTrainingError:
                 trace.periods[-1].events.append(
@@ -367,13 +362,7 @@ def train_eval_split_experiment(
             raise ValueError(f"no records in training weeks {weeks}")
         X = np.vstack([sub.week_features(w) for w in sub.weeks])
         y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-        cfg = TrainConfig(
-            regularization=base.regularization,
-            epochs=base.epochs,
-            seed=derive_seed(seed, "fit", repr(weeks)),
-            class_weighting=base.class_weighting,
-        )
-        return train(X, y, kind, cfg)
+        return train(X, y, kind, replace(base, seed=derive_seed(seed, "fit", repr(weeks))))
 
     model_a = fit(sorted(a))
     model_b = fit(sorted(b))

@@ -428,3 +428,29 @@ def test_criterion_10_exploration_sweep_monotone():
     report(10, ok, "sweep table emitted for rho=30/40/50/60/70%; 20-seed median "
                    f"recalls {[round(m, 3) for m in medians]} non-increasing; "
                    f"{elapsed:.0f}s")
+
+
+# -- criterion 11: bootstrap coverage of the population recall ----------------
+
+
+def test_criterion_11_bootstrap_covers_population_recall():
+    # Criterion 6 checks coverage of the cohort's own exhaustive recall. Here
+    # each cohort is one draw from the scenario, and the interval must cover
+    # the population value: recall averaged over 200 other draws.
+    t0 = time.monotonic()
+    base = replace(resolve_scenario("default"), n_per_week=1000)
+    model = planted_model(base)
+    k = 100
+    truth = float(np.mean([
+        mean_weekly_recall(generate_cohort(replace(base, seed=10000 + s)), model, k, seed=s)
+        for s in range(200)
+    ]))
+    covered = 0
+    for s in range(60):
+        cohort = generate_cohort(replace(base, seed=20000 + s))
+        res = bootstrap_ci(cohort, model, k, replicates=200, level=0.95, seed=s)
+        covered += res.lo <= truth <= res.hi
+    elapsed = time.monotonic() - t0
+    ok = covered >= 51 and elapsed < 300.0
+    report(11, ok, f"200-replicate 95% CI covered population recall {truth:.4f} in "
+                   f"{covered}/60 fresh cohorts (>= 51); {elapsed:.0f}s < 300s")

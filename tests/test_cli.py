@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import banditriage
 from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _atomic, build_parser, main
 from banditriage.records import REQUIRED_COLUMNS
 
@@ -181,6 +185,77 @@ class TestSynthTrainSimulate:
             len(json.loads(l)["exploit_ids"]) + len(json.loads(l)["explore_ids"])
             for l in trace_lines[1:]
         )
+
+
+class TestPolicyFile:
+    @pytest.mark.parametrize("text, message", [
+        ("[policy]\ncapacity = 100\nexploraton_fraction = 0.4\n",
+         "unknown key 'exploraton_fraction' in [policy]"),
+        ("[policy]\ncapacity = 100\nseed = 1\n", "unknown key 'seed' in [policy]"),
+        ("[policy]\nexploration_fraction = 0.4\n", "[policy] needs a capacity"),
+    ])
+    def test_bad_policy_file_is_data_error(self, workdir, small_cohort_csv, capsys,
+                                           text, message):
+        policy = workdir / "p.policy"
+        policy.write_text(text, encoding="utf-8")
+        code = run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(policy), "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and message in err
+        assert not (workdir / "out").exists()
+
+
+class TestCapacityFlags:
+    """--k and --k-list entries below 1 are usage errors, caught before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--rule-based", "--k", "-5"],
+        ["bootstrap", "--rule-based", "--k", "0"],
+        ["sweep", "--rule-based", "--k-list", "300,-100"],
+        ["report", "--recall-table", "--model", "model.txt", "--k-list", "-100"],
+        ["report", "--models", "rule_based", "--k-list", "100,0"],
+        ["report", "--crossover", "--weeks-a", "1", "--weeks-b", "2", "--weeks", "3",
+         "--k-list", ","],
+    ])
+    def test_capacity_below_one_is_usage_error(self, workdir, small_cohort_csv, capsys,
+                                               argv):
+        code = run(argv + ["--cohort", str(small_cohort_csv),
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: usage:" in err and "capacit" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+    def test_capacity_from_config_is_checked(self, workdir, small_cohort_csv, capsys):
+        cfg = workdir / "run.config"
+        cfg.write_text("k = -5\n", encoding="utf-8")
+        code = run(["bootstrap", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--config", str(cfg), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        assert "capacity must be >= 1" in capsys.readouterr().err
+
+
+class TestWithoutScipy:
+    def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):
+        # numpy is the only runtime dependency; this fails if scipy comes back.
+        src = str(Path(banditriage.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from banditriage.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "bootstrap", "--cohort", str(small_cohort_csv),
+             "--rule-based", "--k", "100", "--replicates", "20", "--weeks", "1-2",
+             "--out-dir", str(workdir), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (workdir / "bootstrap.csv").exists()
 
 
 class TestLeakageGuard:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,13 @@ class TestRankCandidates:
             for k in (0, 1, 30, 100, 150):
                 part = top_k(scores, k, np.random.default_rng(seed))
                 assert np.array_equal(part, full[:k])
+
+    def test_negative_k_rejected(self):
+        # A slice [:-5] would quietly mean "all but 5".
+        with pytest.raises(PolicyError, match="k must be >= 0"):
+            top_k(np.arange(10.0), -5, np.random.default_rng(0))
+        with pytest.raises(PolicyError):
+            rank_candidates(np.arange(10.0), seed=0, k=-1)
 
     def test_rank_candidates_k_is_prefix(self):
         scores = np.repeat([1.0, 0.0], 20)
@@ -436,7 +445,6 @@ capacity = 500
 exploration_fraction = 0.4
 sampler = thompson
 retrain_on = exploration_only
-seed = 12
 
 [arm contacts]
 predicate = contact_with_confirmed=1
@@ -453,11 +461,26 @@ predicate = cough=1 & fever=1
         assert config.exploration_fraction == pytest.approx(0.4)
         assert config.sampler is Sampler.THOMPSON
         assert config.retrain_on == "exploration_only"
-        assert config.seed == 12
         names = [a.name for a in config.arms]
         assert names == ["contacts", "symptomatic"]
         assert config.arms[0].alpha == 2.0
         assert config.arms[1].predicate.constraints == (("cough", 1.0), ("fever", 1.0))
+
+    @pytest.mark.parametrize("text, message", [
+        # the seed comes from the command line, so a seed key is a typo too
+        ("[policy]\ncapacity = 10\nseed = 12\n", "unknown key 'seed' in [policy]"),
+        ("[policy]\ncapacity = 10\nexploraton_fraction = 0.4\n",
+         "unknown key 'exploraton_fraction' in [policy]"),
+        ("[policy]\ncapacity = 10\n[arm a]\npredicate = cough=1\nalpah = 2\n",
+         "unknown key 'alpah' in [arm a]"),
+        ("[policy]\ncapacity = 10\n[arms]\npredicate = cough=1\n", "unknown section [arms]"),
+        ("[policy]\nexploration_fraction = 0.4\n", "needs a capacity"),
+    ])
+    def test_from_file_rejects_unknown_and_missing_keys(self, tmp_path, text, message):
+        path = tmp_path / "p.policy"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PolicyError, match=re.escape(message)):
+            PolicyConfig.from_file(path)
 
     def test_from_file_errors(self, tmp_path):
         path = tmp_path / "p.policy"

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
 from banditriage.records import N_FEATURES
@@ -267,6 +272,32 @@ class TestSerialization:
         assert loaded.base_dim == model.base_dim
         assert loaded.bias == model.bias
         assert np.array_equal(loaded.weights, model.weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # Every finite float survives repr() and float(): -0.0, subnormals
+        # and +-1e308 included, so the loaded model is bitwise the saved one.
+        # A numpy scalar bias must not be written as its repr "np.float64(...)".
+        kind = data.draw(st.sampled_from(
+            [ModelKind.LINEAR, ModelKind.POLY2, ModelKind.RULE_BASED]))
+        base_dim = data.draw(st.integers(1, N_FEATURES))
+        dim = poly2_dim(base_dim) if kind is ModelKind.POLY2 else base_dim
+        finite = st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        weights = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
+        bias = data.draw(st.sampled_from([float, np.float64]))(data.draw(finite))
+        model = RiskModel(kind=kind, weights=weights, bias=bias, base_dim=base_dim)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded.kind is model.kind
+        assert loaded.base_dim == model.base_dim
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert np.float64(loaded.bias).tobytes() == np.float64(model.bias).tobytes()
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.txt"
