@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import uuid
@@ -61,7 +62,7 @@ from .simulate import (
     sweep_exploration,
     train_eval_split_experiment,
 )
-from .synthgen import ScenarioError, generate_cohort, resolve_scenario
+from .synthgen import generate_cohort, resolve_scenario
 
 log = logging.getLogger("banditriage")
 
@@ -103,11 +104,6 @@ def _atomic(path: Path):
         raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _atomic(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
-
-
 def _csv_text(header: list, rows: list[list], comment: str | None = None) -> str:
     buf = io.StringIO()
     if comment:
@@ -116,11 +112,6 @@ def _csv_text(header: list, rows: list[list], comment: str | None = None) -> str
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _dict_csv_text(rows: list[dict], comment: str) -> str:
-    """CSV of rows that share their keys; the first row's keys are the header."""
-    return _csv_text(list(rows[0]), [list(r.values()) for r in rows], comment)
 
 
 class Manifest:
@@ -144,8 +135,24 @@ class Manifest:
         if path is not None:
             self.inputs.append(str(path))
 
-    def note_artifact(self, path: Path) -> None:
+    @contextlib.contextmanager
+    def artifact(self, name: str):
+        """Yield the temp path to write artifact ``name`` to (a relative name
+        lies in the out dir); on success it replaces the artifact, which the
+        manifest then lists."""
+        path = self.out_dir / name
+        with _atomic(path) as tmp:
+            yield tmp
         self.artifacts.append(str(path))
+
+    def write_csv(self, name: str, header: list | None, rows: list) -> Path:
+        """Write a CSV artifact that names this manifest. Without a header the
+        rows are dicts sharing their keys, and the first row's keys head it."""
+        if header is None:
+            header, rows = list(rows[0]), [list(r.values()) for r in rows]
+        with self.artifact(name) as tmp:
+            tmp.write_text(_csv_text(header, rows, f"manifest: {self.name}"), encoding="utf-8")
+        return self.out_dir / name
 
     def write(self) -> None:
         payload = {
@@ -158,57 +165,61 @@ class Manifest:
             "started": self.started,
             "finished": datetime.now(timezone.utc).isoformat(),
         }
-        _write_text(self.path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with _atomic(self.path) as tmp:
+            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _out_path(args: argparse.Namespace, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else Path(args.out_dir) / p
-
-
-def _parse_week_range(text: str) -> list[int]:
-    """'10-12' -> [10, 11, 12]; '16' -> [16]; comma lists allowed."""
+def _week_range(text: str) -> list[int]:
+    """argparse type of the week flags: '10-12' -> [10, 11, 12]; '16' -> [16];
+    comma lists allowed. Weeks are ISO week numbers, 1 to 53."""
     weeks: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        lo, sep, hi = part.partition("-")
+        lo, sep, hi = part.strip().partition("-")
         try:
-            if sep:
-                a, b = int(lo), int(hi)
-                if a > b:
-                    raise ValueError
-                weeks.extend(range(a, b + 1))
-            else:
-                weeks.append(int(part))
+            a, b = int(lo), int(hi if sep else lo)
         except ValueError:
-            raise UsageError(f"bad week range {text!r} (want e.g. 10-12 or 10,11,12)") from None
+            a, b = 0, 0
+        if not 1 <= a <= b <= 53:
+            raise argparse.ArgumentTypeError(
+                f"bad week range {text!r} (want ISO weeks 1-53, e.g. 10-12 or 10,11,12)")
+        weeks.extend(range(a, b + 1))
     return weeks
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad {flag} list {text!r}") from None
+def _checked(what: str, convert, accept, want: str):
+    """An argparse type: ``convert`` the text, then require ``accept`` of the
+    value, so a bad flag value is a usage error before any input is read."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{what} must be {want}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _capacity(text: str) -> int:
-    """argparse type of --k and of each --k-list entry: at least one test."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad capacity {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"capacity must be >= 1, got {k}")
-    return k
+def _list_of(item, what: str):
+    """An argparse type: comma-separated values of the ``item`` type, at least one."""
+    return _checked(f"{what} list", lambda text: [item(x) for x in text.split(",") if x.strip()],
+                    bool, "non-empty")
 
 
-def _capacity_list(text: str) -> list[int]:
-    """argparse type of --k-list: comma-separated capacities."""
-    ks = [_capacity(x) for x in text.split(",") if x.strip()]
-    if not ks:
-        raise argparse.ArgumentTypeError(f"no capacity in {text!r}")
-    return ks
+_seed = _checked("seed", int, lambda s: 0 <= s < 2**64, "an integer in [0, 2**64)")
+_capacity = _checked("capacity", int, lambda k: k >= 1, ">= 1")
+_capacity_list = _list_of(_capacity, "capacity")
+_fraction_list = _list_of(_checked("exploration fraction", float, lambda x: 0 <= x <= 1,
+                                   "in [0, 1]"), "exploration fraction")
+_cadence = _checked("retrain cadence", int, lambda n: n >= 0, ">= 0")
+_epochs = _checked("epoch count", int, lambda n: n >= 1, ">= 1")
+_regularization = _checked("regularization", float, lambda x: 0 < x < math.inf,
+                           "a finite number > 0")
+_replicates = _checked("replicate count", int, lambda n: n >= 2, ">= 2")
+_level = _checked("confidence level", float, lambda x: 0 < x < 1, "in (0, 1)")
+_delimiter = _checked("delimiter", str, lambda d: len(d) == 1, "one character")
 
 
 def _parse_study_window(args) -> tuple[date, date] | None:
@@ -265,19 +276,13 @@ def cmd_ingest(args) -> int:
         null_policy=args.null_policy,
         study_window=window,
     )
-    out_cohort = _out_path(args, args.out)
-    with _atomic(out_cohort) as tmp:
+    with manifest.artifact(args.out) as tmp:
         write_cohort_csv(cohort, tmp, header_comment=f"manifest: {manifest.name}")
-    manifest.note_artifact(out_cohort)
-    out_report = _out_path(args, args.report)
-    with _atomic(out_report) as tmp:
+    with manifest.artifact(args.report) as tmp:
         report.write(tmp)
-    manifest.note_artifact(out_report)
     manifest.write()
-    print(
-        f"accepted {report.n_accepted} of {report.n_rows} rows "
-        f"({report.n_rejected} rejected) -> {out_cohort}"
-    )
+    print(f"accepted {report.n_accepted} of {report.n_rows} rows "
+          f"({report.n_rejected} rejected) -> {manifest.out_dir / args.out}")
     return EXIT_OK
 
 
@@ -285,14 +290,12 @@ def cmd_synth(args) -> int:
     manifest = Manifest("synth", args, Path(args.out_dir))
     params = replace(resolve_scenario(args.scenario), seed=args.seed)
     cohort = generate_cohort(params)
-    out = _out_path(args, args.out)
-    with _atomic(out) as tmp:
+    with manifest.artifact(args.out) as tmp:
         write_cohort_csv(cohort, tmp, header_comment=f"manifest: {manifest.name}")
-    manifest.note_artifact(out)
     manifest.write()
     positives = sum(c for c in cohort.positives_by_week().values())
     print(f"generated {len(cohort)} records over weeks {params.weeks[0]}-{params.weeks[1]} "
-          f"({positives} positive) -> {out}")
+          f"({positives} positive) -> {manifest.out_dir / args.out}")
     return EXIT_OK
 
 
@@ -300,10 +303,8 @@ def cmd_correlate(args) -> int:
     manifest = Manifest("correlate", args, Path(args.out_dir))
     cohort = _load_cohort_arg(args, manifest)
     table = weekly_correlations(cohort)
-    out = _out_path(args, args.out)
-    with _atomic(out) as tmp:
+    with manifest.artifact(args.out) as tmp:
         table.write_csv(tmp, header_comment=f"manifest: {manifest.name}")
-    manifest.note_artifact(out)
     manifest.write()
     medians = table.median_by_feature()
     for name, value in sorted(medians.items(), key=lambda kv: -np.nan_to_num(kv[1], nan=-2.0)):
@@ -315,7 +316,7 @@ def cmd_correlate(args) -> int:
 def cmd_train(args) -> int:
     manifest = Manifest("train", args, Path(args.out_dir))
     cohort = _load_cohort_arg(args, manifest)
-    weeks = _parse_week_range(args.weeks) if args.weeks else list(cohort.weeks)
+    weeks = args.weeks or list(cohort.weeks)
     sub = cohort.subset_weeks(weeks)
     if len(sub) == 0:
         raise DataError(f"no records in training weeks {weeks}")
@@ -328,14 +329,12 @@ def cmd_train(args) -> int:
         class_weighting=args.class_weighting,
     )
     model = train(X, y, ModelKind(args.kind), config)
-    out = _out_path(args, args.out)
     trained_weeks = ",".join(str(w) for w in sorted(set(sub.weeks)))
-    with _atomic(out) as tmp:
+    with manifest.artifact(args.out) as tmp:
         save_model(model, tmp, manifest=manifest.name, trained_weeks=trained_weeks)
-    manifest.note_artifact(out)
     manifest.write()
-    print(f"trained {args.kind} model on {len(y)} records "
-          f"({int(y.sum())} positive, weeks {min(sub.weeks)}-{max(sub.weeks)}) -> {out}")
+    print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
+          f"weeks {min(sub.weeks)}-{max(sub.weeks)}) -> {manifest.out_dir / args.out}")
     return EXIT_OK
 
 
@@ -345,12 +344,11 @@ def cmd_simulate(args) -> int:
     model = _load_model_arg(args, manifest)
     manifest.note_input(args.policy)
     policy = PolicyConfig.from_file(args.policy)
-    weeks = _parse_week_range(args.weeks) if args.weeks else None
     if args.model and not args.allow_overlap:
         trained = model_metadata(args.model).get("trained_weeks", "-")
         if trained not in ("-", ""):
             trained_set = {int(w) for w in trained.split(",")}
-            replay_set = set(weeks) if weeks else set(cohort.weeks)
+            replay_set = set(args.weeks or cohort.weeks)
             overlap = sorted(trained_set & replay_set)
             if overlap:
                 raise OverlapError(
@@ -363,19 +361,13 @@ def cmd_simulate(args) -> int:
         policy,
         retrain_every=args.retrain_every,
         retrain_kind=ModelKind(args.retrain_kind),
-        weeks=weeks,
+        weeks=args.weeks,
         seed=args.seed,
     )
 
-    out_trace = _out_path(args, args.out_trace)
-    with _atomic(out_trace) as tmp:
+    with manifest.artifact(args.out_trace) as tmp:
         trace.to_jsonl(tmp, manifest=manifest.name)
-    manifest.note_artifact(out_trace)
-
-    out_summary = _out_path(args, args.out_summary)
-    summary = [summary_row(p) for p in trace.period_dicts()]
-    _write_text(out_summary, _dict_csv_text(summary, f"manifest: {manifest.name}"))
-    manifest.note_artifact(out_summary)
+    manifest.write_csv(args.out_summary, None, [summary_row(p) for p in trace.period_dicts()])
 
     sel_rows = []
     for p in trace.periods:
@@ -384,22 +376,14 @@ def cmd_simulate(args) -> int:
             channel = "exploit" if i < len(sel.exploit_ids) else "explore"
             arm = sel.arm_assignments.get(rid, "")
             sel_rows.append([rid, p.period, channel, arm, repr(score)])
-    out_selections = _out_path(args, args.out_selections)
-    _write_text(
-        out_selections,
-        _csv_text(
-            ["record_id", "period", "channel", "arm", "score"],
-            sel_rows,
-            f"manifest: {manifest.name}",
-        ),
-    )
-    manifest.note_artifact(out_selections)
+    manifest.write_csv(args.out_selections, ["record_id", "period", "channel", "arm", "score"],
+                       sel_rows)
     manifest.write()
 
     mean_recall = float(np.mean([p.recall for p in trace.periods]))
     print(
         f"replayed {len(trace.periods)} periods, revealed {trace.revealed_count()} labels, "
-        f"mean recall {mean_recall:.3f} -> {out_trace}"
+        f"mean recall {mean_recall:.3f} -> {manifest.out_dir / args.out_trace}"
     )
     return EXIT_OK
 
@@ -408,18 +392,10 @@ def cmd_sweep(args) -> int:
     manifest = Manifest("sweep", args, Path(args.out_dir))
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
-    rhos = _parse_float_list(args.rho_list, "--rho-list")
-    rows = sweep_exploration(cohort, model, rhos, args.k_list, seed=args.seed)
-    out = _out_path(args, args.out)
-    _write_text(
-        out,
-        _csv_text(
-            ["exploration_fraction", "capacity", "mean_recall"],
-            [[r["exploration_fraction"], r["capacity"], repr(r["mean_recall"])] for r in rows],
-            f"manifest: {manifest.name}",
-        ),
-    )
-    manifest.note_artifact(out)
+    rows = sweep_exploration(cohort, model, args.rho_list, args.k_list, seed=args.seed)
+    manifest.write_csv(
+        args.out, ["exploration_fraction", "capacity", "mean_recall"],
+        [[r["exploration_fraction"], r["capacity"], repr(r["mean_recall"])] for r in rows])
     manifest.write()
     for r in rows:
         print(f"rho={r['exploration_fraction']:<5} capacity={r['capacity']:<7} "
@@ -431,27 +407,19 @@ def cmd_bootstrap(args) -> int:
     manifest = Manifest("bootstrap", args, Path(args.out_dir))
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
-    weeks = _parse_week_range(args.weeks) if args.weeks else None
     result = bootstrap_ci(
         cohort,
         model,
         args.k,
         replicates=args.replicates,
         level=args.level,
-        weeks=weeks,
+        weeks=args.weeks,
         seed=args.seed,
     )
-    out = _out_path(args, args.out)
-    _write_text(
-        out,
-        _csv_text(
-            ["k", "replicates", "level", "mean", "lo", "hi", "skipped_replicates"],
-            [[result.k, len(result.replicate_means), result.level,
-              repr(result.mean), repr(result.lo), repr(result.hi), result.skipped_replicates]],
-            f"manifest: {manifest.name}",
-        ),
-    )
-    manifest.note_artifact(out)
+    manifest.write_csv(
+        args.out, ["k", "replicates", "level", "mean", "lo", "hi", "skipped_replicates"],
+        [[result.k, len(result.replicate_means), result.level,
+          repr(result.mean), repr(result.lo), repr(result.hi), result.skipped_replicates]])
     manifest.write()
     print(f"recall@{args.k}: mean {result.mean:.3f}, "
           f"{int(args.level * 100)}% CI ({result.lo:.3f}, {result.hi:.3f})")
@@ -473,26 +441,27 @@ def _model_entries(text: str) -> dict[str, str]:
 def cmd_report(args) -> int:
     manifest = Manifest("report", args, Path(args.out_dir))
     model_entries = _model_entries(args.models) if args.models else {}
-    eval_weeks = _parse_week_range(args.weeks) if args.weeks else None
     wrote_any = False
 
     if args.trace:
         manifest.note_input(args.trace)
-        periods = []
+        summary = []
         with open(args.trace, encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if obj.get("type") == "period":
-                    periods.append(obj)
-        if not periods:
+            for line_number, line in enumerate(fh, 1):
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("not a JSON object")
+                    if obj.get("type") == "period":
+                        summary.append(summary_row(obj))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise DataError(f"{args.trace}:{line_number}: bad trace record "
+                                    f"({type(exc).__name__}: {exc})") from None
+        if not summary:
             raise DataError(f"{args.trace}: no period records")
-        out = _out_path(args, "trace_summary.csv")
-        _write_text(
-            out, _dict_csv_text([summary_row(p) for p in periods], f"manifest: {manifest.name}")
-        )
-        manifest.note_artifact(out)
+        out = manifest.write_csv("trace_summary.csv", None, summary)
         wrote_any = True
-        print(f"trace summary ({len(periods)} periods) -> {out}")
+        print(f"trace summary ({len(summary)} periods) -> {out}")
 
     if args.cohort:
         cohort = _load_cohort_arg(args, manifest)
@@ -500,27 +469,20 @@ def cmd_report(args) -> int:
             [w, int(len(cohort.week_ids(w))), int(cohort.week_labels(w).sum())]
             for w in cohort.weeks
         ]
-        out_counts = _out_path(args, "weekly_counts.csv")
-        _write_text(
-            out_counts,
-            _csv_text(["week", "tests", "positives"], counts, f"manifest: {manifest.name}"),
-        )
-        manifest.note_artifact(out_counts)
-        out_corr = _out_path(args, "weekly_correlations.csv")
-        with _atomic(out_corr) as tmp:
+        out_counts = manifest.write_csv("weekly_counts.csv", ["week", "tests", "positives"],
+                                        counts)
+        with manifest.artifact("weekly_correlations.csv") as tmp:
             weekly_correlations(cohort).write_csv(tmp, header_comment=f"manifest: {manifest.name}")
-        manifest.note_artifact(out_corr)
         wrote_any = True
-        print(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")
+        print(f"cohort report ({len(counts)} weeks) -> {out_counts}, "
+              f"{manifest.out_dir / 'weekly_correlations.csv'}")
 
         ks = args.k_list or [1000, 2000, 3000, 4000, 5000]
         if args.recall_table and args.model:
             model = load_model(args.model)
             manifest.note_input(args.model)
-            rows_d = weekly_recall_table(cohort, model, ks, weeks=eval_weeks, seed=args.seed)
-            out = _out_path(args, "weekly_recall.csv")
-            _write_text(out, _dict_csv_text(rows_d, f"manifest: {manifest.name}"))
-            manifest.note_artifact(out)
+            rows_d = weekly_recall_table(cohort, model, ks, weeks=args.weeks, seed=args.seed)
+            out = manifest.write_csv("weekly_recall.csv", None, rows_d)
             print(f"weekly recall table -> {out}")
 
         if args.models:
@@ -529,10 +491,8 @@ def cmd_report(args) -> int:
                 named[name] = rule_based_model() if entry == "rule_based" else load_model(entry)
                 manifest.note_input(None if entry == "rule_based" else entry)
             rows_m = model_comparison_table(cohort, named, ks,
-                                            weeks=eval_weeks, seed=args.seed)
-            out = _out_path(args, "model_comparison.csv")
-            _write_text(out, _dict_csv_text(rows_m, f"manifest: {manifest.name}"))
-            manifest.note_artifact(out)
+                                            weeks=args.weeks, seed=args.seed)
+            out = manifest.write_csv("model_comparison.csv", None, rows_m)
             print(f"model comparison ({len(rows_m)} models) -> {out}")
 
         if args.crossover:
@@ -540,22 +500,15 @@ def cmd_report(args) -> int:
                 raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
             rows_x = train_eval_split_experiment(
                 cohort,
-                _parse_week_range(args.weeks_a),
-                _parse_week_range(args.weeks_b),
-                eval_weeks,
+                args.weeks_a,
+                args.weeks_b,
+                args.weeks,
                 args.k_list or [100, 300, 1000, 3000],
                 seed=args.seed,
             )
-            out = _out_path(args, "crossover.csv")
-            _write_text(
-                out,
-                _csv_text(
-                    ["k", "recall_a", "recall_b"],
-                    [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x],
-                    f"manifest: {manifest.name}",
-                ),
-            )
-            manifest.note_artifact(out)
+            out = manifest.write_csv(
+                "crossover.csv", ["k", "recall_a", "recall_b"],
+                [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x])
             print(f"crossover table -> {out}")
 
     if not wrote_any:
@@ -570,7 +523,7 @@ def cmd_report(args) -> int:
 
 
 def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
+    parser.add_argument("--seed", type=_seed, default=None, metavar="U64",
                         help="master seed; every random stream derives from it")
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="key = value file supplying defaults for this subcommand's flags")
@@ -594,7 +547,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="cohort.csv", help="cohort output file name")
     p.add_argument("--report", default="rejections.tsv",
                    help="rejection report (row<TAB>reason per rejected row)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default comma)")
+    p.add_argument("--delimiter", type=_delimiter, default=",", help="field delimiter (1 char)")
     p.add_argument("--keep-other-results", action="store_true",
                    help="retain result='other' rows as negatives instead of excluding them")
     p.add_argument("--null-policy", choices=["as_absent", "drop"], default="as_absent",
@@ -622,11 +575,12 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--cohort", default=None, help="cohort CSV")
     p.set_defaults(required_flags=("cohort",))
-    p.add_argument("--weeks", default=None, help="training weeks, e.g. 10-12 (default: all)")
+    p.add_argument("--weeks", type=_week_range, default=None,
+                   help="training weeks, e.g. 10-12 (default: all)")
     p.add_argument("--kind", choices=["linear", "poly2"], default="poly2", help="model family")
     p.add_argument("--out", default="model.txt", help="model output file name")
-    p.add_argument("--regularization", type=float, default=1e-4, help="L2 strength (lambda)")
-    p.add_argument("--epochs", type=int, default=20, help="training passes over the data")
+    p.add_argument("--regularization", type=_regularization, default=1e-4, help="L2 strength > 0")
+    p.add_argument("--epochs", type=_epochs, default=20, help="training passes (>= 1)")
     p.add_argument("--class-weighting", choices=["none", "balanced"], default="balanced",
                    help="per-class cost reweighting")
     p.set_defaults(func=cmd_train)
@@ -639,9 +593,10 @@ def build_parser() -> _Parser:
     p.add_argument("--rule-based", action="store_true",
                    help="cold-start from the fixed 2/1/1 rule instead of --model")
     p.add_argument("--policy", default=None, help="policy configuration file")
-    p.add_argument("--weeks", default=None, help="periods to replay, e.g. 11-19 (default: all)")
-    p.add_argument("--retrain-every", type=int, default=1,
-                   help="retraining cadence in periods; 0 keeps the model static")
+    p.add_argument("--weeks", type=_week_range, default=None,
+                   help="periods to replay, e.g. 11-19 (default: all)")
+    p.add_argument("--retrain-every", type=_cadence, default=1,
+                   help="retraining cadence in periods (>= 0); 0 keeps the model static")
     p.add_argument("--retrain-kind", choices=["linear", "poly2"], default="poly2",
                    help="model family used at retraining")
     p.add_argument("--allow-overlap", action="store_true",
@@ -659,8 +614,8 @@ def build_parser() -> _Parser:
     p.set_defaults(required_flags=("cohort",))
     p.add_argument("--model", default=None, help="model file (static during the sweep)")
     p.add_argument("--rule-based", action="store_true", help="sweep the fixed rule instead")
-    p.add_argument("--rho-list", default="0.3,0.4,0.5,0.6,0.7",
-                   help="comma-separated exploration fractions")
+    p.add_argument("--rho-list", type=_fraction_list, default="0.3,0.4,0.5,0.6,0.7",
+                   help="comma-separated exploration fractions, each in [0, 1]")
     p.add_argument("--k-list", type=_capacity_list, default="1000",
                    help="comma-separated capacities, each >= 1")
     p.add_argument("--out", default="sweep.csv", help="output table file name")
@@ -674,9 +629,10 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default=None, help="model file")
     p.add_argument("--rule-based", action="store_true", help="use the fixed rule")
     p.add_argument("--k", type=_capacity, default=None, help="tests per week (>= 1)")
-    p.add_argument("--replicates", type=int, default=200, help="bootstrap replicate count")
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p.add_argument("--weeks", default=None, help="weeks to evaluate, e.g. 13-16 (default: all)")
+    p.add_argument("--replicates", type=_replicates, default=200, help="replicate count (>= 2)")
+    p.add_argument("--level", type=_level, default=0.95, help="confidence level, in (0, 1)")
+    p.add_argument("--weeks", type=_week_range, default=None,
+                   help="weeks to evaluate, e.g. 13-16 (default: all)")
     p.add_argument("--out", default="bootstrap.csv", help="output file name")
     p.set_defaults(func=cmd_bootstrap)
 
@@ -692,9 +648,12 @@ def build_parser() -> _Parser:
                         "per-model mean recall/F1 comparison table")
     p.add_argument("--crossover", action="store_true",
                    help="train on --weeks-a and --weeks-b, compare recall on --weeks")
-    p.add_argument("--weeks-a", default=None, help="first training range, e.g. 10-12")
-    p.add_argument("--weeks-b", default=None, help="second training range, e.g. 21-23")
-    p.add_argument("--weeks", default=None, help="evaluation weeks, e.g. 24-26")
+    p.add_argument("--weeks-a", type=_week_range, default=None,
+                   help="first training range, e.g. 10-12")
+    p.add_argument("--weeks-b", type=_week_range, default=None,
+                   help="second training range, e.g. 21-23")
+    p.add_argument("--weeks", type=_week_range, default=None,
+                   help="evaluation weeks, e.g. 24-26")
     p.add_argument("--k-list", type=_capacity_list, default=None,
                    help="comma-separated capacities, each >= 1")
     p.set_defaults(func=cmd_report)
@@ -771,14 +730,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ScenarioError, PolicyError, MetricError, OverlapError,
-            DegenerateTrainingError) as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, PolicyError, MetricError, DegenerateTrainingError, ValueError,
+            OSError) as exc:  # ScenarioError and OverlapError are ValueErrors
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -148,7 +148,10 @@ class PolicyConfig:
         """Load an INI policy file: a [policy] block plus [arm NAME] blocks.
         A section or key outside that layout is an error, not ignored."""
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise PolicyError(f"bad policy file {path}: {exc}") from exc
         if not read:
             raise PolicyError(f"cannot read policy file {path}")
         if "policy" not in parser:

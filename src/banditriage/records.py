@@ -1,9 +1,11 @@
-"""Candidate test records: parsing, validation, featurization, week assignment.
+"""Candidate test records: ingestion, validation, featurization, week assignment.
 
 Input is a delimited text file with one row per performed test (the public
-"tested individuals" export schema). Each accepted row becomes one entry of a
-:class:`Cohort`, a frozen set of equal-length numpy columns holding the row's
-id, date and categorical codes. Scorers consume the fixed-order binary
+"tested individuals" export schema). :func:`load_cohort` reads it a column at
+a time: in bounded chunks of rows, each required column's distinct cells are
+validated and coded once, and the codes of the accepted rows go straight into
+a :class:`Cohort`, a frozen set of equal-length numpy columns holding the
+row's id, date and categorical codes. Scorers consume the fixed-order binary
 encoding (:data:`FEATURE_NAMES`) the cohort derives from those codes. Records
 are pooled by ISO-8601 week number, the time frame used everywhere downstream
 (selection, retraining, metrics); a cohort therefore lies within one ISO year.
@@ -17,6 +19,8 @@ import logging
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from enum import IntEnum
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -82,8 +86,7 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
     ("test_date",) + SYMPTOM_FIELDS + ("corona_result", "gender", "test_indication")
 )
 
-#: Layout of the tuple :func:`parse_record` returns and
-#: :meth:`Cohort.from_records` takes.
+#: Layout of the row tuples :meth:`Cohort.from_records` takes.
 ROW_FIELDS: tuple[str, ...] = (
     ("record_id", "test_date") + SYMPTOM_FIELDS + ("indication", "gender", "result")
 )
@@ -91,15 +94,6 @@ ROW_FIELDS: tuple[str, ...] = (
 
 class DataError(Exception):
     """Base class for ingestion failures."""
-
-
-class RecordParseError(DataError):
-    """A single row could not become a valid record."""
-
-    def __init__(self, column: str, value: str, message: str):
-        self.column = column
-        self.value = value
-        super().__init__(f"{column}={value!r}: {message}")
 
 
 class CohortFormatError(DataError):
@@ -206,62 +200,6 @@ class ValueMapping:
         return cls(**tables)
 
 
-def parse_record(
-    row: Mapping[str, str],
-    mapping: ValueMapping,
-    *,
-    record_id: int = 0,
-    study_window: tuple[date, date] | None = None,
-) -> tuple:
-    """Validate one raw CSV row; return its values in :data:`ROW_FIELDS` order.
-
-    Missing or empty symptom cells become UNKNOWN. Result and indication go
-    through the closed vocabulary; anything unmappable raises
-    :class:`RecordParseError` carrying the offending column and value.
-    """
-
-    def cell(column: str) -> str:
-        value = row.get(column)
-        return "" if value is None else str(value).strip()
-
-    raw_date = cell("test_date")
-    try:
-        test_date = date.fromisoformat(raw_date)
-    except ValueError as exc:
-        raise RecordParseError("test_date", raw_date, "not an ISO-8601 date") from exc
-    if study_window is not None:
-        lo, hi = study_window
-        if not lo <= test_date <= hi:
-            raise RecordParseError(
-                "test_date", raw_date, f"outside study window {lo}..{hi}"
-            )
-
-    symptoms = []
-    for name in SYMPTOM_FIELDS:
-        state = mapping.symptom.get(cell(name).lower())
-        if state is None:
-            raise RecordParseError(name, cell(name), "unmappable symptom value")
-        symptoms.append(state)
-
-    raw_result = cell("corona_result")
-    result = mapping.result.get(raw_result.lower())
-    if result is None:
-        raise RecordParseError("corona_result", raw_result, "unmappable result value")
-
-    raw_indication = cell("test_indication")
-    indication = mapping.indication.get(raw_indication.lower())
-    if indication is None:
-        raise RecordParseError(
-            "test_indication", raw_indication, "unmappable indication value"
-        )
-
-    # Gender is lenient: it only feeds one weak feature and UNKNOWN is a
-    # first-class state, so unexpected values degrade instead of rejecting.
-    gender = mapping.gender.get(cell("gender").lower(), Gender.UNKNOWN)
-
-    return (record_id, test_date, *symptoms, indication, gender, result)
-
-
 # ---------------------------------------------------------------------------
 # Cohort: equal-length columns, one entry per record in record order, with
 # the numeric views (ids / features / labels per week) derived once so it is
@@ -334,8 +272,7 @@ class Cohort:
 
     @classmethod
     def from_records(cls, records: Sequence[tuple]) -> "Cohort":
-        """Build a cohort from row tuples in :data:`ROW_FIELDS` order, as
-        :func:`parse_record` returns them."""
+        """Build a cohort from row tuples in :data:`ROW_FIELDS` order."""
         col = {name: [r[i] for r in records] for i, name in enumerate(ROW_FIELDS)}
         return cls(
             record_id=col["record_id"],
@@ -395,6 +332,45 @@ class LoadReport:
                 fh.write(f"{row_number}\t{reason}\n")
 
 
+#: Data rows validated at a time. It only bounds the raw cells held in
+#: memory; the result does not depend on it.
+_CHUNK_ROWS = 2048
+#: Code of a cell its column rejects; no column codes to it.
+_REJECTED = np.iinfo(np.int64).min
+
+
+def _column_coders(mapping: ValueMapping, study_window: tuple[date, date] | None) -> list:
+    """(column, coder) in the order a row's rejection is decided. A coder maps
+    a stripped cell to its code, or raises ValueError carrying the reason."""
+
+    def test_date(text: str) -> int:
+        try:
+            day = date.fromisoformat(text)
+        except ValueError:
+            raise ValueError("not an ISO-8601 date") from None
+        if study_window is not None and not study_window[0] <= day <= study_window[1]:
+            raise ValueError(f"outside study window {study_window[0]}..{study_window[1]}")
+        return day.toordinal() - _EPOCH_ORDINAL
+
+    def vocabulary(table: Mapping[str, IntEnum], what: str, default=None):
+        def code(text: str) -> int:
+            value = table.get(text.lower(), default)
+            if value is None:
+                raise ValueError(f"unmappable {what} value")
+            return value
+        return code
+
+    return [
+        ("test_date", test_date),
+        *[(name, vocabulary(mapping.symptom, "symptom")) for name in SYMPTOM_FIELDS],
+        ("corona_result", vocabulary(mapping.result, "result")),
+        ("test_indication", vocabulary(mapping.indication, "indication")),
+        # Gender is lenient: it only feeds one weak feature and UNKNOWN is a
+        # first-class state, so unexpected values degrade instead of rejecting.
+        ("gender", vocabulary(mapping.gender, "gender", Gender.UNKNOWN)),
+    ]
+
+
 def load_cohort(
     path: str | Path,
     mapping: ValueMapping | None = None,
@@ -406,8 +382,13 @@ def load_cohort(
 ) -> tuple[Cohort, LoadReport]:
     """Load a delimited text file into a cohort plus a rejection report.
 
-    Row numbers in the report are 1-based over data rows (header excluded).
-    record_id is assigned by acceptance order, which equals row order.
+    Columns are found by their stripped header names; lines starting with
+    ``#`` and blank lines are skipped. Row numbers in the report are 1-based
+    over the remaining data rows. Each column's distinct cells are validated
+    once, on their stripped text, and a rejected row is reported under its
+    first failing column: date (or study window), the symptoms, result,
+    indication. Missing or empty symptom cells are UNKNOWN. record_id is
+    assigned by acceptance order, which equals row order.
     Records with result "other" are neither-label and are excluded by default;
     ``keep_other_results=True`` retains them (they count as negatives
     downstream). ``null_policy="drop"`` rejects rows with any unknown symptom
@@ -415,7 +396,9 @@ def load_cohort(
     """
     if null_policy not in ("as_absent", "drop"):
         raise ValueError(f"null_policy must be 'as_absent' or 'drop', got {null_policy!r}")
-    mapping = mapping or ValueMapping.default()
+    coders = _column_coders(mapping or ValueMapping.default(), study_window)
+    symptom_rows = slice(1, 1 + len(SYMPTOM_FIELDS))
+    result_row = 1 + len(SYMPTOM_FIELDS)
 
     try:
         # utf-8-sig: spreadsheet exports often start with a byte-order mark.
@@ -424,51 +407,71 @@ def load_cohort(
         raise CohortFormatError(f"cannot read {path}: {exc}") from exc
 
     report = LoadReport()
-    records: list[tuple] = []
-    symptom_slice = slice(2, 2 + len(SYMPTOM_FIELDS))
+    dates = [np.empty(0, "datetime64[D]")]  # accepted rows, chunk by chunk
+    codes = [np.empty((len(coders) - 1, 0), np.int8)]  # the other columns, in coder order
     with fh:
         try:
-            filtered = (line for line in fh if not line.startswith("#"))
-            reader = csv.DictReader(filtered, delimiter=delimiter)
-            if reader.fieldnames is None:
+            reader = csv.reader((line for line in fh if not line.startswith("#")),
+                                delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
                 raise CohortFormatError(f"{path}: empty file, no header row")
-            header = [h.strip() for h in reader.fieldnames]
+            position = {name.strip(): i for i, name in enumerate(header)}
             for column in REQUIRED_COLUMNS:
-                if column not in header:
+                if column not in position:
                     raise CohortFormatError(f"{path}: header is missing column {column!r}")
+            cell_of = [itemgetter(position[column]) for column, _ in coders]
+            width = max(position[column] for column in REQUIRED_COLUMNS) + 1
 
-            for row_number, row in enumerate(reader, start=1):
-                report.n_rows += 1
-                try:
-                    rec = parse_record(
-                        row, mapping, record_id=len(records), study_window=study_window
-                    )
-                except RecordParseError as exc:
-                    report.rejections.append((row_number, str(exc)))
-                    continue
-                if rec[-1] is TestResult.OTHER and not keep_other_results:
-                    report.rejections.append(
-                        (row_number, "result 'other' excluded (keep_other_results retains)")
-                    )
-                    continue
-                if null_policy == "drop" and TriState.UNKNOWN in rec[symptom_slice]:
-                    report.rejections.append(
-                        (row_number, "unknown symptom value (null_policy=drop)")
-                    )
-                    continue
-                records.append(rec)
+            rows = filter(None, reader)  # a blank line reads as [] and is no row
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                if min(map(len, chunk)) < width:  # short rows read as empty cells
+                    chunk = [r + [""] * (width - len(r)) for r in chunk]
+                coded = np.empty((len(coders), len(chunk)), np.int64)
+                reasons = []  # per column: raw cell -> rejection reason
+                for i, (column, coder) in enumerate(coders):
+                    cells = list(map(cell_of[i], chunk))
+                    table, why = {}, {}
+                    for raw in set(cells):
+                        try:
+                            table[raw] = coder(raw.strip())
+                        except ValueError as exc:
+                            table[raw] = _REJECTED
+                            why[raw] = f"{column}={raw.strip()!r}: {exc}"
+                    coded[i] = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+                    reasons.append(why)
+
+                bad = coded == _REJECTED
+                failed = bad.any(axis=0)
+                other = ~failed & (coded[result_row] == TestResult.OTHER) & (not keep_other_results)
+                dropped = (~failed & ~other & (null_policy == "drop")
+                           & (coded[symptom_rows] == TriState.UNKNOWN).any(axis=0))
+                first_bad = bad.argmax(axis=0)
+                for j in np.flatnonzero(failed | other | dropped).tolist():
+                    if failed[j]:
+                        i = first_bad[j]
+                        reason = reasons[i][cell_of[i](chunk[j])]
+                    elif other[j]:
+                        reason = "result 'other' excluded (keep_other_results retains)"
+                    else:
+                        reason = "unknown symptom value (null_policy=drop)"
+                    report.rejections.append((report.n_rows + j + 1, reason))
+                report.n_rows += len(chunk)
+
+                keep = coded[:, ~(failed | other | dropped)]
+                dates.append(keep[0].astype("datetime64[D]"))
+                codes.append(keep[1:].astype(np.int8))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
 
-    report.n_accepted = len(records)
+    test_date, columns = np.concatenate(dates), np.concatenate(codes, axis=1)
+    report.n_accepted = len(test_date)
     if report.n_rejected:
-        log.info(
-            "loaded %d records, rejected %d of %d rows",
-            report.n_accepted,
-            report.n_rejected,
-            report.n_rows,
-        )
-    return Cohort.from_records(records), report
+        log.info("loaded %d records, rejected %d of %d rows",
+                 report.n_accepted, report.n_rejected, report.n_rows)
+    symptoms, (result, indication, gender) = columns[:-3].T, columns[-3:]
+    return Cohort(np.arange(report.n_accepted), test_date, np.ascontiguousarray(symptoms),
+                  indication, gender, result), report
 
 
 # Output spellings, indexed by code.

@@ -177,6 +177,8 @@ def run_replay(
     surveillance loop must not halt on a degenerate week. Per-period metrics
     are computed against the period pool's full ground truth.
     """
+    if retrain_every < 0:
+        raise ValueError(f"retrain_every must be >= 0, got {retrain_every}")
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     if not weeks:
         raise ValueError("cohort has no weeks to replay")

@@ -189,7 +189,10 @@ def _read_feature_block(section, *, base: dict[str, float], what: str) -> dict[s
 
 def load_scenario(path: str | Path) -> GeneratorParams:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
     for required in ("generator", "prevalence", "coefficients"):

@@ -236,6 +236,86 @@ class TestCapacityFlags:
         assert "capacity must be >= 1" in capsys.readouterr().err
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rule-based", "--policy", "p.policy", "--retrain-every", "-2"],
+        ["bootstrap", "--rule-based", "--k", "100", "--level", "1.5"],
+        ["bootstrap", "--rule-based", "--k", "100", "--level", "nan"],
+        ["bootstrap", "--rule-based", "--k", "100", "--replicates", "1"],
+        ["bootstrap", "--rule-based", "--k", "100", "--seed", "-1"],
+        ["bootstrap", "--rule-based", "--k", "100", "--seed", str(2**64)],
+        ["train", "--epochs", "0"],
+        ["train", "--regularization", "0"],
+        ["train", "--regularization", "nan"],
+        ["sweep", "--rule-based", "--rho-list", "0.3,1.5"],
+        ["sweep", "--rule-based", "--rho-list", "nan"],
+        ["sweep", "--rule-based", "--rho-list", ","],
+        ["train", "--weeks", "0-3"],
+        ["bootstrap", "--rule-based", "--k", "100", "--weeks", "1-99999999999"],
+    ], ids=lambda argv: " ".join(argv[2:] if argv[1] == "--rule-based" else argv[1:]))
+    def test_bad_value_is_usage_error_before_reading(self, workdir, capsys, argv):
+        # The cohort does not exist: the flag is rejected before it is read.
+        code = run(argv + ["--cohort", str(workdir / "missing.csv"),
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: usage:" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("delimiter", ["", ",,", "\\t"])
+    def test_ingest_delimiter_must_be_one_character(self, workdir, capsys, delimiter):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows(), encoding="utf-8")
+        code = run(["ingest", "--input", str(raw), f"--delimiter={delimiter}",
+                    "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert "delimiter must be one character" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("entry", ["retrain_every = -2", "epochs = 0", "level = 1.5",
+                                       "replicates = 1", "rho_list = 0.3,2"])
+    def test_bad_value_from_config_is_data_error(self, workdir, small_cohort_csv, capsys,
+                                                 entry):
+        subcommand = {"retrain_every": "simulate", "epochs": "train",
+                      "rho_list": "sweep"}.get(entry.split()[0], "bootstrap")
+        extra = {"simulate": ["--rule-based", "--policy", "p.policy"], "train": [],
+                 "sweep": ["--rule-based"], "bootstrap": ["--rule-based", "--k", "100"]}
+        cfg = workdir / "run.config"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        code = run([subcommand, *extra[subcommand], "--cohort", str(small_cohort_csv),
+                    "--config", str(cfg), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(cfg) in err
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("line", ['[1, 2]', '"period"', '{"type": "period"}',
+                                      '{"type": "period", "pool_size": 5}', "{not json"])
+    def test_bad_trace_line_is_data_error_naming_it(self, workdir, capsys, line):
+        trace = workdir / "trace.jsonl"
+        trace.write_text('{"type": "header"}\n' + line + "\n", encoding="utf-8")
+        code = run(["report", "--trace", str(trace), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {trace}:2: bad trace record")
+
+    def test_duplicate_policy_section_is_data_error(self, workdir, small_cohort_csv, capsys):
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 5\n[policy]\ncapacity = 6\n", encoding="utf-8")
+        code = run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(policy), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        assert "bad policy file" in capsys.readouterr().err
+
+    def test_duplicate_scenario_option_is_data_error(self, workdir, capsys):
+        scenario = workdir / "s.scenario"
+        scenario.write_text("[generator]\nseed = 1\nseed = 2\n", encoding="utf-8")
+        code = run(["synth", "--scenario", str(scenario), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        assert "bad scenario file" in capsys.readouterr().err
+
+
 class TestWithoutScipy:
     def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):
         # numpy is the only runtime dependency; this fails if scipy comes back.

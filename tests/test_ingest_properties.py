@@ -10,11 +10,13 @@ import io
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditriage import records
 from banditriage.cli import EXIT_DATA, EXIT_OK, main
 from banditriage.records import (
     REQUIRED_COLUMNS,
@@ -25,6 +27,7 @@ from banditriage.records import (
     Indication,
     TestResult,
     TriState,
+    ValueMapping,
     load_cohort,
     write_cohort_csv,
 )
@@ -107,21 +110,32 @@ _CELLS = {
 _ROW = st.tuples(*[_CELLS["symptom" if c in SYMPTOM_FIELDS else c] for c in REQUIRED_COLUMNS])
 
 
+_PAD = st.sampled_from(["", "", "", " "])
+
+
 @st.composite
 def fuzzed_exports(draw) -> tuple[str, int]:
-    """Export text (optional BOM, ``#`` lines between rows) and its data-row count."""
+    """Export text and its data-row count. The header may order the columns
+    freely, add an ``age_60_and_above`` column and pad names with spaces;
+    rows may stop short; ``#`` lines and blank lines may come between rows,
+    and a BOM may lead."""
+    columns = draw(st.permutations(REQUIRED_COLUMNS + ("age_60_and_above",) * draw(st.booleans())))
     out = io.StringIO()
     if draw(st.booleans()):
         out.write("\ufeff")
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
+    writer.writerow([draw(_PAD) + c + draw(_PAD) for c in columns])
     n_rows = 0
     for cells in draw(st.lists(_ROW, max_size=30)):
         if draw(st.booleans()):
-            out.write(f"#{draw(_TEXT)}\n")
+            out.write(draw(st.sampled_from([f"#{draw(_TEXT)}\n", "\n"])))
+        by_name = dict(zip(REQUIRED_COLUMNS, cells), age_60_and_above=draw(_TEXT))
+        cut = draw(st.integers(0, len(columns))) if draw(st.integers(0, 3)) == 0 else None
+        cells = [by_name[c] for c in columns][:cut]
         line = io.StringIO()
         csv.writer(line, lineterminator="\n").writerow(cells)
-        n_rows += not line.getvalue().startswith("#")  # a comment line, not a row
+        # A line starting with "#" is a comment, an empty one is blank: neither is a row.
+        n_rows += not line.getvalue().startswith(("#", "\n"))
         out.write(line.getvalue())
     return out.getvalue(), n_rows
 
@@ -145,6 +159,66 @@ def test_fuzzed_rows_are_accepted_or_rejected(export, keep_other, null_policy):
     assert report.n_accepted == len(cohort)
     assert [number for number, _ in report.rejections] == sorted(
         {number for number, _ in report.rejections})
+
+
+def reference_record(cell: dict[str, str], keep_other, null_policy, window):
+    """The ingest rule for one row of stripped cells: its record as a tuple of
+    codes, or its rejection reason (the first failing column names it)."""
+    m = ValueMapping.default()
+    try:
+        day = date.fromisoformat(cell["test_date"])
+    except ValueError:
+        return f"test_date={cell['test_date']!r}: not an ISO-8601 date"
+    if window and not window[0] <= day <= window[1]:
+        return f"test_date={cell['test_date']!r}: outside study window {window[0]}..{window[1]}"
+    checks = [*((s, m.symptom, "symptom") for s in SYMPTOM_FIELDS),
+              ("corona_result", m.result, "result"),
+              ("test_indication", m.indication, "indication")]
+    for column, table, what in checks:
+        if cell[column].lower() not in table:
+            return f"{column}={cell[column]!r}: unmappable {what} value"
+    symptoms = [m.symptom[cell[s].lower()] for s in SYMPTOM_FIELDS]
+    result = m.result[cell["corona_result"].lower()]
+    if result is TestResult.OTHER and not keep_other:
+        return "result 'other' excluded (keep_other_results retains)"
+    if null_policy == "drop" and TriState.UNKNOWN in symptoms:
+        return "unknown symptom value (null_policy=drop)"
+    return (day, *symptoms, m.indication[cell["test_indication"].lower()],
+            m.gender.get(cell["gender"].lower(), Gender.UNKNOWN), result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_exports(), st.booleans(), st.sampled_from(["as_absent", "drop"]),
+       st.sampled_from([None, (date(2020, 3, 10), date(2020, 12, 31))]),
+       st.sampled_from([1, 2, 7, records._CHUNK_ROWS]))
+def test_fuzzed_rows_load_as_the_per_row_rule_says(export, keep_other, null_policy, window,
+                                                   chunk_rows):
+    text, _ = export
+    lines = [line for line in io.StringIO(text.removeprefix("\ufeff"), newline="")
+             if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    position = {name.strip(): i for i, name in enumerate(header)}
+    expected = [reference_record({c: (cells[i] if i < len(cells) else "").strip()
+                                  for c, i in position.items()}, keep_other, null_policy, window)
+                for cells in rows if cells]
+    accepted = [r for r in expected if isinstance(r, tuple)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            # The chunk size only bounds memory: every size gives the same load.
+            with mock.patch.object(records, "_CHUNK_ROWS", chunk_rows):
+                cohort, report = load_cohort(path, keep_other_results=keep_other,
+                                             null_policy=null_policy, study_window=window)
+        except DataError as exc:
+            assert "ISO years" in str(exc)
+            assert len({r[0].isocalendar()[0] for r in accepted}) > 1
+            return
+    assert report.rejections == [(n, r) for n, r in enumerate(expected, 1) if isinstance(r, str)]
+    loaded = zip(cohort.test_date.astype(object), cohort.symptoms.tolist(), cohort.indication,
+                 cohort.gender, cohort.result)
+    assert [(d, *s, i, g, r) for d, s, i, g, r in loaded] == accepted
+    assert cohort.record_id.tolist() == list(range(len(accepted)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,14 +15,11 @@ from banditriage.records import (
     Gender,
     Indication,
     MappingFormatError,
-    ROW_FIELDS,
     SYMPTOM_FIELDS,
-    RecordParseError,
     TestResult,
     TriState,
     ValueMapping,
     load_cohort,
-    parse_record,
     write_cohort_csv,
 )
 from banditriage.synthgen import generate_cohort
@@ -48,11 +45,6 @@ def row(**kv):
     return base
 
 
-def fields_of(rec: tuple) -> dict:
-    """A parsed row tuple keyed by ``ROW_FIELDS``."""
-    return dict(zip(ROW_FIELDS, rec))
-
-
 def features_of(rec: tuple) -> np.ndarray:
     """One record's feature vector, read from the week view of a one-row cohort."""
     cohort = Cohort.from_records([rec])
@@ -60,42 +52,69 @@ def features_of(rec: tuple) -> np.ndarray:
     return cohort.week_features(week)[0]
 
 
+def load_row(tmp_path, mapping=MAPPING, study_window=None, **cells):
+    """Load a one-row export of ``row(**cells)``."""
+    path = write_csv(tmp_path / "one.csv", [row(**cells)])
+    return load_cohort(path, mapping, study_window=study_window)
+
+
+def record_of(cohort: Cohort) -> dict:
+    """The one record of ``cohort`` by column name, as enum members."""
+    (test_date,) = cohort.test_date.astype(object)
+    (symptoms,) = cohort.symptoms
+    return {
+        "test_date": test_date,
+        **{name: TriState(code) for name, code in zip(SYMPTOM_FIELDS, symptoms)},
+        "indication": Indication(cohort.indication[0]),
+        "gender": Gender(cohort.gender[0]),
+        "result": TestResult(cohort.result[0]),
+    }
+
+
+def rejection_of(report) -> str:
+    """The one rejection reason of a one-row load."""
+    ((number, reason),) = report.rejections
+    assert number == 1
+    return reason
+
+
 class TestParseRecord:
-    def test_missing_symptom_becomes_unknown(self):
-        rec = fields_of(parse_record(
-            row(cough="1", fever="", test_indication="Contact with confirmed"), MAPPING
-        ))
+    """How one row of an export parses: into codes, or into a rejection."""
+
+    def test_missing_symptom_becomes_unknown(self, tmp_path):
+        cohort, _ = load_row(tmp_path, cough="1", fever="",
+                             test_indication="Contact with confirmed")
+        rec = record_of(cohort)
         assert rec["cough"] is TriState.PRESENT
         assert rec["fever"] is TriState.UNKNOWN
         assert rec["indication"] is Indication.CONTACT_WITH_CONFIRMED
 
-    def test_all_zero_symptoms_absent(self):
-        rec = fields_of(parse_record(row(), MAPPING))
+    def test_all_zero_symptoms_absent(self, tmp_path):
+        rec = record_of(load_row(tmp_path)[0])
         assert all(rec[s] is TriState.ABSENT for s in SYMPTOM_FIELDS)
 
-    def test_unknown_indication_rejected(self):
-        with pytest.raises(RecordParseError) as err:
-            parse_record(row(test_indication="Mystery"), MAPPING)
-        assert err.value.column == "test_indication"
-        assert err.value.value == "Mystery"
+    def test_unknown_indication_rejected(self, tmp_path):
+        _, report = load_row(tmp_path, test_indication="Mystery")
+        assert rejection_of(report) == "test_indication='Mystery': unmappable indication value"
 
-    def test_unknown_result_rejected(self):
-        with pytest.raises(RecordParseError):
-            parse_record(row(corona_result="maybe"), MAPPING)
+    def test_unknown_result_rejected(self, tmp_path):
+        _, report = load_row(tmp_path, corona_result="maybe")
+        assert rejection_of(report) == "corona_result='maybe': unmappable result value"
 
-    def test_malformed_date_rejected(self):
-        with pytest.raises(RecordParseError) as err:
-            parse_record(row(test_date="11/03/2020"), MAPPING)
-        assert err.value.column == "test_date"
+    def test_malformed_date_rejected(self, tmp_path):
+        _, report = load_row(tmp_path, test_date="11/03/2020")
+        assert rejection_of(report) == "test_date='11/03/2020': not an ISO-8601 date"
 
-    def test_outside_study_window_rejected(self):
+    def test_outside_study_window_rejected(self, tmp_path):
         window = (date(2020, 3, 11), date(2020, 5, 10))
-        with pytest.raises(RecordParseError):
-            parse_record(row(test_date="2020-06-01"), MAPPING, study_window=window)
-        parse_record(row(), MAPPING, study_window=window)  # in-window parses
+        _, report = load_row(tmp_path, test_date="2020-06-01", study_window=window)
+        assert rejection_of(report) == (
+            "test_date='2020-06-01': outside study window 2020-03-11..2020-05-10")
+        cohort, _ = load_row(tmp_path, study_window=window)  # in-window loads
+        assert record_of(cohort)["test_date"] == date(2020, 3, 11)
 
-    def test_unmapped_gender_degrades_to_unknown(self):
-        assert fields_of(parse_record(row(gender="n/a"), MAPPING))["gender"] is Gender.UNKNOWN
+    def test_unmapped_gender_degrades_to_unknown(self, tmp_path):
+        assert record_of(load_row(tmp_path, gender="n/a")[0])["gender"] is Gender.UNKNOWN
 
 
 class TestFeaturize:
@@ -171,6 +190,21 @@ class TestLoadCohort:
         assert report.n_rejected == 0
         assert cohort.record_id.tolist() == [0, 1, 2]
 
+    def test_header_names_are_compared_stripped(self, tmp_path):
+        # The header as the README spells it, with a space after each comma.
+        path = tmp_path / "a.csv"
+        path.write_text(", ".join(REQUIRED_COLUMNS) + "\n"
+                        "2020-03-11, 1, 0, 0, 0, 1, positive, female, Abroad\n", encoding="utf-8")
+        cohort, report = load_cohort(path)
+        assert report.n_rows == 1 and report.rejections == []
+        assert record_of(cohort) == {
+            "test_date": date(2020, 3, 11),
+            "cough": TriState.PRESENT, "fever": TriState.ABSENT, "sore_throat": TriState.ABSENT,
+            "shortness_of_breath": TriState.ABSENT, "head_ache": TriState.PRESENT,
+            "indication": Indication.ABROAD, "gender": Gender.FEMALE,
+            "result": TestResult.POSITIVE,
+        }
+
     def test_bad_date_row_rejected(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [row(), row(test_date="bogus"), row()])
         cohort, report = load_cohort(path)
@@ -242,13 +276,12 @@ class TestMappingFile:
             encoding="utf-8",
         )
         mapping = ValueMapping.from_file(mf)
-        rec = fields_of(parse_record(
-            row(corona_result="Positivo", test_indication="viaje"), mapping
-        ))
+        rec = record_of(load_row(tmp_path, mapping, corona_result="Positivo",
+                                 test_indication="viaje")[0])
         assert rec["result"] is TestResult.POSITIVE
         assert rec["indication"] is Indication.ABROAD
         # defaults still present
-        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
+        assert record_of(load_row(tmp_path, mapping)[0])["result"] is TestResult.NEGATIVE
 
     def test_bad_canonical_target(self, tmp_path):
         mf = tmp_path / "bad.mapping"
@@ -262,29 +295,27 @@ class TestMappingFile:
         with pytest.raises(MappingFormatError):
             ValueMapping.from_file(mf)
 
-    def test_shipped_default_mapping_parses(self):
+    def test_shipped_default_mapping_parses(self, tmp_path):
         from importlib import resources
 
         path = resources.files("banditriage").joinpath("mappings", "default.mapping")
         with resources.as_file(path) as p:
             mapping = ValueMapping.from_file(p)
-        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
+        assert record_of(load_row(tmp_path, mapping)[0])["result"] is TestResult.NEGATIVE
 
-    def test_shipped_hebrew_mapping_covers_raw_export_values(self):
+    def test_shipped_hebrew_mapping_covers_raw_export_values(self, tmp_path):
         from importlib import resources
 
         path = resources.files("banditriage").joinpath("mappings", "hebrew_export.mapping")
         with resources.as_file(path) as p:
             mapping = ValueMapping.from_file(p)
-        rec = fields_of(parse_record(
-            row(corona_result="חיובי", test_indication="מגע עם מאומת", gender="נקבה"),
-            mapping,
-        ))
+        rec = record_of(load_row(tmp_path, mapping, corona_result="חיובי",
+                                 test_indication="מגע עם מאומת", gender="נקבה")[0])
         assert rec["result"] is TestResult.POSITIVE
         assert rec["indication"] is Indication.CONTACT_WITH_CONFIRMED
         assert rec["gender"] is Gender.FEMALE
         # the overlay keeps the English defaults usable too
-        assert fields_of(parse_record(row(), mapping))["result"] is TestResult.NEGATIVE
+        assert record_of(load_row(tmp_path, mapping)[0])["result"] is TestResult.NEGATIVE
 
 
 class TestRoundTrip:
