@@ -1,8 +1,11 @@
 """Command-line surface: ingest, synth, correlate, train, simulate, sweep,
 bootstrap, report.
 
-Every run writes its data artifacts atomically (temp file + rename) plus a
-manifest JSON describing the run; artifacts reference the manifest by name.
+:func:`main` owns a run: it merges ``--config`` entries into the flag
+defaults, then hands the subcommand its :class:`Manifest`, and writes that
+manifest once the subcommand returns (a failed run writes none). Subcommands
+write their data artifacts atomically (temp file + rename) through the
+manifest; artifacts reference the manifest by name.
 All randomness flows from the ``--seed`` flag through labeled sub-seeds
 (:mod:`banditriage.seeds`), so a repeated command line reproduces its outputs
 byte for byte. Manifests are the one exception: they carry wall-clock
@@ -42,6 +45,7 @@ from .records import (
     DataError,
     ValueMapping,
     load_cohort,
+    read_text,
     write_cohort_csv,
 )
 from .scoring import (
@@ -117,12 +121,12 @@ def _csv_text(header: list, rows: list[list], comment: str | None = None) -> str
 class Manifest:
     """Run metadata: subcommand, inputs/outputs, seed, version, timestamps."""
 
-    def __init__(self, subcommand: str, args: argparse.Namespace, out_dir: Path):
-        self.subcommand = subcommand
+    def __init__(self, args: argparse.Namespace):
+        self.subcommand = args.subcommand
         self.seed = args.seed
-        self.config_path = getattr(args, "config", None)
-        self.out_dir = out_dir
-        self.path = out_dir / f"{subcommand}.manifest.json"
+        self.config_path = args.config
+        self.out_dir = Path(args.out_dir)
+        self.path = self.out_dir / f"{self.subcommand}.manifest.json"
         self.inputs: list[str] = []
         self.artifacts: list[str] = []
         self.started = datetime.now(timezone.utc).isoformat()
@@ -259,9 +263,8 @@ def _load_model_arg(args, manifest: Manifest):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, manifest: Manifest) -> None:
     window = _parse_study_window(args)
-    manifest = Manifest("ingest", args, Path(args.out_dir))
     manifest.note_input(args.input)
     mapping = ValueMapping.default()
     if args.mapping:
@@ -280,41 +283,31 @@ def cmd_ingest(args) -> int:
         write_cohort_csv(cohort, tmp, header_comment=f"manifest: {manifest.name}")
     with manifest.artifact(args.report) as tmp:
         report.write(tmp)
-    manifest.write()
     print(f"accepted {report.n_accepted} of {report.n_rows} rows "
           f"({report.n_rejected} rejected) -> {manifest.out_dir / args.out}")
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    manifest = Manifest("synth", args, Path(args.out_dir))
+def cmd_synth(args, manifest: Manifest) -> None:
     params = replace(resolve_scenario(args.scenario), seed=args.seed)
     cohort = generate_cohort(params)
     with manifest.artifact(args.out) as tmp:
         write_cohort_csv(cohort, tmp, header_comment=f"manifest: {manifest.name}")
-    manifest.write()
     positives = sum(c for c in cohort.positives_by_week().values())
     print(f"generated {len(cohort)} records over weeks {params.weeks[0]}-{params.weeks[1]} "
           f"({positives} positive) -> {manifest.out_dir / args.out}")
-    return EXIT_OK
 
 
-def cmd_correlate(args) -> int:
-    manifest = Manifest("correlate", args, Path(args.out_dir))
+def cmd_correlate(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     table = weekly_correlations(cohort)
-    with manifest.artifact(args.out) as tmp:
-        table.write_csv(tmp, header_comment=f"manifest: {manifest.name}")
-    manifest.write()
+    manifest.write_csv(args.out, None, table.rows())
     medians = table.median_by_feature()
     for name, value in sorted(medians.items(), key=lambda kv: -np.nan_to_num(kv[1], nan=-2.0)):
         shown = "undefined" if np.isnan(value) else f"{value:+.3f}"
         print(f"{name:24s} {shown}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    manifest = Manifest("train", args, Path(args.out_dir))
+def cmd_train(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     weeks = args.weeks or list(cohort.weeks)
     sub = cohort.subset_weeks(weeks)
@@ -332,14 +325,11 @@ def cmd_train(args) -> int:
     trained_weeks = ",".join(str(w) for w in sorted(set(sub.weeks)))
     with manifest.artifact(args.out) as tmp:
         save_model(model, tmp, manifest=manifest.name, trained_weeks=trained_weeks)
-    manifest.write()
     print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
           f"weeks {min(sub.weeks)}-{max(sub.weeks)}) -> {manifest.out_dir / args.out}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    manifest = Manifest("simulate", args, Path(args.out_dir))
+def cmd_simulate(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
     manifest.note_input(args.policy)
@@ -378,33 +368,27 @@ def cmd_simulate(args) -> int:
             sel_rows.append([rid, p.period, channel, arm, repr(score)])
     manifest.write_csv(args.out_selections, ["record_id", "period", "channel", "arm", "score"],
                        sel_rows)
-    manifest.write()
 
     mean_recall = float(np.mean([p.recall for p in trace.periods]))
     print(
         f"replayed {len(trace.periods)} periods, revealed {trace.revealed_count()} labels, "
         f"mean recall {mean_recall:.3f} -> {manifest.out_dir / args.out_trace}"
     )
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    manifest = Manifest("sweep", args, Path(args.out_dir))
+def cmd_sweep(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
     rows = sweep_exploration(cohort, model, args.rho_list, args.k_list, seed=args.seed)
     manifest.write_csv(
         args.out, ["exploration_fraction", "capacity", "mean_recall"],
         [[r["exploration_fraction"], r["capacity"], repr(r["mean_recall"])] for r in rows])
-    manifest.write()
     for r in rows:
         print(f"rho={r['exploration_fraction']:<5} capacity={r['capacity']:<7} "
               f"mean_recall={r['mean_recall']:.3f}")
-    return EXIT_OK
 
 
-def cmd_bootstrap(args) -> int:
-    manifest = Manifest("bootstrap", args, Path(args.out_dir))
+def cmd_bootstrap(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
     result = bootstrap_ci(
@@ -420,10 +404,8 @@ def cmd_bootstrap(args) -> int:
         args.out, ["k", "replicates", "level", "mean", "lo", "hi", "skipped_replicates"],
         [[result.k, len(result.replicate_means), result.level,
           repr(result.mean), repr(result.lo), repr(result.hi), result.skipped_replicates]])
-    manifest.write()
     print(f"recall@{args.k}: mean {result.mean:.3f}, "
           f"{int(args.level * 100)}% CI ({result.lo:.3f}, {result.hi:.3f})")
-    return EXIT_OK
 
 
 def _model_entries(text: str) -> dict[str, str]:
@@ -438,29 +420,36 @@ def _model_entries(text: str) -> dict[str, str]:
     return entries
 
 
-def cmd_report(args) -> int:
-    manifest = Manifest("report", args, Path(args.out_dir))
+def cmd_report(args, manifest: Manifest) -> None:
+    if not (args.trace or args.cohort):
+        raise UsageError("report needs --trace and/or --cohort")
+    for flag in ("recall_table", "models", "crossover"):
+        if getattr(args, flag) and not args.cohort:
+            raise UsageError(f"--{flag.replace('_', '-')} needs --cohort")
+    if args.recall_table and not args.model:
+        raise UsageError("--recall-table needs --model")
+    if args.crossover and not (args.weeks_a and args.weeks_b and args.weeks):
+        raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
     model_entries = _model_entries(args.models) if args.models else {}
-    wrote_any = False
 
     if args.trace:
         manifest.note_input(args.trace)
         summary = []
-        with open(args.trace, encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, 1):
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("not a JSON object")
-                    if obj.get("type") == "period":
-                        summary.append(summary_row(obj))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise DataError(f"{args.trace}:{line_number}: bad trace record "
-                                    f"({type(exc).__name__}: {exc})") from None
+        # Lines split as a text-mode file splits them.
+        lines = io.StringIO(read_text(args.trace, DataError, "trace file"), newline=None)
+        for line_number, line in enumerate(lines, 1):
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
+                if obj.get("type") == "period":
+                    summary.append(summary_row(obj))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{args.trace}:{line_number}: bad trace record "
+                                f"({type(exc).__name__}: {exc})") from None
         if not summary:
             raise DataError(f"{args.trace}: no period records")
         out = manifest.write_csv("trace_summary.csv", None, summary)
-        wrote_any = True
         print(f"trace summary ({len(summary)} periods) -> {out}")
 
     if args.cohort:
@@ -471,14 +460,12 @@ def cmd_report(args) -> int:
         ]
         out_counts = manifest.write_csv("weekly_counts.csv", ["week", "tests", "positives"],
                                         counts)
-        with manifest.artifact("weekly_correlations.csv") as tmp:
-            weekly_correlations(cohort).write_csv(tmp, header_comment=f"manifest: {manifest.name}")
-        wrote_any = True
-        print(f"cohort report ({len(counts)} weeks) -> {out_counts}, "
-              f"{manifest.out_dir / 'weekly_correlations.csv'}")
+        out_corr = manifest.write_csv("weekly_correlations.csv", None,
+                                      weekly_correlations(cohort).rows())
+        print(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")
 
         ks = args.k_list or [1000, 2000, 3000, 4000, 5000]
-        if args.recall_table and args.model:
+        if args.recall_table:
             model = load_model(args.model)
             manifest.note_input(args.model)
             rows_d = weekly_recall_table(cohort, model, ks, weeks=args.weeks, seed=args.seed)
@@ -496,8 +483,6 @@ def cmd_report(args) -> int:
             print(f"model comparison ({len(rows_m)} models) -> {out}")
 
         if args.crossover:
-            if not (args.weeks_a and args.weeks_b and args.weeks):
-                raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
             rows_x = train_eval_split_experiment(
                 cohort,
                 args.weeks_a,
@@ -510,11 +495,6 @@ def cmd_report(args) -> int:
                 "crossover.csv", ["k", "recall_a", "recall_b"],
                 [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x])
             print(f"crossover table -> {out}")
-
-    if not wrote_any:
-        raise UsageError("report needs --trace and/or --cohort")
-    manifest.write()
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -661,46 +641,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _flags_given(subparser: argparse.ArgumentParser, arg_strings: list[str]) -> set[str]:
-    """Dests of the flags in ``arg_strings``, as argparse matches them (abbreviated,
-    ``--flag=value``): parse into a namespace it leaves alone where no flag is given."""
-    unset = object()
-    namespace = argparse.Namespace(**{a.dest: unset for a in subparser._actions})  # noqa: SLF001
-    subparser.parse_args(arg_strings, namespace=namespace)
-    return {dest for dest, value in vars(namespace).items() if value is not unset}
+#: The values a switch accepts from a --config file.
+_SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _apply_config_defaults(args: argparse.Namespace, subparser, arg_strings: list[str]) -> None:
-    """--config file entries fill the flags ``arg_strings`` did not give."""
-    if not args.config:
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    entries = {}
-    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
+    """The entries of --config file ``path`` as defaults for ``subparser``'s
+    flags, each converted and checked by its flag's own type and choices."""
+    actions = {a.dest: a for a in subparser._actions  # noqa: SLF001
+               if a.option_strings and a.dest not in ("help", "version")}
+    defaults = {}
+    for line_number, line in enumerate(read_text(path, DataError, "config file").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, raw = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{line_number}: expected key = value")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    known = {a.dest: a for a in subparser._actions}  # noqa: SLF001
-    given = _flags_given(subparser, arg_strings)
-    for key, raw in entries.items():
-        if key not in known:
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        action = actions.get(key)
+        if action is None:
             raise DataError(f"{path}: unknown option {key!r} for this subcommand")
-        action = known[key]
-        if key in given:
-            continue  # explicit command line wins
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
+        if action.nargs == 0:  # a switch
+            if raw.lower() not in _SWITCH_VALUES:
+                raise DataError(f"{path}: {key}: a switch takes true/false/yes/no/1/0, "
+                                f"got {raw!r}")
+            defaults[key] = _SWITCH_VALUES[raw.lower()]
             continue
         try:
-            setattr(args, key, action.type(raw) if action.type else raw)
-        except argparse.ArgumentTypeError as exc:
-            raise DataError(f"{path}: {key}: {exc}") from None
+            defaults[key] = subparser._get_value(action, raw)  # noqa: SLF001
+            subparser._check_value(action, defaults[key])  # noqa: SLF001
+        except argparse.ArgumentError as exc:
+            raise DataError(f"{path}: {key}: {exc.message}") from None
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -711,13 +684,17 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "subcommand", None):
             parser.print_help()
             return EXIT_USAGE
+        if args.config:
+            # Config entries become the flags' defaults, so a flag given on the
+            # command line (abbreviated, as --flag=value, or at its default) wins.
+            subparser = parser._subparsers._group_actions[0].choices[args.subcommand]  # noqa: SLF001
+            subparser.set_defaults(**_config_defaults(subparser, args.config))
+            args = parser.parse_args(argv)
         logging.basicConfig(
             stream=sys.stderr,
             level=logging.ERROR if args.quiet else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        subparser = parser._subparsers._group_actions[0].choices[args.subcommand]  # noqa: SLF001
-        _apply_config_defaults(args, subparser, argv[argv.index(args.subcommand) + 1:])
         for flag in getattr(args, "required_flags", ()):
             if getattr(args, flag) is None:
                 raise UsageError(
@@ -726,7 +703,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is None:
             # The effective seed: a scenario carries its own, everything else uses 0.
             args.seed = resolve_scenario(args.scenario).seed if args.subcommand == "synth" else 0
-        return args.func(args)
+        manifest = Manifest(args)
+        args.func(args, manifest)
+        manifest.write()
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

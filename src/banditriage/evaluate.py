@@ -11,7 +11,6 @@ variance under resampling, not training variance.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -109,21 +108,14 @@ class CorrelationTable:
             out[name] = float(np.median(defined)) if len(defined) else float("nan")
         return out
 
-    def write_csv(self, path, *, header_comment: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["week"] + list(self.features))
-            for i, week in enumerate(self.weeks):
-                writer.writerow(
-                    [week] + ["" if np.isnan(v) else repr(float(v)) for v in self.values[i]]
-                )
-            medians = self.median_by_feature()
-            writer.writerow(
-                ["median"]
-                + ["" if np.isnan(medians[f]) else repr(medians[f]) for f in self.features]
-            )
+    def rows(self) -> list[dict]:
+        """The table's CSV rows: one per week, then the ``median`` row; an
+        undefined cell is empty."""
+        medians = self.median_by_feature()
+        table = [*zip(self.weeks, self.values), ("median", [medians[f] for f in self.features])]
+        return [{"week": week, **{f: "" if np.isnan(v) else repr(float(v))
+                                  for f, v in zip(self.features, values)}}
+                for week, values in table]
 
 
 def weekly_correlations(cohort: Cohort) -> CorrelationTable:

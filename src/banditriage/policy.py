@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .records import FEATURE_NAMES
+from .records import FEATURE_NAMES, read_text
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -148,12 +148,11 @@ class PolicyConfig:
         """Load an INI policy file: a [policy] block plus [arm NAME] blocks.
         A section or key outside that layout is an error, not ignored."""
         parser = configparser.ConfigParser(interpolation=None)
+        text = read_text(path, PolicyError, "policy file")
         try:
-            read = parser.read(path, encoding="utf-8")
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise PolicyError(f"bad policy file {path}: {exc}") from exc
-        if not read:
-            raise PolicyError(f"cannot read policy file {path}")
         if "policy" not in parser:
             raise PolicyError(f"{path}: missing [policy] section")
         for section in parser.sections():

@@ -104,6 +104,15 @@ class MappingFormatError(DataError):
     """A value-mapping file is malformed."""
 
 
+def read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of a small input file; a missing, unreadable or
+    non-UTF-8 file raises ``error`` naming it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Value mapping: raw source vocabulary -> canonical enums. The source data may
 # use any language or casing; everything beyond the canonical defaults lives
@@ -172,11 +181,9 @@ class ValueMapping:
         """Load a mapping file: INI sections per field, `raw = canonical` pairs."""
         parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
         parser.optionxform = lambda opt: opt.strip().lower()  # type: ignore[method-assign]
+        text = read_text(path, CohortFormatError, "mapping file")
         try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
-            raise CohortFormatError(f"cannot read mapping file {path}: {exc}") from exc
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise MappingFormatError(f"bad mapping file {path}: {exc}") from exc
 

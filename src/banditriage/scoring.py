@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import FEATURE_NAMES, N_FEATURES
+from .records import FEATURE_NAMES, N_FEATURES, read_text
 
 log = logging.getLogger(__name__)
 
@@ -238,7 +238,7 @@ def save_model(
 def _read_model_file(path: str | Path) -> tuple[dict[str, str], list[str]]:
     """Header fields of a saved model (up to and including ``weights``) and
     the lines that follow the header."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, ValueError, "model file").splitlines()
     if not lines or lines[0] != _FORMAT_TAG:
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
     fields = {}

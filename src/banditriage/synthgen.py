@@ -27,6 +27,7 @@ from .records import (
     Gender,
     TestResult,
     TriState,
+    read_text,
 )
 from .scoring import ModelKind, RiskModel
 
@@ -189,12 +190,11 @@ def _read_feature_block(section, *, base: dict[str, float], what: str) -> dict[s
 
 def load_scenario(path: str | Path) -> GeneratorParams:
     parser = configparser.ConfigParser(interpolation=None)
+    text = read_text(path, ScenarioError, "scenario file")
     try:
-        read = parser.read(path, encoding="utf-8")
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
-    if not read:
-        raise ScenarioError(f"cannot read scenario file {path}")
     for required in ("generator", "prevalence", "coefficients"):
         if required not in parser:
             raise ScenarioError(f"{path}: missing [{required}] section")

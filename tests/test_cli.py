@@ -18,6 +18,18 @@ def run(argv: list[str]) -> int:
     return main(argv)
 
 
+def run_subprocess(argv: list[str], preamble: str = "") -> subprocess.CompletedProcess:
+    """``main(argv)`` in a fresh interpreter (its own logging setup), after
+    running ``preamble``."""
+    src = str(Path(banditriage.__file__).resolve().parents[1])
+    script = ("import sys\n" + preamble + "from banditriage.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -315,25 +327,38 @@ class TestMalformedFiles:
         assert code == EXIT_DATA
         assert "bad scenario file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--policy", "--scenario", "--mapping", "--config",
+                                      "--model", "--models", "--trace"])
+    def test_non_utf8_file_is_data_error_naming_it(self, workdir, small_cohort_csv, capsys,
+                                                   flag):
+        latin1 = workdir / "latin1.txt"
+        latin1.write_bytes(b"caf\xe9\n")
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows(), encoding="utf-8")
+        cohort = ["--cohort", str(small_cohort_csv)]
+        argv = {
+            "--policy": ["simulate", *cohort, "--rule-based"],
+            "--scenario": ["synth"],
+            "--mapping": ["ingest", "--input", str(raw)],
+            "--config": ["synth", "--scenario", "oracle"],
+            "--model": ["bootstrap", *cohort, "--k", "10"],
+            "--models": ["report", *cohort],
+            "--trace": ["report"],
+        }[flag]
+        code = run(argv + [flag, str(latin1), "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(latin1) in err and "Traceback" not in err
+
 
 class TestWithoutScipy:
     def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):
         # numpy is the only runtime dependency; this fails if scipy comes back.
-        src = str(Path(banditriage.__file__).resolve().parents[1])
-        script = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from banditriage.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "bootstrap", "--cohort", str(small_cohort_csv),
+        proc = run_subprocess(
+            ["bootstrap", "--cohort", str(small_cohort_csv),
              "--rule-based", "--k", "100", "--replicates", "20", "--weeks", "1-2",
              "--out-dir", str(workdir), "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+            preamble="sys.modules['scipy'] = None\n")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (workdir / "bootstrap.csv").exists()
 
@@ -362,6 +387,15 @@ class TestLeakageGuard:
 
 
 class TestSweepBootstrapReport:
+    def test_correlate_table(self, workdir, small_cohort_csv):
+        code = run(["correlate", "--cohort", str(small_cohort_csv),
+                    "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_OK
+        lines = (workdir / "correlations.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# manifest: correlate.manifest.json"
+        assert lines[1].split(",")[0] == "week"
+        assert lines[-1].startswith("median,")
+
     def test_sweep_table(self, workdir, small_cohort_csv, small_model):
         code = run(["sweep", "--cohort", str(small_cohort_csv),
                     "--model", str(small_model),
@@ -437,6 +471,26 @@ class TestSweepBootstrapReport:
     def test_report_without_subject_is_usage_error(self, workdir):
         assert run(["report", "--out-dir", str(workdir), "--quiet"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--cohort", "@", "--crossover", "--weeks-a", "1", "--weeks-b", "2"],
+         "--crossover needs --weeks-a, --weeks-b and --weeks"),
+        (["--cohort", "@", "--recall-table"], "--recall-table needs --model"),
+        (["--trace", "t.jsonl", "--recall-table", "--model", "m.txt"],
+         "--recall-table needs --cohort"),
+        (["--trace", "t.jsonl", "--models", "rule_based"], "--models needs --cohort"),
+        (["--trace", "t.jsonl", "--crossover", "--weeks-a", "1", "--weeks-b", "2",
+          "--weeks", "3"], "--crossover needs --cohort"),
+    ], ids=["crossover-weeks", "recall-table-model", "recall-table-cohort", "models-cohort",
+            "crossover-cohort"])
+    def test_report_flag_rules_checked_before_any_work(self, workdir, small_cohort_csv,
+                                                        capsys, argv, message):
+        # "@" is a real cohort; the trace and model files do not exist.
+        argv = [str(small_cohort_csv) if a == "@" else a for a in argv]
+        code = run(["report", *argv, "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_crossover_overlap_is_data_error(self, workdir):
         run(["synth", "--scenario", "oracle", "--out", "c.csv",
              "--out-dir", str(workdir), "--seed", "1", "--quiet"])
@@ -481,11 +535,54 @@ class TestConfigFile:
         lines = (workdir / "synthetic.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 + 6 * 1000  # comment, header, the oracle's 6 weeks of 1000
 
-    def test_unknown_config_key_is_data_error(self, workdir):
+    @pytest.mark.parametrize("key", ["blah", "help"])
+    def test_unknown_config_key_is_data_error(self, workdir, capsys, key):
         cfg = workdir / "run.config"
-        cfg.write_text("blah = 1\n", encoding="utf-8")
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
         assert run(["synth", "--scenario", "oracle", "--config", str(cfg),
                     "--out-dir", str(workdir), "--quiet"]) == EXIT_DATA
+        assert f"{cfg}: unknown option {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, argv, message", [
+        ("keep_other_results = ture", ["ingest", "--input"],
+         "keep_other_results: a switch takes true/false/yes/no/1/0, got 'ture'"),
+        ("kind = cubic", ["train", "--cohort"], "kind: invalid choice: 'cubic'"),
+    ], ids=["misspelt-switch", "bad-choice"])
+    def test_bad_entry_is_data_error_before_reading(self, workdir, capsys, entry, argv,
+                                                    message):
+        cfg = workdir / "run.config"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        # The input does not exist: the entry is rejected before it is opened.
+        code = run(argv + [str(workdir / "missing.csv"), "--config", str(cfg),
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {cfg}: ") and message in err
+        assert not (workdir / "out").exists()
+
+    def test_switch_values(self, workdir):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows().replace("positive", "other", 2), encoding="utf-8")
+        cfg = workdir / "run.config"
+        for value, rejected in (("yes", 0), ("TRUE", 0), ("1", 0), ("no", 2), ("False", 2),
+                                ("0", 2)):
+            cfg.write_text(f"keep-other-results = {value}\n", encoding="utf-8")
+            assert run(["ingest", "--input", str(raw), "--config", str(cfg),
+                        "--out-dir", str(workdir), "--quiet"]) == EXIT_OK
+            report = (workdir / "rejections.tsv").read_text(encoding="utf-8")
+            assert len(report.splitlines()) == rejected, value
+
+    def test_quiet_from_config_silences_info(self, workdir):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows(n_bad_dates=2), encoding="utf-8")
+        cfg = workdir / "run.config"
+        cfg.write_text("quiet = true\n", encoding="utf-8")
+        argv = ["ingest", "--input", str(raw), "--out-dir", str(workdir)]
+        loud = run_subprocess(argv)
+        assert loud.returncode == EXIT_OK and "INFO" in loud.stderr
+        quiet = run_subprocess(argv + ["--config", str(cfg)])
+        assert quiet.returncode == EXIT_OK
+        assert "INFO" not in quiet.stderr and quiet.stderr == ""
 
 
 class TestHelpEnumeratesFlags:

@@ -159,14 +159,11 @@ class TestWeeklyCorrelations:
         j = FEATURE_NAMES.index("sore_throat")
         assert np.isnan(table.values[0, j])
 
-    def test_csv_write(self, tmp_path):
+    def test_csv_write(self):
         cohort = generate_cohort(small_params(weeks=(1, 2), n_per_week=300))
-        path = tmp_path / "corr.csv"
-        weekly_correlations(cohort).write_csv(path, header_comment="manifest: x")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# manifest: x"
-        assert lines[1].split(",")[0] == "week"
-        assert lines[-1].startswith("median,")
+        rows = weekly_correlations(cohort).rows()
+        assert list(rows[0])[0] == "week"
+        assert [r["week"] for r in rows] == [1, 2, "median"]
 
 
 class TestBootstrap:
