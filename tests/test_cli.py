@@ -535,13 +535,20 @@ class TestConfigFile:
         lines = (workdir / "synthetic.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 + 6 * 1000  # comment, header, the oracle's 6 weeks of 1000
 
-    @pytest.mark.parametrize("key", ["blah", "help"])
-    def test_unknown_config_key_is_data_error(self, workdir, capsys, key):
+    @staticmethod
+    def _check_unknown_config_key(workdir, capsys, key):
         cfg = workdir / "run.config"
         cfg.write_text(f"{key} = 1\n", encoding="utf-8")
         assert run(["synth", "--scenario", "oracle", "--config", str(cfg),
                     "--out-dir", str(workdir), "--quiet"]) == EXIT_DATA
         assert f"{cfg}: unknown option {key!r}" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_data_error(self, workdir, capsys):
+        self._check_unknown_config_key(workdir, capsys, "blah")
+
+    def test_help_config_key_is_data_error(self, workdir, capsys):
+        # argparse's own --help action is not a settable option
+        self._check_unknown_config_key(workdir, capsys, "help")
 
     @pytest.mark.parametrize("entry, argv, message", [
         ("keep_other_results = ture", ["ingest", "--input"],
