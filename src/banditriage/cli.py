@@ -432,6 +432,15 @@ def cmd_report(args, manifest: Manifest) -> None:
         raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
     model_entries = _model_entries(args.models) if args.models else {}
 
+    # Every input is read and every table computed before the first write, so
+    # a data error leaves no artifact behind.
+    tables: list[tuple[str, list | None, list]] = []
+    messages: list[str] = []
+
+    def queue(name: str, header: list | None, rows: list) -> Path:
+        tables.append((name, header, rows))
+        return manifest.out_dir / name
+
     if args.trace:
         manifest.note_input(args.trace)
         summary = []
@@ -449,8 +458,8 @@ def cmd_report(args, manifest: Manifest) -> None:
                                 f"({type(exc).__name__}: {exc})") from None
         if not summary:
             raise DataError(f"{args.trace}: no period records")
-        out = manifest.write_csv("trace_summary.csv", None, summary)
-        print(f"trace summary ({len(summary)} periods) -> {out}")
+        out = queue("trace_summary.csv", None, summary)
+        messages.append(f"trace summary ({len(summary)} periods) -> {out}")
 
     if args.cohort:
         cohort = _load_cohort_arg(args, manifest)
@@ -458,19 +467,16 @@ def cmd_report(args, manifest: Manifest) -> None:
             [w, int(len(cohort.week_ids(w))), int(cohort.week_labels(w).sum())]
             for w in cohort.weeks
         ]
-        out_counts = manifest.write_csv("weekly_counts.csv", ["week", "tests", "positives"],
-                                        counts)
-        out_corr = manifest.write_csv("weekly_correlations.csv", None,
-                                      weekly_correlations(cohort).rows())
-        print(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")
+        out_counts = queue("weekly_counts.csv", ["week", "tests", "positives"], counts)
+        out_corr = queue("weekly_correlations.csv", None, weekly_correlations(cohort).rows())
+        messages.append(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")
 
         ks = args.k_list or [1000, 2000, 3000, 4000, 5000]
         if args.recall_table:
             model = load_model(args.model)
             manifest.note_input(args.model)
             rows_d = weekly_recall_table(cohort, model, ks, weeks=args.weeks, seed=args.seed)
-            out = manifest.write_csv("weekly_recall.csv", None, rows_d)
-            print(f"weekly recall table -> {out}")
+            messages.append(f"weekly recall table -> {queue('weekly_recall.csv', None, rows_d)}")
 
         if args.models:
             named = {}
@@ -479,8 +485,8 @@ def cmd_report(args, manifest: Manifest) -> None:
                 manifest.note_input(None if entry == "rule_based" else entry)
             rows_m = model_comparison_table(cohort, named, ks,
                                             weeks=args.weeks, seed=args.seed)
-            out = manifest.write_csv("model_comparison.csv", None, rows_m)
-            print(f"model comparison ({len(rows_m)} models) -> {out}")
+            out = queue("model_comparison.csv", None, rows_m)
+            messages.append(f"model comparison ({len(rows_m)} models) -> {out}")
 
         if args.crossover:
             rows_x = train_eval_split_experiment(
@@ -491,10 +497,14 @@ def cmd_report(args, manifest: Manifest) -> None:
                 args.k_list or [100, 300, 1000, 3000],
                 seed=args.seed,
             )
-            out = manifest.write_csv(
-                "crossover.csv", ["k", "recall_a", "recall_b"],
-                [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x])
-            print(f"crossover table -> {out}")
+            out = queue("crossover.csv", ["k", "recall_a", "recall_b"],
+                        [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x])
+            messages.append(f"crossover table -> {out}")
+
+    for table in tables:
+        manifest.write_csv(*table)
+    for message in messages:
+        print(message)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +689,12 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # The run's log records go to stderr at the run's level; the logger is
+    # restored on return, so in-process runs each get their own verbosity.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved_level = log.level
+    log.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
@@ -690,11 +706,7 @@ def main(argv: list[str] | None = None) -> int:
             subparser = parser._subparsers._group_actions[0].choices[args.subcommand]  # noqa: SLF001
             subparser.set_defaults(**_config_defaults(subparser, args.config))
             args = parser.parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.ERROR if args.quiet else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        log.setLevel(logging.ERROR if args.quiet else logging.INFO)
         for flag in getattr(args, "required_flags", ()):
             if getattr(args, flag) is None:
                 raise UsageError(
@@ -718,6 +730,9 @@ def main(argv: list[str] | None = None) -> int:
         log.exception("internal error")
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 if __name__ == "__main__":

@@ -112,11 +112,13 @@ def hinge_objective(
     w: np.ndarray,
     lam: float,
     costs: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> float:
-    """lam/2 ||w||^2 + mean(cost * max(0, 1 - y * Xw)) over augmented inputs."""
+    """lam/2 ||w||^2 + mean(cost * max(0, 1 - y * Xw)) over augmented inputs,
+    row i counted ``counts[i]`` times (once each by default)."""
     margins = y_signed * (X @ w)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(w @ w) + float(np.mean(costs * hinge))
+    return 0.5 * lam * float(w @ w) + float(np.average(costs * hinge, weights=counts))
 
 
 def _class_costs(y_signed: np.ndarray, weighting: str) -> np.ndarray:
@@ -135,14 +137,36 @@ def train(
     kind: ModelKind,
     config: TrainConfig | None = None,
 ) -> RiskModel:
-    """Fit a margin ranker on (base feature matrix, binary labels).
+    """Fit a margin ranker on (0/1 base feature matrix, binary labels).
 
-    Single-pass-per-epoch stochastic subgradient descent with step size
-    1/(lam*t); the visit order per epoch is a seeded shuffle, so identical
-    inputs and config give bitwise-identical weights. The bias is trained as
-    an augmented, regularized constant coordinate. The returned iterate is
-    the epoch-end candidate with the lowest regularized objective (never
-    worse than the zero vector).
+    Pegasos (Shalev-Shwartz, Singer & Srebro, ICML 2007): stochastic
+    subgradient descent on the L2-regularized hinge loss with step size
+    1/(lam*t), one pass per epoch in a seeded shuffle (``rng.permutation``
+    of the rows), so identical inputs and config give bitwise-identical
+    weights. The bias is trained as an augmented, regularized constant
+    coordinate. The returned iterate is the epoch average with the lowest
+    regularized objective (never worse than the zero vector).
+
+    The iterate has a closed form, w_t = V_t/(lam*t), where V_t sums
+    c*y*x over the violating steps so far (c is the row's class cost).
+    Features are 0 or 1, so the rows fall into at most 2**d distinct
+    patterns (192 for the cohort features), and into groups of equal
+    (pattern, label). Training runs over the groups: Q[g] = y_g*x_g.V is
+    kept per group, step t+1 violates iff Q[g] < lam*t (step 1 always
+    does: w_0 = 0, margin 0 < 1), and a violation by group h adds
+    c_h*y_h*y_g*(x_g.x_h) to every Q[g]. Only the groups' feature vectors
+    are expanded, never the rows'.
+
+    The epoch average is lazy. Over an epoch of steps t0+1..t1,
+    sum_s V_s/s = V_t0*(H(t1) - H(t0)) + sum over the epoch's violations u
+    of c*y*x*(H(t1) - H(u-1)), H being the harmonic partial sums; per group
+    that is a count times a tail sum of 1/s, read off with bincount.
+
+    Tie rule: a margin of exactly 1 is not a violation, up to the rounding
+    of lam*t. With unit costs (``class_weighting="none"``) Q is an integer
+    and can equal lam*t exactly.
+
+    Raises ValueError if any entry of X is not 0 or 1.
     """
     config = config or TrainConfig()
     if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
@@ -153,37 +177,55 @@ def train(
         raise ValueError("X must be (n, d) with one label per row")
     if len(X) == 0:
         raise ValueError("empty training set")
-    base_dim = X.shape[1]
-    y_signed = np.where(np.asarray(y, dtype=bool), 1.0, -1.0)
-    if len(np.unique(y_signed)) < 2:
+    if ((X != 0.0) & (X != 1.0)).any():
+        raise ValueError("training features must be 0 or 1")
+    n, base_dim = X.shape
+    positive = np.asarray(y, dtype=bool)
+    if positive.all() or not positive.any():
         raise DegenerateTrainingError("training set contains a single class")
-
-    if kind is ModelKind.POLY2:
-        X = expand_poly2(X)
-    Xa = np.hstack([X, np.ones((len(X), 1))])  # bias as last coordinate
-    n, d = Xa.shape
     lam = config.regularization
-    costs = _class_costs(y_signed, config.class_weighting)
+    costs = _class_costs(np.where(positive, 1.0, -1.0), config.class_weighting)
+
+    # Groups: rows equal in features and label, found as the distinct bytes
+    # of the packed bits; a group's first row stands for it.
+    packed = np.packbits(np.column_stack([X, positive]).astype(bool), axis=1)
+    _, first_row, group_of_row, group_rows = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
+    x = X[first_row]
+    if kind is ModelKind.POLY2:
+        x = expand_poly2(x)
+    x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
+    sign = np.where(positive[first_row], 1.0, -1.0)
+    cost = costs[first_row]
+    step = (cost * sign)[:, None] * (x @ x.T) * sign[None, :]  # row h: Q's move on h's violation
+    step_rows = list(step)
 
     rng = np.random.default_rng(config.seed)
-    w = np.zeros(d)
-    best_w = w.copy()
-    best_obj = hinge_objective(Xa, y_signed, w, lam, costs)
+    q = np.zeros(len(x))
+    violations = np.zeros(len(x))  # per group, before the current epoch
+    best_w = np.zeros(x.shape[1])
+    best_obj = hinge_objective(x, sign, best_w, lam, cost, group_rows)
     t = 0
     for _ in range(config.epochs):
         # The raw iterate oscillates (class costs inflate subgradient norms);
         # the within-epoch average is the stable candidate.
-        w_sum = np.zeros(d)
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = y_signed[i] * (Xa[i] @ w)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += (eta * costs[i] * y_signed[i]) * Xa[i]
-            w_sum += w
-        w_avg = w_sum / n
-        obj = hinge_objective(Xa, y_signed, w_avg, lam, costs)
+        order = group_of_row[rng.permutation(n)]
+        thresholds = (lam * np.arange(t, t + n, dtype=float)).tolist()
+        if t == 0:
+            thresholds[0] = np.inf  # step 1: w_0 = 0, so the margin 0 < 1
+        hits = []
+        for j, g in enumerate(order.tolist()):
+            if q[g] < thresholds[j]:
+                q += step_rows[g]
+                hits.append(j)
+        tail = np.cumsum(1.0 / np.arange(t + n, t, -1, dtype=float))[::-1]  # H(t+n) - H(t+j)
+        hit_groups = order[hits]
+        coef = violations * tail[0] + np.bincount(hit_groups, tail[hits], minlength=len(x))
+        violations += np.bincount(hit_groups, minlength=len(x))
+        t += n
+        w_avg = (coef * cost * sign) @ x / (lam * n)
+        obj = hinge_objective(x, sign, w_avg, lam, cost, group_rows)
         if obj < best_obj:
             best_obj = obj
             best_w = w_avg

@@ -499,6 +499,17 @@ class TestSweepBootstrapReport:
                     "--out-dir", str(workdir), "--quiet"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        ["--models", "not_a_model.txt"],
+        ["--crossover", "--weeks-a", "1-2", "--weeks-b", "3-4", "--weeks", "4-5"],
+    ], ids=["bad-models-file", "crossover-overlap"])
+    def test_report_data_error_leaves_no_artifact(self, workdir, small_cohort_csv, argv):
+        (workdir / "not_a_model.txt").write_text("not a model\n", encoding="utf-8")
+        code = run(["report", "--cohort", str(small_cohort_csv), *argv,
+                    "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        assert not (workdir / "out").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_cli_wins(self, workdir):
@@ -590,6 +601,18 @@ class TestConfigFile:
         quiet = run_subprocess(argv + ["--config", str(cfg)])
         assert quiet.returncode == EXIT_OK
         assert "INFO" not in quiet.stderr and quiet.stderr == ""
+
+
+class TestInProcessLogging:
+    @pytest.mark.parametrize("order", [("quiet", "loud"), ("loud", "quiet")])
+    def test_each_call_logs_at_its_own_level(self, workdir, capsys, order):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows(n_bad_dates=1), encoding="utf-8")
+        argv = ["ingest", "--input", str(raw), "--out-dir", str(workdir)]
+        for mode in order:
+            assert run(argv + (["--quiet"] if mode == "quiet" else [])) == EXIT_OK
+            err = capsys.readouterr().err
+            assert ("rejected 1 of 6 rows" in err) == (mode == "loud"), (mode, err)
 
 
 class TestHelpEnumeratesFlags:

@@ -25,6 +25,7 @@ from banditriage.scoring import (
     score_matrix,
     train,
     RULE_WEIGHTS,
+    _class_costs,
 )
 from banditriage.synthgen import RiskCoefficients, generate_cohort
 
@@ -106,6 +107,83 @@ def separable_dataset(n=200, seed=0):
     return X, y
 
 
+# The per-row stochastic subgradient loop that `train` replaces, kept as the
+# oracle it must match: one vector update per row and step.
+def _reference_train(
+    X: np.ndarray,
+    y: np.ndarray,
+    kind: ModelKind,
+    config: TrainConfig | None = None,
+) -> RiskModel:
+    """Fit a margin ranker on (base feature matrix, binary labels).
+
+    Single-pass-per-epoch stochastic subgradient descent with step size
+    1/(lam*t); the visit order per epoch is a seeded shuffle, so identical
+    inputs and config give bitwise-identical weights. The bias is trained as
+    an augmented, regularized constant coordinate. The returned iterate is
+    the epoch-end candidate with the lowest regularized objective (never
+    worse than the zero vector).
+    """
+    config = config or TrainConfig()
+    if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
+        raise ValueError(f"cannot train model kind {kind.value}")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be (n, d) with one label per row")
+    if len(X) == 0:
+        raise ValueError("empty training set")
+    base_dim = X.shape[1]
+    y_signed = np.where(np.asarray(y, dtype=bool), 1.0, -1.0)
+    if len(np.unique(y_signed)) < 2:
+        raise DegenerateTrainingError("training set contains a single class")
+
+    if kind is ModelKind.POLY2:
+        X = expand_poly2(X)
+    Xa = np.hstack([X, np.ones((len(X), 1))])  # bias as last coordinate
+    n, d = Xa.shape
+    lam = config.regularization
+    costs = _class_costs(y_signed, config.class_weighting)
+
+    rng = np.random.default_rng(config.seed)
+    w = np.zeros(d)
+    best_w = w.copy()
+    best_obj = hinge_objective(Xa, y_signed, w, lam, costs)
+    t = 0
+    for _ in range(config.epochs):
+        # The raw iterate oscillates (class costs inflate subgradient norms);
+        # the within-epoch average is the stable candidate.
+        w_sum = np.zeros(d)
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = y_signed[i] * (Xa[i] @ w)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += (eta * costs[i] * y_signed[i]) * Xa[i]
+            w_sum += w
+        w_avg = w_sum / n
+        obj = hinge_objective(Xa, y_signed, w_avg, lam, costs)
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w_avg
+
+    return RiskModel(kind=kind, weights=best_w[:-1], bias=float(best_w[-1]), base_dim=base_dim)
+
+
+@st.composite
+def binary_training_sets(draw):
+    """A random 0/1 feature matrix (2 to 400 rows) with both classes."""
+    n = draw(st.integers(2, 400))
+    d = draw(st.integers(1, N_FEATURES))
+    density = draw(st.floats(0.05, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (rng.random((n, d)) < density).astype(float)
+    y = rng.random(n) < draw(st.floats(0.05, 0.95))
+    y[:2] = (True, False)
+    return X, y
+
+
 class TestTrain:
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.POLY2])
     def test_separable_set_is_ranked_perfectly(self, kind):
@@ -162,6 +240,41 @@ class TestTrain:
             at_zero = hinge_objective(Xa, y_signed, np.zeros(Xa.shape[1]),
                                       config.regularization, costs)
             assert trained <= at_zero
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=binary_training_sets(), kind=st.sampled_from([ModelKind.LINEAR, ModelKind.POLY2]),
+           epochs=st.integers(1, 5), seed=st.integers(0, 2**63 - 1))
+    def test_matches_per_row_reference(self, data, kind, epochs, seed):
+        X, y = data
+        config = TrainConfig(epochs=epochs, seed=seed)
+        got = train(X, y, kind, config)
+        want = _reference_train(X, y, kind, config)
+        assert np.max(np.abs(got.weights - want.weights)) <= 1e-9
+        assert abs(got.bias - want.bias) <= 1e-9
+
+    def test_margin_of_exactly_one_is_not_a_violation(self):
+        # Unit costs, lam = 1, one epoch. Seed 1 visits the rows in order.
+        # Step 1 (row 0, y=-1) violates: V = -(0, 1), w_1 = V/lam.
+        # Step 2 (row 1, same pattern and label) has margin y*x.w_1 = 1
+        # exactly: not a violation, so w_2 = V/2.
+        # Step 3 (row 2, y=+1) violates: V = (1, 0), w_3 = V/3.
+        # The epoch average (1/9, -1/2) beats the zero vector. Counting the
+        # tie as a violation would give an average worse than zero, and the
+        # zero vector would be returned.
+        X = np.array([[0.0], [0.0], [1.0]])
+        y = np.array([False, False, True])
+        config = TrainConfig(regularization=1.0, epochs=1, seed=1, class_weighting="none")
+        assert np.random.default_rng(1).permutation(3).tolist() == [0, 1, 2]
+        model = train(X, y, ModelKind.LINEAR, config)
+        assert model.weights[0] == pytest.approx(1 / 9, abs=1e-15)
+        assert model.bias == pytest.approx(-0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    def test_features_must_be_zero_or_one(self, bad):
+        X, y = separable_dataset()
+        X[3, 2] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            train(X, y, ModelKind.LINEAR, TrainConfig())
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
