@@ -46,6 +46,7 @@ from .records import (
     ValueMapping,
     load_cohort,
     read_text,
+    switch,
     write_cohort_csv,
 )
 from .scoring import (
@@ -651,10 +652,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-#: The values a switch accepts from a --config file.
-_SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
     """The entries of --config file ``path`` as defaults for ``subparser``'s
     flags, each converted and checked by its flag's own type and choices."""
@@ -673,10 +670,10 @@ def _config_defaults(subparser: argparse.ArgumentParser, path: str) -> dict:
         if action is None:
             raise DataError(f"{path}: unknown option {key!r} for this subcommand")
         if action.nargs == 0:  # a switch
-            if raw.lower() not in _SWITCH_VALUES:
-                raise DataError(f"{path}: {key}: a switch takes true/false/yes/no/1/0, "
-                                f"got {raw!r}")
-            defaults[key] = _SWITCH_VALUES[raw.lower()]
+            try:
+                defaults[key] = switch(raw)
+            except ValueError as exc:
+                raise DataError(f"{path}: {key}: {exc}, got {raw!r}") from None
             continue
         try:
             defaults[key] = subparser._get_value(action, raw)  # noqa: SLF001

@@ -10,7 +10,6 @@ only arrive at period end); :func:`update_arm` applies the period-end counts.
 
 from __future__ import annotations
 
-import configparser
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .records import FEATURE_NAMES, read_text
+from .records import FEATURE_NAMES, one_of, read_ini, switch
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -82,43 +81,34 @@ class ArmPredicate:
 
 @dataclass(frozen=True)
 class ArmSpec:
+    """An expert-defined arm and its Beta posterior: the configured prior
+    pseudo-counts, then the counts :func:`update_arm` returns."""
+
     name: str
     predicate: ArmPredicate
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise PolicyError(f"arm {self.name!r}: Beta prior pseudo-counts must be > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise PolicyError(f"arm {self.name!r}: Beta pseudo-counts must be finite and > 0, "
+                              f"got alpha={self.alpha}, beta={self.beta}")
 
 
-@dataclass(frozen=True)
-class ArmState:
-    """Current Beta posterior of one arm."""
-
-    spec: ArmSpec
-    alpha: float
-    beta: float
-
-    @classmethod
-    def initial(cls, spec: ArmSpec) -> "ArmState":
-        return cls(spec=spec, alpha=spec.alpha, beta=spec.beta)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-
-def update_arm(arm: ArmState, positives: int, negatives: int) -> ArmState:
+def update_arm(arm: ArmSpec, positives: int, negatives: int) -> ArmSpec:
     """Conjugate Beta-Bernoulli update with a period's outcome counts."""
     if positives < 0 or negatives < 0:
         raise PolicyError("outcome counts must be >= 0")
     return replace(arm, alpha=arm.alpha + positives, beta=arm.beta + negatives)
 
 
-_POLICY_KEYS = {"capacity", "exploration_fraction", "sampler", "retrain_on",
-                "strict_arm_coverage"}
-_ARM_KEYS = {"predicate", "alpha", "beta"}
+#: Policy file layout (see :func:`banditriage.records.read_ini`).
+_LAYOUT = {
+    "policy": {"capacity": int, "exploration_fraction?": float,
+               "sampler?": one_of({s.value: s for s in Sampler}, "sampler"), "retrain_on?": str,
+               "strict_arm_coverage?": switch},
+    "arm *": {"predicate": ArmPredicate.from_text, "alpha?": float, "beta?": float},
+}
 
 
 @dataclass(frozen=True)
@@ -147,56 +137,13 @@ class PolicyConfig:
     def from_file(cls, path: str | Path) -> "PolicyConfig":
         """Load an INI policy file: a [policy] block plus [arm NAME] blocks.
         A section or key outside that layout is an error, not ignored."""
-        parser = configparser.ConfigParser(interpolation=None)
-        text = read_text(path, PolicyError, "policy file")
+        ini = read_ini(path, PolicyError, "policy file", _LAYOUT)
         try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
-            raise PolicyError(f"bad policy file {path}: {exc}") from exc
-        if "policy" not in parser:
-            raise PolicyError(f"{path}: missing [policy] section")
-        for section in parser.sections():
-            if section == "policy":
-                known = _POLICY_KEYS
-            elif section.startswith("arm "):
-                known = _ARM_KEYS
-            else:
-                raise PolicyError(f"{path}: unknown section [{section}] "
-                                  f"(want [policy] or [arm NAME])")
-            unknown = sorted(set(parser[section]) - known)
-            if unknown:
-                raise PolicyError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
-        pol = parser["policy"]
-        if "capacity" not in pol:
-            raise PolicyError(f"{path}: [policy] needs a capacity")
-        arms = []
-        for section in parser.sections():
-            if section == "policy":
-                continue
-            name = section[4:].strip()
-            block = parser[section]
-            if "predicate" not in block:
-                raise PolicyError(f"{path}: [{section}] needs a predicate")
-            arms.append(
-                ArmSpec(
-                    name=name,
-                    predicate=ArmPredicate.from_text(block["predicate"]),
-                    alpha=block.getfloat("alpha", 1.0),
-                    beta=block.getfloat("beta", 1.0),
-                )
-            )
-        try:
-            sampler = Sampler(pol.get("sampler", "uniform_random").strip().lower())
-        except ValueError as exc:
-            raise PolicyError(f"{path}: unknown sampler {pol.get('sampler')!r}") from exc
-        return cls(
-            capacity=pol.getint("capacity"),
-            exploration_fraction=pol.getfloat("exploration_fraction", 0.0),
-            sampler=sampler,
-            arms=tuple(arms),
-            retrain_on=pol.get("retrain_on", "all_labeled").strip(),
-            strict_arm_coverage=pol.getboolean("strict_arm_coverage", False),
-        )
+            arms = [ArmSpec(section[4:].strip(), **keys)
+                    for section, keys in ini.items() if section != "policy"]
+            return cls(arms=tuple(arms), **ini["policy"])
+        except PolicyError as exc:
+            raise PolicyError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -294,7 +241,7 @@ class _ArmMembers:
 
 
 def thompson_allocate(
-    arms: Sequence[ArmState],
+    arms: Sequence[ArmSpec],
     k: int,
     ids: np.ndarray | Sequence[int],
     X: np.ndarray,
@@ -322,7 +269,7 @@ def thompson_allocate(
         raise PolicyError("pool record ids must be unique")
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
 
-    members = {arm.name: _ArmMembers(arm.spec.predicate.mask(X)[order]) for arm in arms}
+    members = {arm.name: _ArmMembers(arm.predicate.mask(X)[order]) for arm in arms}
     picks: list[tuple[int, str]] = []
     for _ in range(k):
         live = [arm for arm in arms if members[arm.name].remaining]
@@ -346,7 +293,7 @@ def select(
     X: np.ndarray,
     model: RiskModel,
     config: PolicyConfig,
-    arm_states: Sequence[ArmState] | None = None,
+    arm_states: Sequence[ArmSpec] | None = None,
     *,
     seed: int,
 ) -> Selection:
@@ -392,18 +339,16 @@ def select(
     rest = rest[np.argsort(ids[rest], kind="stable")]  # the allocator's own id order
     rest_ids = ids[rest]
     rest_X = X[rest]
-    states = list(arm_states) if arm_states is not None else [
-        ArmState.initial(spec) for spec in config.arms
-    ]
+    arms = config.arms if arm_states is None else arm_states
     if config.strict_arm_coverage:
         covered = np.zeros(len(rest_ids), dtype=bool)
-        for state in states:
-            covered |= state.spec.predicate.mask(rest_X)
+        for arm in arms:
+            covered |= arm.predicate.mask(rest_X)
         if not covered.all():
             missing = ids[np.sort(rest[~covered])]  # in pool order
             raise UncoveredCandidateError(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
-    picks, shortfall = thompson_allocate(states, k_explore, rest_ids, rest_X, seed)
+    picks, shortfall = thompson_allocate(arms, k_explore, rest_ids, rest_X, seed)
     chosen = rest[np.searchsorted(rest_ids, [pid for pid, _ in picks])]
     return picked(exploit, chosen, arm_assignments=dict(picks), explore_shortfall=shortfall)

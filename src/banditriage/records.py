@@ -22,7 +22,7 @@ from enum import IntEnum
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,6 +113,82 @@ def read_text(path: str | Path, error: type[Exception], what: str) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
+def one_of(table: Mapping[str, object], what: str) -> Callable[[str], object]:
+    """A converter from text to ``table``'s value for it, in any case; other
+    text raises ValueError listing the keys of ``table`` as what ``what`` takes."""
+
+    def convert(text: str):
+        try:
+            return table[text.lower()]
+        except KeyError:
+            raise ValueError(f"{what} takes {'/'.join(table)}") from None
+
+    return convert
+
+
+#: A switch value from its text: the one vocabulary of policy and --config files.
+switch = one_of({"true": True, "yes": True, "on": True, "1": True,
+                 "false": False, "no": False, "off": False, "0": False}, "a switch")
+
+
+def read_ini(path: str | Path, error: type[Exception], what: str,
+             layout: Mapping[str, Mapping[str, Callable] | Callable]) -> dict[str, dict]:
+    """The sections of INI file ``path``, in file order, each a dict of its
+    keys' converted values, checked against ``layout``.
+
+    ``layout`` maps a section name to its keys, and each key name to the
+    function that converts its value text. A section or key name ending in
+    ``?`` may be absent; the others are required. A section name ending in
+    `` *`` stands for every section named with that prefix (``arm *`` takes
+    ``[arm contacts]``), any number of times. A section given one function
+    instead of a key table takes any key and converts every value with it.
+    Keys are read lower-cased. Lines are ``key = value``; ``#`` and ``;``
+    start comment lines. Any other section or key, a missing one, a value its
+    function refuses with ``ValueError`` or ``error``, and malformed INI each
+    raise ``error`` naming the file, and the section and key where there is one.
+    """
+    # No default section: a [DEFAULT] block would feed keys into every other one.
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None,
+                                       default_section="")
+    try:
+        parser.read_string(read_text(path, error, what), source=str(path))
+    except configparser.Error as exc:
+        raise error(f"bad {what} {path}: {exc}") from None
+
+    def layout_name(section: str) -> str:
+        for name in layout:
+            if name.rstrip("?") == section or name.endswith(" *") and section.startswith(name[:-1]):
+                return name
+        want = ", ".join(f"[{name.rstrip('?').replace('*', 'NAME')}]" for name in layout)
+        raise error(f"{path}: unknown section [{section}] (want {want})")
+
+    sections = {section: layout_name(section) for section in parser.sections()}
+    for name in layout:
+        if not name.endswith(("?", " *")) and name not in sections.values():
+            raise error(f"{path}: missing [{name}] section")
+    out = {}
+    for section, name in sections.items():
+        given, keys = parser[section], layout[name]
+        if callable(keys):
+            convert = dict.fromkeys(given, keys)
+        else:
+            convert = {key.rstrip("?"): fn for key, fn in keys.items()}
+            for key in given:
+                if key not in convert:
+                    raise error(f"{path}: unknown key {key!r} in [{section}]")
+            for key in keys:
+                if key not in given and not key.endswith("?"):
+                    article = "an" if key[0] in "aeiou" else "a"
+                    raise error(f"{path}: [{section}] needs {article} {key}")
+        out[section] = {}
+        for key, raw in given.items():
+            try:
+                out[section][key] = convert[key](raw)
+            except (ValueError, error) as exc:
+                raise error(f"{path}: [{section}] {key} = {raw!r}: {exc}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Value mapping: raw source vocabulary -> canonical enums. The source data may
 # use any language or casing; everything beyond the canonical defaults lives
@@ -179,31 +255,11 @@ class ValueMapping:
     @classmethod
     def from_file(cls, path: str | Path) -> "ValueMapping":
         """Load a mapping file: INI sections per field, `raw = canonical` pairs."""
-        parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
-        parser.optionxform = lambda opt: opt.strip().lower()  # type: ignore[method-assign]
-        text = read_text(path, CohortFormatError, "mapping file")
-        try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
-            raise MappingFormatError(f"bad mapping file {path}: {exc}") from exc
-
+        layout = {f"{section}?": one_of({e.name.lower(): e for e in enum}, "a mapping target")
+                  for section, (_, enum) in _SECTIONS.items()}
         tables = asdict(cls.default())
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise MappingFormatError(
-                    f"unknown mapping section [{section}] "
-                    f"(expected one of {sorted(_SECTIONS)})"
-                )
-            field_name, enum = _SECTIONS[section]
-            canon = {e.name.lower(): e for e in enum}
-            for raw, target in parser.items(section):
-                target = target.strip().lower()
-                if target not in canon:
-                    raise MappingFormatError(
-                        f"[{section}] {raw!r} -> {target!r}: not a canonical value "
-                        f"(expected one of {sorted(canon)})"
-                    )
-                tables[field_name][raw] = canon[target]
+        for section, pairs in read_ini(path, MappingFormatError, "mapping file", layout).items():
+            tables[_SECTIONS[section][0]].update(pairs)
         return cls(**tables)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import f1_at_k, mean_weekly_recall, precision_at_k, recall_at_k
-from .policy import ArmState, PolicyConfig, Sampler, Selection, select, update_arm
+from .policy import PolicyConfig, Sampler, Selection, select, update_arm
 from .records import Cohort
 from .scoring import (
     DegenerateTrainingError,
@@ -198,7 +198,7 @@ def run_replay(
     )
     version = 0
 
-    arm_states = [ArmState.initial(spec) for spec in policy.arms]
+    arm_states = policy.arms
     labeled_X: list[np.ndarray] = []
     labeled_y: list[np.ndarray] = []
     labeled_periods: list[int] = []

@@ -12,7 +12,6 @@ output round-trips through :func:`banditriage.records.load_cohort`.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
@@ -27,7 +26,7 @@ from .records import (
     Gender,
     TestResult,
     TriState,
-    read_text,
+    read_ini,
 )
 from .scoring import ModelKind, RiskModel
 
@@ -56,6 +55,8 @@ class RiskCoefficients:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (N_FEATURES,):
             raise ValueError(f"need {N_FEATURES} coefficients, got shape {w.shape}")
+        if not (np.isfinite(w).all() and np.isfinite(self.intercept)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "weights", w)
 
 
@@ -83,7 +84,8 @@ class GeneratorParams:
         prev = np.asarray(self.feature_prevalence, dtype=float)
         if prev.shape != (N_FEATURES,):
             raise ValueError(f"need {N_FEATURES} prevalence entries, got shape {prev.shape}")
-        if np.any(prev < 0) or np.any(prev[:5] > 1) or prev[_FEMALE_IDX] > 1:
+        if (not np.isfinite(prev).all() or np.any(prev < 0) or np.any(prev[:5] > 1)
+                or prev[_FEMALE_IDX] > 1):
             raise ValueError("prevalence rates must lie in [0, 1]")
         if prev[_INDICATION_SLICE].sum() <= 0:
             raise ValueError("indication prevalences must have positive total")
@@ -95,6 +97,12 @@ class GeneratorParams:
             raise ValueError(f"weeks range {self.weeks} is empty or outside 1..52")
         if not 0.0 <= self.unknown_rate <= 1.0:
             raise ValueError("unknown_rate must lie in [0, 1]")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        try:
+            date.fromisocalendar(self.year, hi, 7)  # the last day generated
+        except ValueError as exc:
+            raise ValueError(f"year {self.year}, week {hi}: {exc}") from None
 
     def week_list(self) -> list[int]:
         return list(range(self.weeks[0], self.weeks[1] + 1))
@@ -177,72 +185,45 @@ class ScenarioError(ValueError):
     pass
 
 
-def _read_feature_block(section, *, base: dict[str, float], what: str) -> dict[str, float]:
-    values = dict(base)
-    for key, raw in section.items():
-        if key in ("intercept", "shift_week"):
-            continue
-        if key not in FEATURE_NAMES:
-            raise ScenarioError(f"unknown feature {key!r} in [{what}]")
-        values[key] = float(raw)
-    return values
+def _week_span(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("-")
+    return int(lo), int(hi or lo)
+
+
+_FEATURE_OVERRIDES = {f"{name}?": float for name in FEATURE_NAMES}
+#: Scenario file layout (see :func:`banditriage.records.read_ini`).
+_LAYOUT = {
+    "generator": {"n_per_week": int, "weeks": _week_span, "seed?": int, "unknown_rate?": float,
+                  "year?": int},
+    "prevalence": dict.fromkeys(FEATURE_NAMES, float),
+    "coefficients": {"intercept": float, **_FEATURE_OVERRIDES},
+    "shift?": {"shift_week": int, "intercept?": float, **_FEATURE_OVERRIDES},
+}
+
+
+def _coefficients(values: dict[str, float]) -> RiskCoefficients:
+    return RiskCoefficients(weights=np.array([values[f] for f in FEATURE_NAMES]),
+                            intercept=values["intercept"])
 
 
 def load_scenario(path: str | Path) -> GeneratorParams:
-    parser = configparser.ConfigParser(interpolation=None)
-    text = read_text(path, ScenarioError, "scenario file")
+    """Load a scenario file; any entry outside :data:`_LAYOUT` or a value
+    :class:`GeneratorParams` refuses is a :class:`ScenarioError` naming it."""
+    ini = read_ini(path, ScenarioError, "scenario file", _LAYOUT)
+    base = dict.fromkeys(FEATURE_NAMES, 0.0) | ini["coefficients"]
     try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
-    for required in ("generator", "prevalence", "coefficients"):
-        if required not in parser:
-            raise ScenarioError(f"{path}: missing [{required}] section")
-
-    gen = parser["generator"]
-    weeks_raw = gen.get("weeks", "")
-    try:
-        lo, _, hi = weeks_raw.partition("-")
-        weeks = (int(lo), int(hi if hi else lo))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: bad weeks range {weeks_raw!r} (want e.g. 1-8)") from exc
-
-    prev_map = _read_feature_block(parser["prevalence"], base={}, what="prevalence")
-    missing = [f for f in FEATURE_NAMES if f not in prev_map]
-    if missing:
-        raise ScenarioError(f"{path}: [prevalence] missing features {missing}")
-
-    coef_section = parser["coefficients"]
-    if "intercept" not in coef_section:
-        raise ScenarioError(f"{path}: [coefficients] needs an intercept")
-    coef_map = _read_feature_block(coef_section, base=dict.fromkeys(FEATURE_NAMES, 0.0), what="coefficients")
-    base_coeffs = RiskCoefficients(
-        weights=np.array([coef_map[f] for f in FEATURE_NAMES]),
-        intercept=float(coef_section["intercept"]),
-    )
-
-    shift = None
-    if "shift" in parser:
-        shift_section = parser["shift"]
-        if "shift_week" not in shift_section:
-            raise ScenarioError(f"{path}: [shift] needs shift_week")
-        alt_map = _read_feature_block(shift_section, base=coef_map, what="shift")
-        alt = RiskCoefficients(
-            weights=np.array([alt_map[f] for f in FEATURE_NAMES]),
-            intercept=float(shift_section.get("intercept", coef_section["intercept"])),
+        shift = None
+        if "shift" in ini:
+            shifted = base | ini["shift"]
+            shift = (shifted.pop("shift_week"), _coefficients(shifted))
+        return GeneratorParams(
+            **ini["generator"],
+            feature_prevalence=np.array([ini["prevalence"][f] for f in FEATURE_NAMES]),
+            coefficients=_coefficients(base),
+            regime_shift=shift,
         )
-        shift = (int(shift_section["shift_week"]), alt)
-
-    return GeneratorParams(
-        n_per_week=gen.getint("n_per_week"),
-        weeks=weeks,
-        feature_prevalence=np.array([prev_map[f] for f in FEATURE_NAMES]),
-        coefficients=base_coeffs,
-        regime_shift=shift,
-        unknown_rate=gen.getfloat("unknown_rate", 0.0),
-        seed=gen.getint("seed", 0),
-        year=gen.getint("year", 2020),
-    )
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def builtin_scenario_path(name: str) -> Path:

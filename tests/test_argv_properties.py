@@ -77,8 +77,8 @@ WEEK_RANGES = ["", "5-3", "1-", "-2", "a-b", ",", "3,,x", "0-4", "54", "1-999999
 TEXT = ["", "-1", "nan", ",,", "5-3", "\\t"]
 #: Flags whose value is an amount of work: a huge one is a long run, not an error path.
 WORK_COUNTS = {"--epochs", "--replicates"}
-#: Values of a switch in a config file; a switch takes true/false/yes/no/1/0 in any case.
-SWITCH_VALUES = ["true", "YES", "1", "False", "no", "0", "ture", "", "on", "2"]
+#: Values of a switch in a config file; a switch takes true/yes/on/1/false/no/off/0 in any case.
+SWITCH_VALUES = ["true", "YES", "On", "1", "False", "no", "OFF", "0", "ture", "", "onn", "2"]
 
 
 def _subparser(subcommand: str):
@@ -173,7 +173,8 @@ def test_hostile_flag_values_exit_usage_or_data_error(inputs, data):
                               label="switches"):
             if _via(data, flag):
                 config[flag] = data.draw(st.sampled_from(SWITCH_VALUES), label=flag)
-                refused |= config[flag].lower() not in ("true", "false", "yes", "no", "1", "0")
+                refused |= config[flag].lower() not in ("true", "yes", "on", "1",
+                                                        "false", "no", "off", "0")
             else:
                 on.append(flag)
         cfg = work / "run.config"

@@ -12,6 +12,7 @@ import pytest
 import banditriage
 from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _atomic, build_parser, main
 from banditriage.records import REQUIRED_COLUMNS
+from banditriage.synthgen import builtin_scenario_path
 
 
 def run(argv: list[str]) -> int:
@@ -327,6 +328,44 @@ class TestMalformedFiles:
         assert code == EXIT_DATA
         assert "bad scenario file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_per_week = 1000\n", "", "[generator] needs a n_per_week"),
+        ("[coefficients]", "[shfit]\nshift_week = 3\n[coefficients]", "unknown section [shfit]"),
+        ("seed = 7\n", "seed = 7\nunknown_rat = 0.1\n", "unknown key 'unknown_rat' in [generator]"),
+        ("seed = 7\n", "seed = -1\n", "seed must lie in [0, 2**64), got -1"),
+        ("seed = 7\n", "seed: 7\n", "bad scenario file"),
+    ], ids=["missing-n_per_week", "misspelt-section", "misspelt-key", "negative-seed",
+            "colon-delimiter"])
+    def test_bad_scenario_entry_is_data_error_naming_it(self, workdir, capsys, old, new, message):
+        text = builtin_scenario_path("oracle").read_text(encoding="utf-8")
+        assert old in text
+        scenario = workdir / "s.scenario"
+        scenario.write_text(text.replace(old, new, 1), encoding="utf-8")
+        code = run(["synth", "--scenario", str(scenario), "--out-dir", str(workdir / "out"),
+                    "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(scenario) in err and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[policy]\ncapacity = 3OO\n", "[policy] capacity = '3OO': invalid literal"),
+        ("[policy]\ncapacity = 10\n[arm a]\npredicate = cough=1\nalpha = nan\n",
+         "arm 'a': Beta pseudo-counts must be finite and > 0, got alpha=nan"),
+        ("[policy]\ncapacity = 10\nstrict_arm_coverage = maybe\n",
+         "[policy] strict_arm_coverage = 'maybe': a switch takes"),
+        ("[policy]\ncapacity: 10\n", "bad policy file"),
+    ], ids=["capacity-3OO", "alpha-nan", "bad-switch", "colon-delimiter"])
+    def test_bad_policy_entry_is_data_error_naming_it(self, workdir, small_cohort_csv, capsys,
+                                                      text, message):
+        policy = workdir / "p.policy"
+        policy.write_text(text, encoding="utf-8")
+        code = run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(policy), "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(policy) in err and message in err
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--policy", "--scenario", "--mapping", "--config",
                                       "--model", "--models", "--trace"])
     def test_non_utf8_file_is_data_error_naming_it(self, workdir, small_cohort_csv, capsys,
@@ -563,7 +602,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("entry, argv, message", [
         ("keep_other_results = ture", ["ingest", "--input"],
-         "keep_other_results: a switch takes true/false/yes/no/1/0, got 'ture'"),
+         "keep_other_results: a switch takes true/yes/on/1/false/no/off/0, got 'ture'"),
         ("kind = cubic", ["train", "--cohort"], "kind: invalid choice: 'cubic'"),
     ], ids=["misspelt-switch", "bad-choice"])
     def test_bad_entry_is_data_error_before_reading(self, workdir, capsys, entry, argv,
@@ -582,8 +621,8 @@ class TestConfigFile:
         raw = workdir / "raw.csv"
         raw.write_text(raw_rows().replace("positive", "other", 2), encoding="utf-8")
         cfg = workdir / "run.config"
-        for value, rejected in (("yes", 0), ("TRUE", 0), ("1", 0), ("no", 2), ("False", 2),
-                                ("0", 2)):
+        for value, rejected in (("yes", 0), ("TRUE", 0), ("On", 0), ("1", 0), ("no", 2),
+                                ("False", 2), ("OFF", 2), ("0", 2)):
             cfg.write_text(f"keep-other-results = {value}\n", encoding="utf-8")
             assert run(["ingest", "--input", str(raw), "--config", str(cfg),
                         "--out-dir", str(workdir), "--quiet"]) == EXIT_OK

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from banditriage.evaluate import recall_at_k
 from banditriage.policy import (
     ArmPredicate,
     ArmSpec,
-    ArmState,
     PolicyConfig,
     PolicyError,
     Sampler,
@@ -235,14 +236,14 @@ class TestThompson:
 
     def test_single_arm_takes_all_slots(self):
         ids, X = self.two_arm_pool()
-        arms = [ArmState.initial(ArmSpec("all", ArmPredicate.from_text("female=0")))]
+        arms = [ArmSpec("all", ArmPredicate.from_text("female=0"))]
         picks, shortfall = thompson_allocate(arms, 10, ids, X, seed=0)
         assert len(picks) == 10 and shortfall == 0
         assert all(arm == "all" for _, arm in picks)
 
     def test_zero_slots(self):
         ids, X = self.two_arm_pool()
-        arms = [ArmState.initial(ArmSpec("c", CONTACT))]
+        arms = [ArmSpec("c", CONTACT)]
         picks, shortfall = thompson_allocate(arms, 0, ids, X, seed=0)
         assert picks == [] and shortfall == 0
 
@@ -251,8 +252,8 @@ class TestThompson:
         # slots (Monte Carlo oracle on the Beta draws).
         ids, X = self.two_arm_pool(n_contact=1200, n_other=1200)
         arms = [
-            ArmState(ArmSpec("hot", CONTACT), alpha=100.0, beta=1.0),
-            ArmState(ArmSpec("cold", NO_CONTACT), alpha=1.0, beta=100.0),
+            ArmSpec("hot", CONTACT, alpha=100.0, beta=1.0),
+            ArmSpec("cold", NO_CONTACT, alpha=1.0, beta=100.0),
         ]
         picks, shortfall = thompson_allocate(arms, 1000, ids, X, seed=11)
         assert shortfall == 0
@@ -261,15 +262,15 @@ class TestThompson:
 
     def test_truncation_reported(self):
         ids, X = self.two_arm_pool(n_contact=3, n_other=100)
-        arms = [ArmState.initial(ArmSpec("c", CONTACT))]
+        arms = [ArmSpec("c", CONTACT)]
         picks, shortfall = thompson_allocate(arms, 10, ids, X, seed=0)
         assert len(picks) == 3 and shortfall == 7
 
     def test_deterministic(self):
         ids, X = self.two_arm_pool()
         arms = [
-            ArmState.initial(ArmSpec("c", CONTACT)),
-            ArmState.initial(ArmSpec("n", NO_CONTACT)),
+            ArmSpec("c", CONTACT),
+            ArmSpec("n", NO_CONTACT),
         ]
         a = thompson_allocate(arms, 20, ids, X, seed=8)
         b = thompson_allocate(arms, 20, ids, X, seed=8)
@@ -278,8 +279,8 @@ class TestThompson:
     def test_overlapping_arms_share_members(self):
         ids, X = self.two_arm_pool(n_contact=5, n_other=0)
         arms = [
-            ArmState.initial(ArmSpec("a", CONTACT)),
-            ArmState.initial(ArmSpec("b", ArmPredicate.from_text("female=0"))),
+            ArmSpec("a", CONTACT),
+            ArmSpec("b", ArmPredicate.from_text("female=0")),
         ]
         picks, shortfall = thompson_allocate(arms, 5, ids, X, seed=2)
         assert {pid for pid, _ in picks} == set(range(5))
@@ -287,7 +288,7 @@ class TestThompson:
 
     def test_repeated_record_id_rejected(self):
         ids, X = self.two_arm_pool(n_contact=3, n_other=0)
-        arms = [ArmState.initial(ArmSpec("c", CONTACT))]
+        arms = [ArmSpec("c", CONTACT)]
         with pytest.raises(PolicyError, match="unique"):
             thompson_allocate(arms, 1, np.array([4, 9, 4]), X, seed=0)
 
@@ -317,7 +318,7 @@ def reference_thompson_allocate(arms, k, ids, X, seed):
     per slot, same rng calls, the oracle for its picks."""
     ids = np.asarray(ids, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
-    members = {arm.name: set(ids[arm.spec.predicate.mask(X)].tolist()) for arm in arms}
+    members = {arm.name: set(ids[arm.predicate.mask(X)].tolist()) for arm in arms}
     picks = []
     for _ in range(k):
         live = [arm for arm in arms if members[arm.name]]
@@ -355,8 +356,8 @@ def arm_sets(draw):
         names = draw(st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=2,
                               unique=True))
         predicate = ArmPredicate(tuple((name, float(draw(st.integers(0, 1)))) for name in names))
-        arms.append(ArmState(ArmSpec(f"arm{i}", predicate),
-                             alpha=draw(st.floats(0.1, 50.0)), beta=draw(st.floats(0.1, 50.0))))
+        arms.append(ArmSpec(f"arm{i}", predicate,
+                            alpha=draw(st.floats(0.1, 50.0)), beta=draw(st.floats(0.1, 50.0))))
     return arms
 
 
@@ -381,7 +382,7 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
     labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)),
                                 label="labels"), dtype=bool)
     config = PolicyConfig(capacity=capacity, exploration_fraction=rho, sampler=sampler,
-                          arms=tuple(arm.spec for arm in arms))
+                          arms=tuple(replace(arm, alpha=1.0, beta=1.0) for arm in arms))
     sel = select(ids, X, model, config, arm_states=arms, seed=seed)
     k_exploit, k_explore = split_budget(capacity, rho)
     row_of = {rid: row for row, rid in enumerate(ids.tolist())}
@@ -395,7 +396,7 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
     assert set(sel.explore_ids) <= set(ids.tolist()) - set(sel.exploit_ids)
     if sampler is Sampler.THOMPSON and len(ids) > capacity:
         assert set(sel.arm_assignments) == set(sel.explore_ids)
-        predicate_of = {arm.name: arm.spec.predicate for arm in arms}
+        predicate_of = {arm.name: arm.predicate for arm in arms}
         for rid, name in sel.arm_assignments.items():
             assert predicate_of[name].mask(X[[row_of[rid]]])[0]
     else:
@@ -407,22 +408,28 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
 
 class TestUpdateArm:
     def test_conjugate_update(self):
-        arm = ArmState.initial(ArmSpec("a", CONTACT, alpha=1.0, beta=1.0))
+        arm = ArmSpec("a", CONTACT, alpha=1.0, beta=1.0)
         assert (update_arm(arm, 3, 7).alpha, update_arm(arm, 3, 7).beta) == (4.0, 8.0)
 
     def test_zero_counts_identity(self):
-        arm = ArmState(ArmSpec("a", CONTACT), alpha=2.0, beta=5.0)
+        arm = ArmSpec("a", CONTACT, alpha=2.0, beta=5.0)
         updated = update_arm(arm, 0, 0)
         assert (updated.alpha, updated.beta) == (2.0, 5.0)
 
     def test_batches_commute(self):
-        arm = ArmState.initial(ArmSpec("a", CONTACT))
+        arm = ArmSpec("a", CONTACT)
         ab = update_arm(update_arm(arm, 3, 1), 2, 6)
         ba = update_arm(update_arm(arm, 2, 6), 3, 1)
         assert (ab.alpha, ab.beta) == (ba.alpha, ba.beta)
 
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_pseudo_counts_must_be_finite_and_positive(self, which, count):
+        with pytest.raises(PolicyError, match="finite and > 0"):
+            ArmSpec("a", CONTACT, **{which: count})
+
     def test_negative_counts_rejected(self):
-        arm = ArmState.initial(ArmSpec("a", CONTACT))
+        arm = ArmSpec("a", CONTACT)
         with pytest.raises(PolicyError):
             update_arm(arm, -1, 0)
 

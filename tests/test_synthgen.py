@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestValidation:
     def test_bad_unknown_rate(self):
         with pytest.raises(ValueError):
             small_params(unknown_rate=1.5)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed must lie in [0, 2**64)"),
+        ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
+        ({"year": 0}, "year 0, week 4"),
+        ({"year": 9999, "weeks": (50, 52)}, "year 9999, week 52"),
+        ({"feature_prevalence": feature_array(cough=math.nan, other_indication=1.0)},
+         "prevalence rates"),
+        ({"feature_prevalence": feature_array(abroad=math.inf, other_indication=1.0)},
+         "prevalence rates"),
+    ], ids=["seed-negative", "seed-2**64", "year-0", "year-9999-week-52", "prevalence-nan",
+            "indication-inf"])
+    def test_out_of_range_values(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_params(**overrides)
+
+    @pytest.mark.parametrize("weights, intercept", [
+        (feature_array(cough=math.nan), 0.0), (feature_array(), math.inf),
+    ], ids=["weight-nan", "intercept-inf"])
+    def test_coefficients_must_be_finite(self, weights, intercept):
+        with pytest.raises(ValueError, match="finite"):
+            RiskCoefficients(weights=weights, intercept=intercept)
 
 
 class TestSigmoid:
