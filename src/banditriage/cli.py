@@ -59,7 +59,6 @@ from .scoring import (
     save_model,
     train,
 )
-from .seeds import derive_seed
 from .simulate import (
     OverlapError,
     run_replay,
@@ -219,7 +218,7 @@ _capacity_list = _list_of(_capacity, "capacity")
 _fraction_list = _list_of(_checked("exploration fraction", float, lambda x: 0 <= x <= 1,
                                    "in [0, 1]"), "exploration fraction")
 _cadence = _checked("retrain cadence", int, lambda n: n >= 0, ">= 0")
-_epochs = _checked("epoch count", int, lambda n: n >= 1, ">= 1")
+_epochs = _checked("iteration cap", int, lambda n: n >= 1, ">= 1")
 _regularization = _checked("regularization", float, lambda x: 0 < x < math.inf,
                            "a finite number > 0")
 _replicates = _checked("replicate count", int, lambda n: n >= 2, ">= 2")
@@ -316,12 +315,7 @@ def cmd_train(args, manifest: Manifest) -> None:
         raise DataError(f"no records in training weeks {weeks}")
     X = np.vstack([sub.week_features(w) for w in sub.weeks])
     y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-    config = TrainConfig(
-        regularization=args.regularization,
-        epochs=args.epochs,
-        seed=derive_seed(args.seed, "train"),
-        class_weighting=args.class_weighting,
-    )
+    config = TrainConfig(regularization=args.regularization, epochs=args.epochs)
     model = train(X, y, ModelKind(args.kind), config)
     trained_weeks = ",".join(str(w) for w in sorted(set(sub.weeks)))
     with manifest.artifact(args.out) as tmp:
@@ -571,9 +565,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["linear", "poly2"], default="poly2", help="model family")
     p.add_argument("--out", default="model.txt", help="model output file name")
     p.add_argument("--regularization", type=_regularization, default=1e-4, help="L2 strength > 0")
-    p.add_argument("--epochs", type=_epochs, default=20, help="training passes (>= 1)")
-    p.add_argument("--class-weighting", choices=["none", "balanced"], default="balanced",
-                   help="per-class cost reweighting")
+    p.add_argument("--epochs", type=_epochs, default=20,
+                   help="cap on Newton iterations (>= 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="replay a cohort under a policy, period by period")

@@ -1,10 +1,11 @@
 """Risk scorers: the fixed 2/1/1 rule, a linear margin ranker, and a
-pairwise-interaction (degree-2) ranker, trained by deterministic seeded
-stochastic subgradient descent on the L2-regularized hinge loss.
+pairwise-interaction (degree-2) ranker, fitted by Newton's method on the
+L2-regularized logistic loss.
 
-Scores are raw margins. Any monotone calibration of a margin induces the
-same ranking, and ranking is the only downstream use, so no calibration
-step exists here.
+A trained model's score is its margin w.x + b, an estimate of the log-odds
+of a positive result. Any monotone calibration of a margin induces the same
+ranking, and ranking is the only downstream use, so no calibration step
+exists here.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class RiskModel:
     bias: float
     base_dim: int = N_FEATURES
 
-    @property
-    def feature_space_dim(self) -> int:
-        return len(self.weights)
-
     def __post_init__(self):
         expected = poly2_dim(self.base_dim) if self.kind is ModelKind.POLY2 else self.base_dim
         if len(self.weights) != expected:
@@ -93,42 +90,13 @@ def expand_poly2(X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     regularization: float = 1e-4
-    epochs: int = 20
-    seed: int = 0
-    class_weighting: str = "balanced"  # "none" | "balanced"
+    epochs: int = 20  # cap on Newton iterations
 
     def __post_init__(self):
         if self.regularization <= 0:
             raise ValueError("regularization must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.class_weighting not in ("none", "balanced"):
-            raise ValueError(f"unknown class_weighting {self.class_weighting!r}")
-
-
-def hinge_objective(
-    X: np.ndarray,
-    y_signed: np.ndarray,
-    w: np.ndarray,
-    lam: float,
-    costs: np.ndarray,
-    counts: np.ndarray | None = None,
-) -> float:
-    """lam/2 ||w||^2 + mean(cost * max(0, 1 - y * Xw)) over augmented inputs,
-    row i counted ``counts[i]`` times (once each by default)."""
-    margins = y_signed * (X @ w)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * lam * float(w @ w) + float(np.average(costs * hinge, weights=counts))
-
-
-def _class_costs(y_signed: np.ndarray, weighting: str) -> np.ndarray:
-    if weighting == "none":
-        return np.ones(len(y_signed))
-    n = len(y_signed)
-    n_pos = int((y_signed > 0).sum())
-    n_neg = n - n_pos
-    costs = np.where(y_signed > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-    return costs
 
 
 def train(
@@ -137,34 +105,30 @@ def train(
     kind: ModelKind,
     config: TrainConfig | None = None,
 ) -> RiskModel:
-    """Fit a margin ranker on (0/1 base feature matrix, binary labels).
+    """Fit a log-odds ranker on (0/1 base feature matrix, binary labels).
 
-    Pegasos (Shalev-Shwartz, Singer & Srebro, ICML 2007): stochastic
-    subgradient descent on the L2-regularized hinge loss with step size
-    1/(lam*t), one pass per epoch in a seeded shuffle (``rng.permutation``
-    of the rows), so identical inputs and config give bitwise-identical
-    weights. The bias is trained as an augmented, regularized constant
-    coordinate. The returned iterate is the epoch average with the lowest
-    regularized objective (never worse than the zero vector).
+    L2-regularized logistic regression: minimize the mean log-loss plus
+    lam/2 ||w||^2, the bias being an augmented, regularized constant
+    coordinate, by damped Newton's method from w = 0 (IRLS; McCullagh &
+    Nelder, *Generalized Linear Models*, 1989, ch. 4).
 
-    The iterate has a closed form, w_t = V_t/(lam*t), where V_t sums
-    c*y*x over the violating steps so far (c is the row's class cost).
     Features are 0 or 1, so the rows fall into at most 2**d distinct
     patterns (192 for the cohort features), and into groups of equal
-    (pattern, label). Training runs over the groups: Q[g] = y_g*x_g.V is
-    kept per group, step t+1 violates iff Q[g] < lam*t (step 1 always
-    does: w_0 = 0, margin 0 < 1), and a violation by group h adds
-    c_h*y_h*y_g*(x_g.x_h) to every Q[g]. Only the groups' feature vectors
+    (pattern, label). The loss, gradient and Hessian are sums over the
+    groups weighted by their row counts; only the groups' feature vectors
     are expanded, never the rows'.
 
-    The epoch average is lazy. Over an epoch of steps t0+1..t1,
-    sum_s V_s/s = V_t0*(H(t1) - H(t0)) + sum over the epoch's violations u
-    of c*y*x*(H(t1) - H(u-1)), H being the harmonic partial sums; per group
-    that is a count times a tail sum of 1/s, read off with bincount.
+    Damping: a Newton step n that moves some group's margin by at most
+    delta = max_g |x_g.n| is scaled by log(1 + delta)/delta. The log-loss
+    has |l'''| <= l'', so along the step the Hessian grows by at most
+    e^(t*delta), and this scale minimizes the resulting bound on the
+    objective (Sun & Tran-Dinh, *Math. Program.* 2019): every step
+    decreases the objective, and the scale tends to 1 near the optimum.
 
-    Tie rule: a margin of exactly 1 is not a violation, up to the rounding
-    of lam*t. With unit costs (``class_weighting="none"``) Q is an integer
-    and can equal lam*t exactly.
+    The fit stops once a step's max-norm is <= 1e-10, or after
+    ``config.epochs`` steps with a logged warning. It draws no random
+    numbers, and rows enter only through their group counts, so the same
+    rows in any order give bitwise-identical weights.
 
     Raises ValueError if any entry of X is not 0 or 1.
     """
@@ -184,53 +148,39 @@ def train(
     if positive.all() or not positive.any():
         raise DegenerateTrainingError("training set contains a single class")
     lam = config.regularization
-    costs = _class_costs(np.where(positive, 1.0, -1.0), config.class_weighting)
 
     # Groups: rows equal in features and label, found as the distinct bytes
     # of the packed bits; a group's first row stands for it.
     packed = np.packbits(np.column_stack([X, positive]).astype(bool), axis=1)
-    _, first_row, group_of_row, group_rows = np.unique(
+    _, first_row, group_rows = np.unique(
         packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-        return_index=True, return_inverse=True, return_counts=True)
+        return_index=True, return_counts=True)
     x = X[first_row]
     if kind is ModelKind.POLY2:
         x = expand_poly2(x)
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
     sign = np.where(positive[first_row], 1.0, -1.0)
-    cost = costs[first_row]
-    step = (cost * sign)[:, None] * (x @ x.T) * sign[None, :]  # row h: Q's move on h's violation
-    step_rows = list(step)
+    share = group_rows / n
 
-    rng = np.random.default_rng(config.seed)
-    q = np.zeros(len(x))
-    violations = np.zeros(len(x))  # per group, before the current epoch
-    best_w = np.zeros(x.shape[1])
-    best_obj = hinge_objective(x, sign, best_w, lam, cost, group_rows)
-    t = 0
+    w = np.zeros(x.shape[1])
     for _ in range(config.epochs):
-        # The raw iterate oscillates (class costs inflate subgradient norms);
-        # the within-epoch average is the stable candidate.
-        order = group_of_row[rng.permutation(n)]
-        thresholds = (lam * np.arange(t, t + n, dtype=float)).tolist()
-        if t == 0:
-            thresholds[0] = np.inf  # step 1: w_0 = 0, so the margin 0 < 1
-        hits = []
-        for j, g in enumerate(order.tolist()):
-            if q[g] < thresholds[j]:
-                q += step_rows[g]
-                hits.append(j)
-        tail = np.cumsum(1.0 / np.arange(t + n, t, -1, dtype=float))[::-1]  # H(t+n) - H(t+j)
-        hit_groups = order[hits]
-        coef = violations * tail[0] + np.bincount(hit_groups, tail[hits], minlength=len(x))
-        violations += np.bincount(hit_groups, minlength=len(x))
-        t += n
-        w_avg = (coef * cost * sign) @ x / (lam * n)
-        obj = hinge_objective(x, sign, w_avg, lam, cost, group_rows)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w_avg
+        # Per group, the signed margin z and log(1 + e^z): e^-softplus(z) is
+        # sigmoid(-z), which neither overflows nor loses the tails.
+        z = sign * (x @ w)
+        softplus = np.logaddexp(0.0, z)
+        grad = x.T @ (share * sign * -np.exp(-softplus)) + lam * w
+        curvature = share * np.exp(-softplus - np.logaddexp(0.0, -z))
+        newton = np.linalg.solve((x.T * curvature) @ x + lam * np.eye(len(w)), grad)
+        delta = np.abs(x @ newton).max()
+        step = newton * (np.log1p(delta) / delta) if delta > 0 else newton
+        w -= step
+        if np.abs(step).max() <= 1e-10:
+            break
+    else:
+        log.warning("training stopped at the cap of %d Newton iterations before converging",
+                    config.epochs)
 
-    return RiskModel(kind=kind, weights=best_w[:-1], bias=float(best_w[-1]), base_dim=base_dim)
+    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]), base_dim=base_dim)
 
 
 def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:

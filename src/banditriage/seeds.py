@@ -1,9 +1,9 @@
 """Deterministic seed derivation.
 
 A single master seed governs a whole run. Every randomized subcomponent
-(training shuffles, tie-breaking, exploration draws, bootstrap replicates)
-derives its own stream as SHA-256 over the master seed and a label path,
-so adding or reordering one component never perturbs another.
+(tie-breaking, exploration draws, bootstrap replicates) derives its own
+stream as SHA-256 over the master seed and a label path, so adding or
+reordering one component never perturbs another.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -182,7 +182,6 @@ def run_replay(
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     if not weeks:
         raise ValueError("cohort has no weeks to replay")
-    base_config = train_config or TrainConfig()
 
     model = model0 if model0 is not None else rule_based_model()
     trace = SimulationTrace(seed=seed, policy=policy, retrain_every=retrain_every)
@@ -265,8 +264,7 @@ def run_replay(
             X_train = np.vstack(labeled_X)
             y_train = np.concatenate(labeled_y)
             try:
-                cfg = replace(base_config, seed=derive_seed(seed, "train", period))
-                model = train(X_train, y_train, retrain_kind, cfg)
+                model = train(X_train, y_train, retrain_kind, train_config)
             except DegenerateTrainingError:
                 trace.periods[-1].events.append(
                     "retrain skipped: labeled store is single-class; model carried over"
@@ -354,17 +352,13 @@ def train_eval_split_experiment(
     if overlap:
         raise OverlapError(f"evaluation weeks overlap a training range: {sorted(overlap)}")
 
-    base = train_config or TrainConfig()
-
     def fit(weeks: list[int]) -> RiskModel:
-        # Streams derive from the week range itself, so identical ranges give
-        # identical models (and identical downstream recall columns).
         sub = cohort.subset_weeks(weeks)
         if len(sub) == 0:
             raise ValueError(f"no records in training weeks {weeks}")
         X = np.vstack([sub.week_features(w) for w in sub.weeks])
         y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-        return train(X, y, kind, replace(base, seed=derive_seed(seed, "fit", repr(weeks))))
+        return train(X, y, kind, train_config)
 
     model_a = fit(sorted(a))
     model_b = fit(sorted(b))

@@ -108,7 +108,7 @@ def test_criterion_1_real_data_recall():
     sub = cohort.subset_weeks(train_weeks)
     X = np.vstack([sub.week_features(w) for w in sub.weeks])
     y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-    model = train(X, y, ModelKind.POLY2, TrainConfig(seed=derive_seed(0, "real")))
+    model = train(X, y, ModelKind.POLY2, TrainConfig())
 
     rows = weekly_recall_table(cohort, model, ks=[1000, 2000, 3000, 4000, 5000],
                                weeks=eval_weeks, seed=0)
@@ -236,7 +236,7 @@ def test_criterion_5_ranking_beats_random():
         sub = cohort.subset_weeks([1, 2, 3])
         X = np.vstack([sub.week_features(w) for w in sub.weeks])
         y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-        model = train(X, y, ModelKind.POLY2, TrainConfig(seed=seed))
+        model = train(X, y, ModelKind.POLY2, TrainConfig())
         recalls.append(
             mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6, 7, 8], seed=seed)
         )

@@ -64,7 +64,7 @@ MORE_VALID = {
                "--out": "ingested.csv"},
     "synth": {"--out": "synthetic.csv"},
     "correlate": {"--out": "corr.csv"},
-    "train": {"--kind": "linear", "--class-weighting": "none", "--regularization": "0.001"},
+    "train": {"--kind": "linear", "--regularization": "0.001"},
     "simulate": {"--retrain-every": "0", "--retrain-kind": "linear", "--allow-overlap": ""},
     "sweep": {"--rule-based": "", "--out": "s.csv"},
     "bootstrap": {"--level": "0.9"},

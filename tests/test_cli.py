@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import banditriage
 from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _atomic, build_parser, main
 from banditriage.records import REQUIRED_COLUMNS
+from banditriage.scoring import load_model
 from banditriage.synthgen import builtin_scenario_path
 
 
@@ -198,6 +200,35 @@ class TestSynthTrainSimulate:
             len(json.loads(l)["exploit_ids"]) + len(json.loads(l)["explore_ids"])
             for l in trace_lines[1:]
         )
+
+
+class TestTrainFlags:
+    def test_huge_regularization_gives_finite_weights_and_no_warning(self, small_cohort_csv):
+        # In a fresh interpreter, so a numpy RuntimeWarning would reach stderr.
+        out = small_cohort_csv.parent
+        proc = run_subprocess(["train", "--cohort", str(small_cohort_csv), "--weeks", "1-2",
+                               "--regularization", "1e308", "--out-dir", str(out), "--quiet"])
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        model = load_model(out / "model.txt")
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+
+    def test_class_weighting_flag_is_gone(self, workdir, small_cohort_csv, capsys):
+        assert run(["train", "--cohort", str(small_cohort_csv), "--class-weighting", "none",
+                    "--out-dir", str(workdir), "--quiet"]) == EXIT_USAGE
+        cfg = workdir / "run.config"
+        cfg.write_text("class_weighting = none\n", encoding="utf-8")
+        assert run(["train", "--cohort", str(small_cohort_csv), "--config", str(cfg),
+                    "--out-dir", str(workdir), "--quiet"]) == EXIT_DATA
+        assert f"{cfg}: unknown option 'class_weighting'" in capsys.readouterr().err
+
+    def test_iteration_cap_logs_a_warning(self, workdir, small_cohort_csv, capsys):
+        assert run(["train", "--cohort", str(small_cohort_csv), "--weeks", "1-2",
+                    "--epochs", "1", "--out-dir", str(workdir)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("WARNING") == 1 and "cap of 1 Newton iteration" in err
+        assert run(["train", "--cohort", str(small_cohort_csv), "--weeks", "1-2",
+                    "--out-dir", str(workdir)]) == EXIT_OK
+        assert "WARNING" not in capsys.readouterr().err
 
 
 class TestPolicyFile:

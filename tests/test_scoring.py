@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import logging
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,6 @@ from banditriage.scoring import (
     RiskModel,
     TrainConfig,
     expand_poly2,
-    hinge_objective,
     load_model,
     pair_order,
     poly2_dim,
@@ -25,7 +26,6 @@ from banditriage.scoring import (
     score_matrix,
     train,
     RULE_WEIGHTS,
-    _class_costs,
 )
 from banditriage.synthgen import RiskCoefficients, generate_cohort
 
@@ -107,68 +107,62 @@ def separable_dataset(n=200, seed=0):
     return X, y
 
 
-# The per-row stochastic subgradient loop that `train` replaces, kept as the
-# oracle it must match: one vector update per row and step.
+def augmented(X: np.ndarray, kind: ModelKind) -> np.ndarray:
+    """The rows in the model's feature space, with the bias's constant 1 last."""
+    if kind is ModelKind.POLY2:
+        X = expand_poly2(X)
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
+def logistic_objective(Xa: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
+    """Mean log-loss of the margins Xa.w plus lam/2 ||w||^2."""
+    z = np.where(y, 1.0, -1.0) * (Xa @ w)
+    return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * lam * float(w @ w)
+
+
+def logistic_gradient(Xa: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    p = np.exp(-np.logaddexp(0.0, -(Xa @ w)))  # P(positive) = sigmoid(margin)
+    return Xa.T @ (p - y) / len(y) + lam * w
+
+
+# The fit `train` runs over (pattern, label) groups, done row by row instead,
+# kept as the oracle it must match: the same damped Newton steps and stopping
+# rule, with the gradient and Hessian summed over every row.
 def _reference_train(
     X: np.ndarray,
     y: np.ndarray,
     kind: ModelKind,
     config: TrainConfig | None = None,
 ) -> RiskModel:
-    """Fit a margin ranker on (base feature matrix, binary labels).
-
-    Single-pass-per-epoch stochastic subgradient descent with step size
-    1/(lam*t); the visit order per epoch is a seeded shuffle, so identical
-    inputs and config give bitwise-identical weights. The bias is trained as
-    an augmented, regularized constant coordinate. The returned iterate is
-    the epoch-end candidate with the lowest regularized objective (never
-    worse than the zero vector).
-    """
     config = config or TrainConfig()
-    if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
-        raise ValueError(f"cannot train model kind {kind.value}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be (n, d) with one label per row")
-    if len(X) == 0:
-        raise ValueError("empty training set")
-    base_dim = X.shape[1]
-    y_signed = np.where(np.asarray(y, dtype=bool), 1.0, -1.0)
-    if len(np.unique(y_signed)) < 2:
-        raise DegenerateTrainingError("training set contains a single class")
-
-    if kind is ModelKind.POLY2:
-        X = expand_poly2(X)
-    Xa = np.hstack([X, np.ones((len(X), 1))])  # bias as last coordinate
-    n, d = Xa.shape
+    Xa = augmented(np.asarray(X, dtype=float), kind)
+    y = np.asarray(y, dtype=float)
     lam = config.regularization
-    costs = _class_costs(y_signed, config.class_weighting)
-
-    rng = np.random.default_rng(config.seed)
-    w = np.zeros(d)
-    best_w = w.copy()
-    best_obj = hinge_objective(Xa, y_signed, w, lam, costs)
-    t = 0
+    w = np.zeros(Xa.shape[1])
     for _ in range(config.epochs):
-        # The raw iterate oscillates (class costs inflate subgradient norms);
-        # the within-epoch average is the stable candidate.
-        w_sum = np.zeros(d)
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = y_signed[i] * (Xa[i] @ w)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += (eta * costs[i] * y_signed[i]) * Xa[i]
-            w_sum += w
-        w_avg = w_sum / n
-        obj = hinge_objective(Xa, y_signed, w_avg, lam, costs)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w_avg
+        p = np.exp(-np.logaddexp(0.0, -(Xa @ w)))
+        hessian = Xa.T @ (Xa * (p * (1.0 - p))[:, None]) / len(y) + lam * np.eye(len(w))
+        newton = np.linalg.solve(hessian, logistic_gradient(Xa, y, w, lam))
+        delta = np.abs(Xa @ newton).max()
+        step = newton * np.log1p(delta) / delta if delta > 0 else newton
+        w = w - step
+        if np.abs(step).max() <= 1e-10:
+            break
+    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]), base_dim=X.shape[1])
 
-    return RiskModel(kind=kind, weights=best_w[:-1], bias=float(best_w[-1]), base_dim=base_dim)
+
+@contextmanager
+def logged_warnings():
+    """The warning records `train` logs inside the block."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("banditriage.scoring")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
 
 
 @st.composite
@@ -184,25 +178,24 @@ def binary_training_sets(draw):
     return X, y
 
 
+KINDS = st.sampled_from([ModelKind.LINEAR, ModelKind.POLY2])
+CONFIGS = st.builds(TrainConfig, regularization=st.sampled_from([1e-4, 1e-2, 1.0]),
+                    epochs=st.integers(1, 30))
+
+
 class TestTrain:
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.POLY2])
     def test_separable_set_is_ranked_perfectly(self, kind):
         X, y = separable_dataset()
-        model = train(X, y, kind, TrainConfig(seed=3))
+        model = train(X, y, kind, TrainConfig())
         scores = score_matrix(model, X)
         assert scores[y].min() > scores[~y].max()
 
     def test_same_seed_bitwise_equal(self):
         X, y = separable_dataset(seed=4)
-        a = train(X, y, ModelKind.POLY2, TrainConfig(seed=9))
-        b = train(X, y, ModelKind.POLY2, TrainConfig(seed=9))
+        a = train(X, y, ModelKind.POLY2, TrainConfig())
+        b = train(X, y, ModelKind.POLY2, TrainConfig())
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-
-    def test_different_seed_differs(self):
-        X, y = separable_dataset(seed=4)
-        a = train(X, y, ModelKind.POLY2, TrainConfig(seed=1))
-        b = train(X, y, ModelKind.POLY2, TrainConfig(seed=2))
-        assert not np.array_equal(a.weights, b.weights)
 
     def test_single_class_errors(self):
         X, _ = separable_dataset()
@@ -218,56 +211,50 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(X, y, ModelKind.RULE_BASED, TrainConfig())
 
-    @pytest.mark.parametrize("weighting", ["none", "balanced"])
-    def test_objective_no_worse_than_zero_vector(self, weighting):
+    def test_objective_no_worse_than_zero_vector(self):
         # Holds on an easy set and on a sparse noisy one.
         for params_seed in (0, 1):
             cohort = generate_cohort(small_params(seed=params_seed, n_per_week=600))
             X = np.vstack([cohort.week_features(w) for w in cohort.weeks])
             y = np.concatenate([cohort.week_labels(w) for w in cohort.weeks])
-            config = TrainConfig(seed=7, class_weighting=weighting)
+            config = TrainConfig()
             model = train(X, y, ModelKind.POLY2, config)
-            Xe = expand_poly2(X)
-            Xa = np.hstack([Xe, np.ones((len(Xe), 1))])
-            y_signed = np.where(y, 1.0, -1.0)
-            n_pos = int(y.sum())
-            if weighting == "none":
-                costs = np.ones(len(y))
-            else:
-                costs = np.where(y, len(y) / (2 * n_pos), len(y) / (2 * (len(y) - n_pos)))
+            Xa = augmented(X, ModelKind.POLY2)
             w_full = np.concatenate([model.weights, [model.bias]])
-            trained = hinge_objective(Xa, y_signed, w_full, config.regularization, costs)
-            at_zero = hinge_objective(Xa, y_signed, np.zeros(Xa.shape[1]),
-                                      config.regularization, costs)
+            trained = logistic_objective(Xa, y, w_full, config.regularization)
+            at_zero = logistic_objective(Xa, y, np.zeros(Xa.shape[1]), config.regularization)
             assert trained <= at_zero
 
     @settings(max_examples=60, deadline=None)
-    @given(data=binary_training_sets(), kind=st.sampled_from([ModelKind.LINEAR, ModelKind.POLY2]),
-           epochs=st.integers(1, 5), seed=st.integers(0, 2**63 - 1))
-    def test_matches_per_row_reference(self, data, kind, epochs, seed):
+    @given(data=binary_training_sets(), kind=KINDS, config=CONFIGS)
+    def test_converged_fit_has_zero_gradient(self, data, kind, config):
         X, y = data
-        config = TrainConfig(epochs=epochs, seed=seed)
+        with logged_warnings() as warnings:
+            model = train(X, y, kind, config)
+        assert len(warnings) <= 1
+        if not warnings:  # converged within the cap
+            w_full = np.concatenate([model.weights, [model.bias]])
+            grad = logistic_gradient(augmented(X, kind), y, w_full, config.regularization)
+            assert np.abs(grad).max() <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=binary_training_sets(), kind=KINDS, config=CONFIGS)
+    def test_matches_per_row_reference(self, data, kind, config):
+        X, y = data
         got = train(X, y, kind, config)
         want = _reference_train(X, y, kind, config)
         assert np.max(np.abs(got.weights - want.weights)) <= 1e-9
         assert abs(got.bias - want.bias) <= 1e-9
 
-    def test_margin_of_exactly_one_is_not_a_violation(self):
-        # Unit costs, lam = 1, one epoch. Seed 1 visits the rows in order.
-        # Step 1 (row 0, y=-1) violates: V = -(0, 1), w_1 = V/lam.
-        # Step 2 (row 1, same pattern and label) has margin y*x.w_1 = 1
-        # exactly: not a violation, so w_2 = V/2.
-        # Step 3 (row 2, y=+1) violates: V = (1, 0), w_3 = V/3.
-        # The epoch average (1/9, -1/2) beats the zero vector. Counting the
-        # tie as a violation would give an average worse than zero, and the
-        # zero vector would be returned.
-        X = np.array([[0.0], [0.0], [1.0]])
-        y = np.array([False, False, True])
-        config = TrainConfig(regularization=1.0, epochs=1, seed=1, class_weighting="none")
-        assert np.random.default_rng(1).permutation(3).tolist() == [0, 1, 2]
-        model = train(X, y, ModelKind.LINEAR, config)
-        assert model.weights[0] == pytest.approx(1 / 9, abs=1e-15)
-        assert model.bias == pytest.approx(-0.5, abs=1e-15)
+    @settings(max_examples=60, deadline=None)
+    @given(data=binary_training_sets(), kind=KINDS, config=CONFIGS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_order_does_not_change_weights(self, data, kind, config, seed):
+        X, y = data
+        order = np.random.default_rng(seed).permutation(len(y))
+        a = train(X, y, kind, config)
+        b = train(X[order], y[order], kind, config)
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
 
     @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
     def test_features_must_be_zero_or_one(self, bad):
@@ -281,8 +268,6 @@ class TestTrain:
             TrainConfig(regularization=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(class_weighting="quadratic")
 
 
 class TestScore:
@@ -315,7 +300,7 @@ class TestScore:
         # Power-of-two scale: exact in binary floating point, so the argsort
         # comparison is not confounded by near-tie rounding collisions.
         X, y = separable_dataset(seed=8)
-        base = train(X, y, ModelKind.LINEAR, TrainConfig(seed=5))
+        base = train(X, y, ModelKind.LINEAR, TrainConfig())
         scaled = RiskModel(
             kind=ModelKind.LINEAR, weights=base.weights * 4.0, bias=base.bias * 4.0
         )
@@ -365,7 +350,7 @@ class TestRecallMarginGrowsWithSignal:
                 cohort = generate_cohort(params)
                 X = np.vstack([cohort.week_features(w) for w in (1, 2)])
                 y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
-                model = train(X, y, ModelKind.POLY2, TrainConfig(seed=seed))
+                model = train(X, y, ModelKind.POLY2, TrainConfig())
                 recalls.append(
                     mean_weekly_recall(cohort, model, k, weeks=(3, 4), seed=seed)
                 )
@@ -377,7 +362,7 @@ class TestRecallMarginGrowsWithSignal:
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         X, y = separable_dataset(seed=12)
-        model = train(X, y, ModelKind.POLY2, TrainConfig(seed=6))
+        model = train(X, y, ModelKind.POLY2, TrainConfig())
         path = tmp_path / "m.txt"
         save_model(model, path, manifest="train.manifest.json")
         loaded = load_model(path)
