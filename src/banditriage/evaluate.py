@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .records import FEATURE_NAMES, Cohort
-from .policy import rank_candidates, top_k
+from .policy import dense_rank, rank_candidates, top_k
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -205,12 +205,10 @@ def bootstrap_ci(
         raise MetricError("confidence level must lie in (0, 1)")
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
 
-    # Scores per record are fixed by the model; precompute once per week.
-    per_week = []
-    for week in weeks:
-        X = cohort.week_features(week)
-        y = cohort.week_labels(week)
-        per_week.append((score_matrix(model, X), y))
+    # Scores per record are fixed by the model: rank each week once, and let
+    # every replicate sort its resample of the ranks.
+    per_week = [(dense_rank(score_matrix(model, cohort.week_features(week))),
+                 cohort.week_labels(week)) for week in weeks]
 
     means: list[float] = []
     skipped = 0
@@ -218,7 +216,7 @@ def bootstrap_ci(
         rng = np.random.default_rng(derive_seed(seed, "bootstrap", r))
         week_recalls = []
         any_positive = False
-        for scores, y in per_week:
+        for rank, y in per_week:
             n = len(y)
             idx = rng.integers(0, n, size=n)
             y_res = y[idx]
@@ -227,7 +225,7 @@ def bootstrap_ci(
                 week_recalls.append(0.0)
                 continue
             any_positive = True
-            week_recalls.append(recall_at_k(top_k(scores[idx], k, rng), y_res))
+            week_recalls.append(recall_at_k(top_k(rank[idx], k, rng), y_res))
         if not any_positive:
             skipped += 1
             log.warning("bootstrap replicate %d skipped: no positives in any week", r)

@@ -190,6 +190,21 @@ def top_k(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return perm[np.argsort(-scores[perm], kind="stable")[:k]]
 
 
+def dense_rank(scores: np.ndarray) -> np.ndarray:
+    """Integer keys that :func:`top_k` orders exactly as it orders ``scores``.
+
+    Equal scores (-0.0 and 0.0 included) share a key and higher scores get
+    higher keys; NaN, which a float sort puts last, gets the lowest. The keys
+    are int16 when they fit, and numpy's stable sort on 16-bit keys is a
+    radix sort: resamples of one pool cost one float sort, then a radix
+    sort each.
+    """
+    values, rank = np.unique(scores, return_inverse=True)
+    if len(values) and np.isnan(values[-1]):  # np.unique puts NaN last, as one value
+        rank[rank == len(values) - 1] = -1
+    return rank.astype(np.int16 if len(values) < 2**15 else np.int64)
+
+
 def rank_candidates(scores: np.ndarray, seed: int, k: int | None = None) -> np.ndarray:
     """:func:`top_k` of a pool's scores (the whole ranking when k is None),
     with the tie-break stream derived from ``seed``."""

@@ -1,14 +1,15 @@
 """Candidate test records: ingestion, validation, featurization, week assignment.
 
 Input is a delimited text file with one row per performed test (the public
-"tested individuals" export schema). :func:`load_cohort` reads it a column at
-a time: in bounded chunks of rows, each required column's distinct cells are
-validated and coded once, and the codes of the accepted rows go straight into
-a :class:`Cohort`, a frozen set of equal-length numpy columns holding the
-row's id, date and categorical codes. Scorers consume the fixed-order binary
-encoding (:data:`FEATURE_NAMES`) the cohort derives from those codes. Records
-are pooled by ISO-8601 week number, the time frame used everywhere downstream
-(selection, retraining, metrics); a cohort therefore lies within one ISO year.
+"tested individuals" export schema), one record per physical line.
+:func:`load_cohort` works once per distinct value: it parses each distinct
+line once, validates and codes each required column's distinct cells once,
+and gathers the codes of the accepted rows into a :class:`Cohort`, a frozen
+set of equal-length numpy columns holding the row's id, date and categorical
+codes. Scorers consume the fixed-order binary encoding (:data:`FEATURE_NAMES`)
+the cohort derives from those codes. Records are pooled by ISO-8601 week
+number, the time frame used everywhere downstream (selection, retraining,
+metrics); a cohort therefore lies within one ISO year.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import configparser
 import csv
 import logging
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from enum import IntEnum
-from itertools import islice
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -395,9 +397,6 @@ class LoadReport:
                 fh.write(f"{row_number}\t{reason}\n")
 
 
-#: Data rows validated at a time. It only bounds the raw cells held in
-#: memory; the result does not depend on it.
-_CHUNK_ROWS = 2048
 #: Code of a cell its column rejects; no column codes to it.
 _REJECTED = np.iinfo(np.int64).min
 
@@ -434,6 +433,72 @@ def _column_coders(mapping: ValueMapping, study_window: tuple[date, date] | None
     ]
 
 
+def _read_rows(path: str | Path, delimiter: str,
+               columns: Sequence[str]) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """The distinct data rows of a delimited file, each the tuple of its cells
+    in ``columns`` (required columns, found by their stripped header names),
+    and each data row's index into them, in row order.
+
+    One record per physical line. The header is the first line that is not
+    a ``#`` comment; comment lines and blank lines are no rows, and a cell
+    missing from a short row is empty. Exports repeat lines and rows, so the
+    lines are read once, each distinct line is parsed once, and equal rows
+    share a tuple. A quoted field still open at a line break would run into
+    the next line: it is a :class:`CohortFormatError` naming the line.
+    """
+    first_line = defaultdict(count().__next__)
+    try:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark.
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            line_of = np.fromiter(map(first_line.__getitem__, fh), np.intp)
+    except OSError as exc:
+        raise CohortFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
+    lines = list(first_line)
+    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
+    data_lines = line_of[~comment[line_of]]  # as distinct-line indices, in file order
+    if not len(data_lines):
+        raise CohortFormatError(f"{path}: empty file, no header row")
+
+    def is_open(line: str) -> bool:  # the line would take in a blank one after it
+        return (line.endswith(("\n", "\r"))
+                and len(list(csv.reader([line, ""], delimiter=delimiter))) == 1)
+
+    def spanning(j: int) -> CohortFormatError:
+        return CohortFormatError(f"{path}: line {np.argmax(line_of == j) + 1}: a quoted field "
+                                 "runs past the line break; a record must be one line")
+
+    header, parsed = data_lines[0], np.flatnonzero(~comment)
+    try:
+        if is_open(lines[header]):
+            raise spanning(header)
+        position = {name.strip(): i
+                    for i, name in enumerate(next(csv.reader([lines[header]], delimiter=delimiter)))}
+        for column in REQUIRED_COLUMNS:
+            if column not in position:
+                raise CohortFormatError(f"{path}: header is missing column {column!r}")
+        pad = [""] * (max(position[column] for column in columns) + 1)
+        cells = map(itemgetter(*(position[column] for column in columns)),
+                    map(add, csv.reader(compress(lines, ~comment), delimiter=delimiter),
+                        repeat(pad)))
+        first_row = defaultdict(count().__next__)
+        row_of_parsed = np.fromiter(map(first_row.__getitem__, cells), np.intp)
+        # An open line takes in the next, so the row count falls short; the
+        # last line has no next one and is checked on its own.
+        if len(row_of_parsed) < len(parsed) or is_open(lines[parsed[-1]]):
+            raise spanning(next(j for j in parsed.tolist() if is_open(lines[j])))
+    except csv.Error as exc:
+        raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
+
+    row_of_line = np.full(len(lines), -1)  # -1: a comment or blank line, no row
+    row_of_line[parsed] = row_of_parsed
+    # blank: the lines the csv module reads as no cells at all
+    row_of_line[np.fromiter(map(("\n", "\r", "\r\n").__contains__, lines), bool, len(lines))] = -1
+    row_of = row_of_line[data_lines[1:]]
+    return list(first_row), row_of[row_of >= 0]
+
+
 def load_cohort(
     path: str | Path,
     mapping: ValueMapping | None = None,
@@ -445,13 +510,15 @@ def load_cohort(
 ) -> tuple[Cohort, LoadReport]:
     """Load a delimited text file into a cohort plus a rejection report.
 
-    Columns are found by their stripped header names; lines starting with
-    ``#`` and blank lines are skipped. Row numbers in the report are 1-based
-    over the remaining data rows. Each column's distinct cells are validated
-    once, on their stripped text, and a rejected row is reported under its
-    first failing column: date (or study window), the symptoms, result,
-    indication. Missing or empty symptom cells are UNKNOWN. record_id is
-    assigned by acceptance order, which equals row order.
+    One record per physical line (see :func:`_read_rows`): columns are found
+    by their stripped header names; lines starting with ``#`` and blank
+    lines are skipped, and a quoted line break is a data error. Row numbers
+    in the report are 1-based over the remaining data rows. Each distinct
+    line is parsed, and each column's distinct cells validated on their
+    stripped text, once. A rejected row is reported under its first failing
+    column: date (or study window), the symptoms, result, indication.
+    Missing or empty symptom cells are UNKNOWN. record_id is assigned by
+    acceptance order, which equals row order.
     Records with result "other" are neither-label and are excluded by default;
     ``keep_other_results=True`` retains them (they count as negatives
     downstream). ``null_policy="drop"`` rejects rows with any unknown symptom
@@ -462,77 +529,52 @@ def load_cohort(
     coders = _column_coders(mapping or ValueMapping.default(), study_window)
     symptom_rows = slice(1, 1 + len(SYMPTOM_FIELDS))
     result_row = 1 + len(SYMPTOM_FIELDS)
+    rows, row_of = _read_rows(path, delimiter, [column for column, _ in coders])
 
-    try:
-        # utf-8-sig: spreadsheet exports often start with a byte-order mark.
-        fh = open(path, encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise CohortFormatError(f"cannot read {path}: {exc}") from exc
+    # Code the distinct rows: column by column, each distinct cell once.
+    coded = np.empty((len(coders), len(rows)), np.int64)
+    reasons = []  # per column: raw cell -> rejection reason
+    for i, (column, coder) in enumerate(coders):
+        cells = list(map(itemgetter(i), rows))
+        table, why = {}, {}
+        for raw in set(cells):
+            try:
+                table[raw] = coder(raw.strip())
+            except ValueError as exc:
+                table[raw] = _REJECTED
+                why[raw] = f"{column}={raw.strip()!r}: {exc}"
+        coded[i] = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+        reasons.append(why)
 
-    report = LoadReport()
-    dates = [np.empty(0, "datetime64[D]")]  # accepted rows, chunk by chunk
-    codes = [np.empty((len(coders) - 1, 0), np.int8)]  # the other columns, in coder order
-    with fh:
-        try:
-            reader = csv.reader((line for line in fh if not line.startswith("#")),
-                                delimiter=delimiter)
-            header = next(reader, None)
-            if header is None:
-                raise CohortFormatError(f"{path}: empty file, no header row")
-            position = {name.strip(): i for i, name in enumerate(header)}
-            for column in REQUIRED_COLUMNS:
-                if column not in position:
-                    raise CohortFormatError(f"{path}: header is missing column {column!r}")
-            cell_of = [itemgetter(position[column]) for column, _ in coders]
-            width = max(position[column] for column in REQUIRED_COLUMNS) + 1
+    bad = coded == _REJECTED
+    failed = bad.any(axis=0)
+    other = ~failed & (coded[result_row] == TestResult.OTHER) & (not keep_other_results)
+    dropped = (~failed & ~other & (null_policy == "drop")
+               & (coded[symptom_rows] == TriState.UNKNOWN).any(axis=0))
+    rejected = failed | other | dropped
+    first_bad = bad.argmax(axis=0)
+    reason_of = {}
+    for j in np.flatnonzero(rejected).tolist():
+        if failed[j]:
+            i = first_bad[j]
+            reason_of[j] = reasons[i][rows[j][i]]
+        elif other[j]:
+            reason_of[j] = "result 'other' excluded (keep_other_results retains)"
+        else:
+            reason_of[j] = "unknown symptom value (null_policy=drop)"
 
-            rows = filter(None, reader)  # a blank line reads as [] and is no row
-            while chunk := list(islice(rows, _CHUNK_ROWS)):
-                if min(map(len, chunk)) < width:  # short rows read as empty cells
-                    chunk = [r + [""] * (width - len(r)) for r in chunk]
-                coded = np.empty((len(coders), len(chunk)), np.int64)
-                reasons = []  # per column: raw cell -> rejection reason
-                for i, (column, coder) in enumerate(coders):
-                    cells = list(map(cell_of[i], chunk))
-                    table, why = {}, {}
-                    for raw in set(cells):
-                        try:
-                            table[raw] = coder(raw.strip())
-                        except ValueError as exc:
-                            table[raw] = _REJECTED
-                            why[raw] = f"{column}={raw.strip()!r}: {exc}"
-                    coded[i] = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
-                    reasons.append(why)
-
-                bad = coded == _REJECTED
-                failed = bad.any(axis=0)
-                other = ~failed & (coded[result_row] == TestResult.OTHER) & (not keep_other_results)
-                dropped = (~failed & ~other & (null_policy == "drop")
-                           & (coded[symptom_rows] == TriState.UNKNOWN).any(axis=0))
-                first_bad = bad.argmax(axis=0)
-                for j in np.flatnonzero(failed | other | dropped).tolist():
-                    if failed[j]:
-                        i = first_bad[j]
-                        reason = reasons[i][cell_of[i](chunk[j])]
-                    elif other[j]:
-                        reason = "result 'other' excluded (keep_other_results retains)"
-                    else:
-                        reason = "unknown symptom value (null_policy=drop)"
-                    report.rejections.append((report.n_rows + j + 1, reason))
-                report.n_rows += len(chunk)
-
-                keep = coded[:, ~(failed | other | dropped)]
-                dates.append(keep[0].astype("datetime64[D]"))
-                codes.append(keep[1:].astype(np.int8))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
-
-    test_date, columns = np.concatenate(dates), np.concatenate(codes, axis=1)
-    report.n_accepted = len(test_date)
+    report = LoadReport(n_rows=len(row_of))
+    numbers = np.flatnonzero(rejected[row_of])
+    report.rejections = list(zip((numbers + 1).tolist(),
+                                 map(reason_of.__getitem__, row_of[numbers].tolist())))
+    accepted = row_of[~rejected[row_of]]
+    report.n_accepted = len(accepted)
     if report.n_rejected:
         log.info("loaded %d records, rejected %d of %d rows",
                  report.n_accepted, report.n_rejected, report.n_rows)
-    symptoms, (result, indication, gender) = columns[:-3].T, columns[-3:]
+    # Cast the distinct rows' codes, then gather: no row gathers a rejected code.
+    test_date, columns = coded[0].astype("datetime64[D]")[accepted], coded[1:].astype(np.int8)
+    symptoms, (result, indication, gender) = columns[:-3].T[accepted], columns[-3:, accepted]
     return Cohort(np.arange(report.n_accepted), test_date, np.ascontiguousarray(symptoms),
                   indication, gender, result), report
 

@@ -184,15 +184,33 @@ def train(
 
 
 def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
-    """Risk score of every row of a base feature matrix under the model."""
+    """Risk score of every row of a 0/1 base feature matrix under the model.
+
+    A score depends only on the row's pattern, so each distinct pattern
+    present in X is scored once and the scores are gathered per row; no
+    2**d table is built. A row's pattern code is its bits read as a binary
+    number, exact in a float for d <= 53.
+
+    Raises ValueError if any entry of X is not 0 or 1.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.base_dim:
-        raise ValueError(
-            f"feature matrix of shape {X.shape} does not match model base_dim {model.base_dim}"
-        )
+    d = model.base_dim
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"feature matrix of shape {X.shape} does not match model base_dim {d}")
+    if d > 53:
+        raise ValueError(f"cannot code patterns of base_dim {d} > 53")
+    if ((X != 0.0) & (X != 1.0)).any():
+        raise ValueError("scored features must be 0 or 1")
+    bit = 2.0 ** np.arange(d)
+    codes, pattern_of_row = np.unique(X @ bit, return_inverse=True)
+    # A BLAS matrix-vector product computes its last few rows by another
+    # kernel, which may round differently: zero rows up to a multiple of 8
+    # keep every pattern in the blocked main loop that scores most of a large X.
+    patterns = np.zeros((len(codes) + -len(codes) % 8, d))
+    patterns[: len(codes)] = np.floor(codes[:, None] / bit) % 2
     if model.kind is ModelKind.POLY2:
-        X = expand_poly2(X)
-    return X @ model.weights + model.bias
+        patterns = expand_poly2(patterns)
+    return (patterns @ model.weights + model.bias)[pattern_of_row]
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,6 @@ def run_replay(
         ids = cohort.week_ids(period)
         X = cohort.week_features(period)
         y = cohort.week_labels(period)
-        row_of = {rid: row for row, rid in enumerate(ids.tolist())}
         events: list[str] = []
 
         selection = select(
@@ -215,7 +214,8 @@ def run_replay(
         if selection.explore_shortfall:
             events.append(f"explore shortfall {selection.explore_shortfall}")
 
-        rows = np.array([row_of[rid] for rid in selection.all_ids], dtype=np.int64)
+        by_id = np.argsort(ids, kind="stable")
+        rows = by_id[np.searchsorted(ids, selection.all_ids, sorter=by_id)]
         revealed = {rid: bool(v) for rid, v in zip(selection.all_ids, y[rows].tolist())}
 
         rec = recall_at_k(rows, y)

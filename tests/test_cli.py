@@ -94,17 +94,30 @@ class TestIngest:
         assert "fever" in err
 
     def test_unreadable_text_is_data_error(self, workdir, capsys):
-        # a cell past the csv module's field size limit, and bytes that are not UTF-8
+        # a cell past the csv module's field size limit (in a row, in the
+        # header), and bytes that are not UTF-8
         row = "2020-03-11,0,0,0,0,0,negative,{},Other\n"
         header = ",".join(REQUIRED_COLUMNS) + "\n"
         (workdir / "big.csv").write_text(header + row.format("x" * 200_000), encoding="utf-8")
+        (workdir / "bighead.csv").write_text("x" * 200_000 + "," + header + row.format("male"),
+                                             encoding="utf-8")
         (workdir / "latin1.csv").write_bytes((header + row.format("männlich")).encode("latin-1"))
-        for name in ("big.csv", "latin1.csv"):
+        for name in ("big.csv", "bighead.csv", "latin1.csv"):
             code = run(["ingest", "--input", str(workdir / name), "--out-dir", str(workdir),
                         "--quiet"])
             assert code == EXIT_DATA
             err = capsys.readouterr().err
             assert err.startswith("error: data:") and "unreadable as delimited text" in err
+
+    def test_quoted_line_break_is_data_error(self, workdir, capsys):
+        raw = workdir / "raw.csv"
+        raw.write_text(raw_rows().replace(",female,", ',"fe\nmale",', 1), encoding="utf-8")
+        code = run(["ingest", "--input", str(raw), "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {raw}: line 2: a quoted field runs past")
+        assert "Traceback" not in err
+        assert not (workdir / "cohort.csv").exists()
 
     def test_missing_required_flag_is_usage_error(self, workdir, capsys):
         assert run(["ingest", "--out-dir", str(workdir)]) == EXIT_USAGE

@@ -18,6 +18,7 @@ from banditriage.policy import (
     Sampler,
     Selection,
     UncoveredCandidateError,
+    dense_rank,
     rank_candidates,
     select,
     split_budget,
@@ -134,6 +135,32 @@ class TestRankCandidates:
         full = rank_candidates(scores, seed=3)
         assert np.array_equal(rank_candidates(scores, seed=3, k=7), full[:7])
         assert np.array_equal(rank_candidates(scores, seed=3, k=99), full)
+
+
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCORE, min_size=1, max_size=60), st.data(), st.integers(0, 2**32 - 1))
+def test_top_k_of_dense_rank_equals_top_k_of_scores(values, data, seed):
+    # A pool's scores drawn with repeats (ties, -0.0 against 0.0, +-inf, NaN),
+    # ranked once, then resampled as the bootstrap does.
+    scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=200)))
+    rank = dense_rank(scores)
+    assert rank.dtype == np.int16
+    idx = np.array(data.draw(st.lists(st.integers(0, len(scores) - 1), max_size=250)), dtype=np.intp)
+    k = data.draw(st.integers(0, len(idx) + 2))
+    expected = top_k(scores[idx], k, np.random.default_rng(seed))
+    assert np.array_equal(top_k(rank[idx], k, np.random.default_rng(seed)), expected)
+
+
+def test_dense_rank_widens_past_int16():
+    scores = np.random.default_rng(3).permutation(40_000) / 7.0
+    rank = dense_rank(scores)
+    assert rank.dtype == np.int64
+    assert np.array_equal(top_k(rank, 500, np.random.default_rng(1)),
+                          top_k(scores, 500, np.random.default_rng(1)))
 
 
 def uniform_config(capacity, rho, **kv):

@@ -81,6 +81,8 @@ def ref_comparison(cohort, models, ks, seed):
 
 
 def ref_bootstrap_means(cohort, model, k, replicates, seed):
+    """Replicate means with a float sort of every resample's scores, the loop
+    that :func:`bootstrap_ci`'s one dense rank per week must reproduce."""
     per_week = [
         (score_matrix(model, cohort.week_features(w)), cohort.week_labels(w))
         for w in cohort.weeks

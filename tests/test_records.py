@@ -218,6 +218,48 @@ class TestLoadCohort:
         with pytest.raises(CohortFormatError, match="fever"):
             load_cohort(path)
 
+    def test_blank_line_before_header_is_the_header(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", [row()])
+        path.write_text("# a comment\n\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        with pytest.raises(CohortFormatError, match="missing column 'test_date'"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("where", ["header", "row", "last row"])
+    def test_quoted_line_break_is_fatal(self, tmp_path, newline, where):
+        def line(**cells) -> str:
+            return ",".join(row(**cells)[c] for c in REQUIRED_COLUMNS) + "\n"
+
+        header = ",".join(REQUIRED_COLUMNS) + "\n"
+        text = {"header": header.replace("gender", f'"gen{newline}der"') + line(),
+                "row": header + line() + line(gender=f'"fe{newline}male"') + line(),
+                # nothing follows the open quote for it to take in
+                "last row": header + line() + line(test_indication='"Other')[:-1] + newline,
+                }[where]
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+        line = 1 if where == "header" else 3
+        with pytest.raises(CohortFormatError, match=f"line {line}: a quoted field runs past"):
+            load_cohort(path)
+
+    def test_open_quote_without_final_line_break_is_a_cell(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", [row()])
+        last = row(test_indication='"Abroad')
+        path.write_text(path.read_text(encoding="utf-8")
+                        + ",".join(last[c] for c in REQUIRED_COLUMNS), encoding="utf-8")
+        cohort, report = load_cohort(path)
+        assert report.n_rows == 2 and report.rejections == []
+        assert cohort.indication.tolist() == [Indication.OTHER, Indication.ABROAD]
+
+    def test_repeated_lines_load_as_their_rows(self, tmp_path):
+        rows = [row(), row(test_date="x"), row(fever="1"), row(), row(test_date="x"), row()]
+        path = write_csv(tmp_path / "a.csv", rows)
+        cohort, report = load_cohort(path)
+        assert report.rejections == [(2, "test_date='x': not an ISO-8601 date"),
+                                     (5, "test_date='x': not an ISO-8601 date")]
+        assert cohort.record_id.tolist() == [0, 1, 2, 3]
+        assert cohort.symptoms[:, 1].tolist() == [0, 1, 0, 0]
+
     def test_accepted_plus_rejected_equals_input(self, tmp_path):
         rows = [row(), row(corona_result="other"), row(test_date="x"),
                 row(test_indication="??"), row()]

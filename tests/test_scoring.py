@@ -296,6 +296,13 @@ class TestScore:
         with pytest.raises(ValueError):
             score_matrix(model, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, np.nan, np.inf])
+    def test_features_must_be_zero_or_one(self, bad):
+        X = np.zeros((4, N_FEATURES))
+        X[2, 3] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            score_matrix(rule_based_model(), X)
+
     def test_ranking_invariant_under_positive_affine_weights(self):
         # Power-of-two scale: exact in binary floating point, so the argsort
         # comparison is not confounded by near-tie rounding collisions.
@@ -325,6 +332,57 @@ class TestScore:
         transformed = 1.0 / (1.0 + np.exp(-s))  # a monotone calibration
         assert np.array_equal(np.argsort(-s, kind="stable"),
                               np.argsort(-transformed, kind="stable"))
+
+
+def row_wise_scores(model: RiskModel, X: np.ndarray) -> np.ndarray:
+    """Each row's score as the row-wise product ``expand_poly2(x) @ w + b``.
+
+    A BLAS matrix-vector product computes the last few rows of a matrix (and,
+    threaded, of each thread's share) by another kernel that may round
+    differently, so ``expand_poly2(X) @ w + b`` itself can give equal rows
+    scores an ulp apart. Here each row is scored in a block of eight copies
+    of itself, which the product's blocked main loop computes.
+    """
+    E = expand_poly2(X) if model.kind is ModelKind.POLY2 else X
+    return np.array([(np.tile(e, (8, 1)) @ model.weights + model.bias)[0] for e in E])
+
+
+#: Weights from subnormal to 1e300: large and small magnitudes, and no
+#: overflow in a sum of 45 terms.
+WEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+                   st.floats(-1e300, 1e300), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def weight_vectors(draw, dim: int) -> np.ndarray:
+    """Drawn weights, or normal ones (full-width mantissas, whose sums round)
+    scaled by 10**u for u uniform in (-e, e), e drawn from 0 to 300."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(WEIGHT, min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 5, 300]))
+    return rng.standard_normal(dim) * 10.0 ** rng.uniform(-spread, spread, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scores_equal_the_row_wise_product(data):
+    kind = data.draw(st.sampled_from([ModelKind.LINEAR, ModelKind.POLY2, ModelKind.RULE_BASED]))
+    if kind is ModelKind.RULE_BASED:
+        model = rule_based_model()
+    else:
+        base_dim = data.draw(st.integers(1, N_FEATURES))
+        dim = poly2_dim(base_dim) if kind is ModelKind.POLY2 else base_dim
+        model = RiskModel(kind=kind, weights=data.draw(weight_vectors(dim)),
+                          bias=data.draw(WEIGHT), base_dim=base_dim)
+    # rows drawn from a few patterns, so that patterns repeat
+    patterns = data.draw(st.lists(st.integers(0, 2**model.base_dim - 1), min_size=1,
+                                  max_size=12))
+    codes = np.array(data.draw(st.lists(st.sampled_from(patterns), max_size=300)), dtype=np.int64)
+    X = ((codes[:, None] >> np.arange(model.base_dim)) & 1).astype(float)
+    scores = score_matrix(model, X)
+    assert scores.dtype == np.float64 and scores.shape == (len(X),)
+    assert scores.tobytes() == row_wise_scores(model, X).tobytes()
 
 
 class TestRecallMarginGrowsWithSignal:
