@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import logging
@@ -48,6 +47,7 @@ from .records import (
     read_text,
     switch,
     write_cohort_csv,
+    write_csv,
 )
 from .scoring import (
     DegenerateTrainingError,
@@ -57,7 +57,6 @@ from .scoring import (
     model_metadata,
     rule_based_model,
     save_model,
-    train,
 )
 from .simulate import (
     OverlapError,
@@ -65,6 +64,7 @@ from .simulate import (
     summary_row,
     sweep_exploration,
     train_eval_split_experiment,
+    train_on_weeks,
 )
 from .synthgen import generate_cohort, resolve_scenario
 
@@ -108,16 +108,6 @@ def _atomic(path: Path):
         raise
 
 
-def _csv_text(header: list, rows: list[list], comment: str | None = None) -> str:
-    buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 class Manifest:
     """Run metadata: subcommand, inputs/outputs, seed, version, timestamps."""
 
@@ -155,7 +145,7 @@ class Manifest:
         if header is None:
             header, rows = list(rows[0]), [list(r.values()) for r in rows]
         with self.artifact(name) as tmp:
-            tmp.write_text(_csv_text(header, rows, f"manifest: {self.name}"), encoding="utf-8")
+            write_csv(tmp, header, rows, comment=f"manifest: {self.name}")
         return self.out_dir / name
 
     def write(self) -> None:
@@ -175,7 +165,8 @@ class Manifest:
 
 def _week_range(text: str) -> list[int]:
     """argparse type of the week flags: '10-12' -> [10, 11, 12]; '16' -> [16];
-    comma lists allowed. Weeks are ISO week numbers, 1 to 53."""
+    comma lists allowed. Weeks are ISO week numbers, 1 to 53, strictly
+    ascending, so no week is named twice."""
     weeks: list[int] = []
     for part in text.split(","):
         lo, sep, hi = part.strip().partition("-")
@@ -183,9 +174,10 @@ def _week_range(text: str) -> list[int]:
             a, b = int(lo), int(hi if sep else lo)
         except ValueError:
             a, b = 0, 0
-        if not 1 <= a <= b <= 53:
+        if not (weeks[-1] if weeks else 0) < a <= b <= 53:
             raise argparse.ArgumentTypeError(
-                f"bad week range {text!r} (want ISO weeks 1-53, e.g. 10-12 or 10,11,12)")
+                f"bad week range {text!r} (want strictly ascending ISO weeks 1-53, "
+                f"e.g. 10-12 or 10,11,12)")
         weeks.extend(range(a, b + 1))
     return weeks
 
@@ -309,19 +301,15 @@ def cmd_correlate(args, manifest: Manifest) -> None:
 
 def cmd_train(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
-    weeks = args.weeks or list(cohort.weeks)
-    sub = cohort.subset_weeks(weeks)
-    if len(sub) == 0:
-        raise DataError(f"no records in training weeks {weeks}")
-    X = np.vstack([sub.week_features(w) for w in sub.weeks])
-    y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
     config = TrainConfig(regularization=args.regularization, epochs=args.epochs)
-    model = train(X, y, ModelKind(args.kind), config)
-    trained_weeks = ",".join(str(w) for w in sorted(set(sub.weeks)))
+    model, sub = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind),
+                                config)
+    trained_weeks = ",".join(str(w) for w in sub.weeks)
     with manifest.artifact(args.out) as tmp:
         save_model(model, tmp, manifest=manifest.name, trained_weeks=trained_weeks)
-    print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
-          f"weeks {min(sub.weeks)}-{max(sub.weeks)}) -> {manifest.out_dir / args.out}")
+    print(f"trained {args.kind} model on {len(sub)} records "
+          f"({sum(sub.positives_by_week().values())} positive, "
+          f"weeks {sub.weeks[0]}-{sub.weeks[-1]}) -> {manifest.out_dir / args.out}")
 
 
 def cmd_simulate(args, manifest: Manifest) -> None:

@@ -138,34 +138,53 @@ def weekly_correlations(cohort: Cohort) -> CorrelationTable:
 # ---------------------------------------------------------------------------
 
 
-def weekly_recall_at_k(
+def ranked_recall(
     cohort: Cohort,
     model: RiskModel,
-    k: int,
+    ks: Sequence[int],
     *,
     weeks: Sequence[int] | None = None,
     seed: int = 0,
-) -> dict[int, float]:
+    stream: tuple[str, ...] = ("week",),
+) -> tuple[np.ndarray, np.ndarray]:
+    """recall@k and F1@k when the model's top k of each week's pool is tested,
+    as two arrays indexed [capacity, week] over ``ks`` and ``weeks``.
+
+    Each pool is scored and ranked once, its ties broken by the stream
+    ``derive_seed(seed, *stream, week)``, and capacity k takes the first k
+    of that ranking. :func:`top_k` draws one permutation whatever k is, so
+    each prefix is the selection a ranking cut at k alone would make. The
+    F1 of an empty selection is 0.0, and so are both metrics of a week
+    without positives, which is logged once.
+    """
+    weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    recall = np.zeros((len(ks), len(weeks)))
+    f1 = np.zeros_like(recall)
+    for i, week in enumerate(weeks):
+        labels = cohort.week_labels(week)
+        if not labels.any():
+            log.warning("recall undefined: week %s has no positives; reporting 0.0", week)
+            continue
+        ranked = rank_candidates(score_matrix(model, cohort.week_features(week)),
+                                 derive_seed(seed, *stream, week))
+        for j, k in enumerate(ks):
+            recall[j, i] = recall_at_k(ranked[:k], labels)
+            f1[j, i] = f1_at_k(ranked[:k], labels) if k else 0.0
+    return recall, f1
+
+
+def weekly_recall_at_k(cohort: Cohort, model: RiskModel, k: int, *,
+                       weeks: Sequence[int] | None = None, seed: int = 0) -> dict[int, float]:
     """recall@k per week when the model's top-k of each week's pool is tested."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
-    out = {}
-    for week in weeks:
-        scores = score_matrix(model, cohort.week_features(week))
-        top = rank_candidates(scores, derive_seed(seed, "week", week), k)
-        out[week] = recall_at_k(top, cohort.week_labels(week))
-    return out
+    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks, seed=seed)
+    return dict(zip(weeks, recall[0].tolist()))
 
 
-def mean_weekly_recall(
-    cohort: Cohort,
-    model: RiskModel,
-    k: int,
-    *,
-    weeks: Sequence[int] | None = None,
-    seed: int = 0,
-) -> float:
-    per_week = weekly_recall_at_k(cohort, model, k, weeks=weeks, seed=seed)
-    return float(np.mean(list(per_week.values())))
+def mean_weekly_recall(cohort: Cohort, model: RiskModel, k: int, *,
+                       weeks: Sequence[int] | None = None, seed: int = 0) -> float:
+    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks, seed=seed)
+    return float(np.mean(recall[0]))
 
 
 @dataclass
@@ -246,53 +265,28 @@ def bootstrap_ci(
     )
 
 
-def weekly_recall_table(
-    cohort: Cohort,
-    model: RiskModel,
-    ks: Sequence[int],
-    *,
-    weeks: Sequence[int] | None = None,
-    seed: int = 0,
-) -> list[dict]:
+def weekly_recall_table(cohort: Cohort, model: RiskModel, ks: Sequence[int], *,
+                        weeks: Sequence[int] | None = None, seed: int = 0) -> list[dict]:
     """Rows keyed by week with one recall column per capacity."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
-    per_k = {k: weekly_recall_at_k(cohort, model, k, weeks=weeks, seed=seed) for k in ks}
-    rows = []
-    for week in weeks:
-        row = {"week": week, "n_tests": int(len(cohort.week_ids(week)))}
-        for k in ks:
-            row[f"recall@{k}"] = per_k[k][week]
-        rows.append(row)
-    return rows
+    recall, _ = ranked_recall(cohort, model, ks, weeks=weeks, seed=seed)
+    return [{"week": week, "n_tests": int(len(cohort.week_ids(week))),
+             **{f"recall@{k}": r for k, r in zip(ks, column)}}
+            for week, column in zip(weeks, recall.T.tolist())]
 
 
-def model_comparison_table(
-    cohort: Cohort,
-    models: Mapping[str, RiskModel],
-    ks: Sequence[int],
-    *,
-    weeks: Sequence[int] | None = None,
-    seed: int = 0,
-) -> list[dict]:
+def model_comparison_table(cohort: Cohort, models: Mapping[str, RiskModel], ks: Sequence[int],
+                           *, weeks: Sequence[int] | None = None, seed: int = 0) -> list[dict]:
     """One row per model: mean weekly recall and F1 at each capacity."""
-    weeks = tuple(weeks) if weeks is not None else cohort.weeks
-    labels = [cohort.week_labels(week) for week in weeks]
     rows = []
     for name, model in models.items():
-        # One full ranking per week; each capacity takes its prefix.
-        ranked = [
-            rank_candidates(
-                score_matrix(model, cohort.week_features(week)),
-                derive_seed(seed, "cmp", name, week),
-            )
-            for week in weeks
-        ]
+        recall, f1 = ranked_recall(cohort, model, ks, weeks=weeks, seed=seed,
+                                   stream=("cmp", name))
         row: dict = {"model": name}
-        for k in ks:
-            tops = [order[:k] for order in ranked]
-            row[f"recall@{k}"] = float(np.mean([recall_at_k(t, y) for t, y in zip(tops, labels)]))
-            row[f"f1@{k}"] = float(
-                np.mean([f1_at_k(t, y) if len(t) else 0.0 for t, y in zip(tops, labels)])
-            )
+        for k, r, f in zip(ks, recall, f1):
+            # One 1-D mean per capacity: a mean over an axis of the 2-D array
+            # adds the weeks in another order, which can change the last bit.
+            row[f"recall@{k}"] = float(np.mean(r))
+            row[f"f1@{k}"] = float(np.mean(f))
         rows.append(row)
     return rows

@@ -594,11 +594,18 @@ def cohort_to_rows(cohort: Cohort) -> list[tuple[str, ...]]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
+              comment: str | None = None) -> None:
+    """Write a CSV file, lines ending in LF: a ``# comment`` line when given,
+    the header, then the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_cohort_csv(cohort: Cohort, path: str | Path, *, header_comment: str | None = None) -> None:
     """Write a cohort in the exact ingestion schema (round-trips through load_cohort)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REQUIRED_COLUMNS)
-        writer.writerows(cohort_to_rows(cohort))
+    write_csv(path, REQUIRED_COLUMNS, cohort_to_rows(cohort), comment=header_comment)

@@ -87,6 +87,24 @@ def expand_poly2(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, left * right])
 
 
+def _patterns(X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 matrix, in the order of the binary numbers
+    they spell with the first column as the most significant bit, and each
+    row's index into them. A row's number is exact in a float for <= 53
+    columns.
+
+    Raises ValueError if an entry is not 0 or 1.
+    """
+    d = X.shape[1]
+    if d > 53:
+        raise ValueError(f"cannot code patterns of {d} > 53 columns")
+    if ((X != 0.0) & (X != 1.0)).any():
+        raise ValueError(f"{what} must be 0 or 1")
+    bit = 2.0 ** np.arange(d - 1, -1, -1)
+    codes, pattern_of_row = np.unique(X @ bit, return_inverse=True)
+    return np.floor(codes[:, None] / bit) % 2, pattern_of_row
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     regularization: float = 1e-4
@@ -141,26 +159,20 @@ def train(
         raise ValueError("X must be (n, d) with one label per row")
     if len(X) == 0:
         raise ValueError("empty training set")
-    if ((X != 0.0) & (X != 1.0)).any():
-        raise ValueError("training features must be 0 or 1")
     n, base_dim = X.shape
     positive = np.asarray(y, dtype=bool)
+    # Groups: rows equal in features and label, the label as the last bit.
+    groups, group_of_row = _patterns(np.column_stack([X, positive]), "training features")
     if positive.all() or not positive.any():
         raise DegenerateTrainingError("training set contains a single class")
     lam = config.regularization
 
-    # Groups: rows equal in features and label, found as the distinct bytes
-    # of the packed bits; a group's first row stands for it.
-    packed = np.packbits(np.column_stack([X, positive]).astype(bool), axis=1)
-    _, first_row, group_rows = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-        return_index=True, return_counts=True)
-    x = X[first_row]
+    x = groups[:, :-1]
     if kind is ModelKind.POLY2:
         x = expand_poly2(x)
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
-    sign = np.where(positive[first_row], 1.0, -1.0)
-    share = group_rows / n
+    sign = np.where(groups[:, -1] == 1.0, 1.0, -1.0)
+    share = np.bincount(group_of_row, minlength=len(groups)) / n
 
     w = np.zeros(x.shape[1])
     for _ in range(config.epochs):
@@ -188,26 +200,20 @@ def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
 
     A score depends only on the row's pattern, so each distinct pattern
     present in X is scored once and the scores are gathered per row; no
-    2**d table is built. A row's pattern code is its bits read as a binary
-    number, exact in a float for d <= 53.
+    2**d table is built.
 
-    Raises ValueError if any entry of X is not 0 or 1.
+    Raises ValueError if any entry of X is not 0 or 1, or if d > 53.
     """
     X = np.asarray(X, dtype=float)
     d = model.base_dim
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"feature matrix of shape {X.shape} does not match model base_dim {d}")
-    if d > 53:
-        raise ValueError(f"cannot code patterns of base_dim {d} > 53")
-    if ((X != 0.0) & (X != 1.0)).any():
-        raise ValueError("scored features must be 0 or 1")
-    bit = 2.0 ** np.arange(d)
-    codes, pattern_of_row = np.unique(X @ bit, return_inverse=True)
+    distinct, pattern_of_row = _patterns(X, "scored features")
     # A BLAS matrix-vector product computes its last few rows by another
     # kernel, which may round differently: zero rows up to a multiple of 8
     # keep every pattern in the blocked main loop that scores most of a large X.
-    patterns = np.zeros((len(codes) + -len(codes) % 8, d))
-    patterns[: len(codes)] = np.floor(codes[:, None] / bit) % 2
+    patterns = np.zeros((len(distinct) + -len(distinct) % 8, d))
+    patterns[: len(distinct)] = distinct
     if model.kind is ModelKind.POLY2:
         patterns = expand_poly2(patterns)
     return (patterns @ model.weights + model.bias)[pattern_of_row]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import f1_at_k, mean_weekly_recall, precision_at_k, recall_at_k
+from .evaluate import f1_at_k, precision_at_k, ranked_recall, recall_at_k
 from .policy import PolicyConfig, Sampler, Selection, select, update_arm
 from .records import Cohort
 from .scoring import (
@@ -328,6 +328,20 @@ def sweep_exploration(
     return rows
 
 
+def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
+                   config: TrainConfig | None = None) -> tuple[RiskModel, Cohort]:
+    """A model fitted on the cohort's records of ``weeks``, and those records.
+
+    Raises ValueError if none of the weeks holds a record.
+    """
+    sub = cohort.subset_weeks(weeks)
+    if len(sub) == 0:
+        raise ValueError(f"no records in training weeks {list(weeks)}")
+    X = np.vstack([sub.week_features(w) for w in sub.weeks])
+    y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
+    return train(X, y, kind, config), sub
+
+
 def train_eval_split_experiment(
     cohort: Cohort,
     train_weeks_a: Sequence[int],
@@ -345,36 +359,18 @@ def train_eval_split_experiment(
     evaluation weeks. Evaluation weeks may not intersect either training
     range (that would leak evaluation labels into training).
     """
-    a, b, ev = set(train_weeks_a), set(train_weeks_b), set(eval_weeks)
+    a, b, ev = sorted(set(train_weeks_a)), sorted(set(train_weeks_b)), sorted(set(eval_weeks))
     if not a or not b or not ev:
         raise ValueError("week ranges must be non-empty")
-    overlap = (a | b) & ev
+    overlap = set(a + b) & set(ev)
     if overlap:
         raise OverlapError(f"evaluation weeks overlap a training range: {sorted(overlap)}")
 
-    def fit(weeks: list[int]) -> RiskModel:
-        sub = cohort.subset_weeks(weeks)
-        if len(sub) == 0:
-            raise ValueError(f"no records in training weeks {weeks}")
-        X = np.vstack([sub.week_features(w) for w in sub.weeks])
-        y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-        return train(X, y, kind, train_config)
-
-    model_a = fit(sorted(a))
-    model_b = fit(sorted(b))
-    rows = []
-    for k in capacities:
-        rows.append(
-            {
-                "k": int(k),
-                "recall_a": mean_weekly_recall(
-                    cohort, model_a, k, weeks=sorted(ev),
-                    seed=derive_seed(seed, "eval", repr(sorted(a))),
-                ),
-                "recall_b": mean_weekly_recall(
-                    cohort, model_b, k, weeks=sorted(ev),
-                    seed=derive_seed(seed, "eval", repr(sorted(b))),
-                ),
-            }
-        )
-    return rows
+    model_a, _ = train_on_weeks(cohort, a, kind, train_config)
+    model_b, _ = train_on_weeks(cohort, b, kind, train_config)
+    recall_a, _ = ranked_recall(cohort, model_a, capacities, weeks=ev,
+                                seed=derive_seed(seed, "eval", repr(a)))
+    recall_b, _ = ranked_recall(cohort, model_b, capacities, weeks=ev,
+                                seed=derive_seed(seed, "eval", repr(b)))
+    return [{"k": int(k), "recall_a": float(np.mean(ra)), "recall_b": float(np.mean(rb))}
+            for k, ra, rb in zip(capacities, recall_a, recall_b)]

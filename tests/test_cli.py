@@ -319,6 +319,29 @@ class TestFlagValues:
         assert "error: usage:" in err and "Traceback" not in err
         assert not (workdir / "out").exists()
 
+    def test_week_list_must_be_strictly_ascending(self, workdir, small_cohort_csv, small_model,
+                                                  capsys):
+        # A descending list used to replay week 8 before week 4, and a repeat
+        # counted its week twice.
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 50\nexploration_fraction = 0.3\n",
+                          encoding="utf-8")
+        common = ["--cohort", str(small_cohort_csv), "--model", str(small_model),
+                  "--out-dir", str(workdir / "out"), "--quiet"]
+        for argv in (["simulate", "--policy", str(policy), "--weeks", "8,4",
+                      "--retrain-every", "1"],
+                     ["bootstrap", "--k", "10", "--weeks", "4,4,5"],
+                     ["bootstrap", "--k", "10", "--weeks", "3-5,5"]):
+            assert run(argv + common) == EXIT_USAGE, argv
+            err = capsys.readouterr().err
+            assert "error: usage:" in err and "strictly ascending" in err
+        assert not (workdir / "out").exists()
+        cfg = workdir / "run.config"
+        cfg.write_text("weeks = 5,5\n", encoding="utf-8")
+        assert run(["bootstrap", "--k", "10", "--config", str(cfg), *common]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: data: {cfg}: ")
+        assert run(["bootstrap", "--k", "10", "--weeks", "3,4-5", *common]) == EXIT_OK
+
     @pytest.mark.parametrize("delimiter", ["", ",,", "\\t"])
     def test_ingest_delimiter_must_be_one_character(self, workdir, capsys, delimiter):
         raw = workdir / "raw.csv"

@@ -268,6 +268,16 @@ class TestWeeklyRecallTable:
             assert set(row) == {"week", "n_tests", "recall@10", "recall@40"}
             assert row["recall@10"] <= row["recall@40"]  # monotone in capacity
 
+    def test_each_column_is_weekly_recall_at_its_capacity(self):
+        params = small_params()
+        cohort = generate_cohort(params)
+        model = planted_model(params)
+        ks = [1, 25, 120, 400, 900]  # the pools hold 400 candidates
+        rows = weekly_recall_table(cohort, model, ks=ks, seed=2)
+        for k in ks:
+            column = {row["week"]: row[f"recall@{k}"] for row in rows}
+            assert column == weekly_recall_at_k(cohort, model, k, seed=2)
+
     def test_mean_weekly_recall_matches_table(self):
         params = small_params()
         cohort = generate_cohort(params)

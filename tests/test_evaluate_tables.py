@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from banditriage.evaluate import mean_weekly_recall, model_comparison_table
+from banditriage import evaluate
+from banditriage.evaluate import mean_weekly_recall, model_comparison_table, weekly_recall_table
+from banditriage.policy import rank_candidates
 from banditriage.scoring import rule_based_model
+from banditriage.simulate import train_eval_split_experiment
 from banditriage.synthgen import generate_cohort, planted_model
 
 from conftest import small_params
@@ -43,3 +46,26 @@ def test_planted_beats_rule_on_planted_data():
     )
     by_model = {r["model"]: r for r in rows}
     assert by_model["planted"]["recall@80"] >= by_model["rule_based"]["recall@80"]
+
+
+def test_each_pool_is_ranked_once_per_table(monkeypatch):
+    # Every capacity reads a prefix of one ranking per (model, week).
+    ranked = []
+
+    def counting(scores, seed, k=None):
+        ranked.append(len(scores))
+        return rank_candidates(scores, seed, k)
+
+    monkeypatch.setattr(evaluate, "rank_candidates", counting)
+    params = small_params(weeks=(1, 5), n_per_week=150)
+    cohort = generate_cohort(params)
+    models = {"rule_based": rule_based_model(), "planted": planted_model(params)}
+    ks = [10, 50, 200]
+    for table, rankings in (
+        (lambda: weekly_recall_table(cohort, models["planted"], ks, seed=3), 5),
+        (lambda: model_comparison_table(cohort, models, ks, seed=3), 2 * 5),
+        (lambda: train_eval_split_experiment(cohort, [1], [2], [3, 4, 5], ks, seed=3), 2 * 3),
+    ):
+        ranked.clear()
+        table()
+        assert ranked == [150] * rankings

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from banditriage import records
-from banditriage.evaluate import bootstrap_ci, model_comparison_table, weekly_recall_at_k
+from banditriage.evaluate import (
+    bootstrap_ci,
+    mean_weekly_recall,
+    model_comparison_table,
+    weekly_recall_at_k,
+    weekly_recall_table,
+)
 from banditriage.scoring import ModelKind, TrainConfig, rule_based_model, score_matrix, train
 from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model
@@ -23,6 +29,9 @@ from conftest import small_params
 
 N_PER_WEEK = 200
 EMPTY_WEEK = 3  # every record of this week is relabelled negative
+#: A mean over 8 or more weeks is where numpy's pairwise sum, which the
+#: reference's list means use, and a running sum add in different orders.
+LONG_WEEKS = (1, 9)
 
 
 def ref_rank(model, ids, X, seed):
@@ -109,13 +118,23 @@ def ref_bootstrap_means(cohort, model, k, replicates, seed):
     return means
 
 
-@pytest.fixture(scope="module")
-def cohort():
-    base = generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=(1, 4), seed=23))
+def _with_empty_week(base):
     in_empty_week = np.array([d.isocalendar()[1] == EMPTY_WEEK for d in base.test_date.tolist()])
     out = replace(base, result=np.where(in_empty_week, records.TestResult.NEGATIVE, base.result))
     assert out.week_labels(EMPTY_WEEK).sum() == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return _with_empty_week(
+        generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=(1, 4), seed=23)))
+
+
+@pytest.fixture(scope="module")
+def long_cohort():
+    return _with_empty_week(
+        generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=LONG_WEEKS, seed=29)))
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +173,24 @@ def test_bootstrap_replicates_match_reference(cohort, models, seed, k):
     for model in models.values():
         result = bootstrap_ci(cohort, model, k, replicates=12, seed=seed)
         assert result.replicate_means == ref_bootstrap_means(cohort, model, k, 12, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_means_over_many_weeks_match_reference(long_cohort, models, seed):
+    assert model_comparison_table(long_cohort, models, KS, seed=seed) == ref_comparison(
+        long_cohort, models, KS, seed
+    )
+    for model in models.values():
+        for k in KS:
+            reference = ref_weekly_recall(long_cohort, model, k, seed)
+            assert mean_weekly_recall(long_cohort, model, k, seed=seed) == float(
+                np.mean(list(reference.values()))
+            )
+
+
+def test_week_without_positives_reads_zero_and_is_logged_once(cohort, models, caplog):
+    rows = weekly_recall_table(cohort, models["planted"], KS, seed=0)
+    empty = next(row for row in rows if row["week"] == EMPTY_WEEK)
+    assert all(empty[f"recall@{k}"] == 0.0 for k in KS)
+    warnings = [r.getMessage() for r in caplog.records if "no positives" in r.getMessage()]
+    assert warnings == [f"recall undefined: week {EMPTY_WEEK} has no positives; reporting 0.0"]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from banditriage.evaluate import mean_weekly_recall
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
 from banditriage.records import Cohort
 from banditriage.scoring import ModelKind
@@ -15,7 +16,9 @@ from banditriage.simulate import (
     run_replay,
     sweep_exploration,
     train_eval_split_experiment,
+    train_on_weeks,
 )
+from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
 from conftest import make_record, small_params
@@ -205,6 +208,17 @@ class TestTrainEvalSplit:
         )
         for row in rows:
             assert row["recall_a"] == row["recall_b"]
+
+    def test_rows_are_mean_weekly_recall_at_each_capacity(self):
+        cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=300))
+        ks = [20, 90, 400]
+        rows = train_eval_split_experiment(cohort, [2, 1], [3], [6, 4, 5], ks, seed=7)
+        assert [row["k"] for row in rows] == ks
+        for weeks, column in (([1, 2], "recall_a"), ([3], "recall_b")):
+            model, _ = train_on_weeks(cohort, weeks, ModelKind.POLY2)
+            seed = derive_seed(7, "eval", repr(weeks))
+            assert [row[column] for row in rows] == [
+                mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6], seed=seed) for k in ks]
 
     def test_overlap_rejected(self):
         cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=200))
