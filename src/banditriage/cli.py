@@ -302,14 +302,13 @@ def cmd_correlate(args, manifest: Manifest) -> None:
 def cmd_train(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     config = TrainConfig(regularization=args.regularization, epochs=args.epochs)
-    model, sub = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind),
-                                config)
-    trained_weeks = ",".join(str(w) for w in sub.weeks)
+    model, labels = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind),
+                                   config)
+    weeks, y = list(labels), np.concatenate(list(labels.values()))
     with manifest.artifact(args.out) as tmp:
-        save_model(model, tmp, manifest=manifest.name, trained_weeks=trained_weeks)
-    print(f"trained {args.kind} model on {len(sub)} records "
-          f"({sum(sub.positives_by_week().values())} positive, "
-          f"weeks {sub.weeks[0]}-{sub.weeks[-1]}) -> {manifest.out_dir / args.out}")
+        save_model(model, tmp, manifest=manifest.name, trained_weeks=",".join(map(str, weeks)))
+    print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
+          f"weeks {weeks[0]}-{weeks[-1]}) -> {manifest.out_dir / args.out}")
 
 
 def cmd_simulate(args, manifest: Manifest) -> None:

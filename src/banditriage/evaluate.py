@@ -2,11 +2,13 @@
 feature correlations, and bootstrap confidence intervals on mean weekly recall.
 
 The bootstrap resamples each week's pool with replacement to its original
-size (per-record, stratified by week), recomputes the ranking per replicate,
-and reports the percentile interval of the replicate means (Efron &
-Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 13). The trained
-model is never refit inside a replicate: the interval measures ranking
-variance under resampling, not training variance.
+size (per-record, stratified by week), re-ranks the resample with uniform
+tie-breaks, and reports the percentile interval of the replicate means
+(Efron & Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 13). It
+draws each week's resample as counts of its (rank group, label) cells, the
+same law as a row resample at a cost independent of the pool size. The
+trained model is never refit inside a replicate: the interval measures
+ranking variance under resampling, not training variance.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .records import FEATURE_NAMES, Cohort
-from .policy import dense_rank, rank_candidates, top_k
+from .policy import dense_rank, rank_candidates
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -198,6 +200,18 @@ class BootstrapResult:
     skipped_replicates: int = 0
 
 
+def _week_cells(rank: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A week's non-empty (rank group, label) cells, best group first: each
+    cell's share of the pool, whether it is positive, and the cell index
+    where its group starts and ends."""
+    cell, counts = np.unique(rank.astype(np.int64) * 2 + y, return_counts=True)
+    cell, counts = cell[::-1], counts[::-1]
+    group = cell >> 1
+    start = np.searchsorted(-group, -group, side="left")
+    stop = np.searchsorted(-group, -group, side="right")
+    return counts / len(y), (cell & 1).astype(np.int64), start, stop
+
+
 def bootstrap_ci(
     cohort: Cohort,
     model: RiskModel,
@@ -211,23 +225,39 @@ def bootstrap_ci(
     """Percentile bootstrap confidence interval on mean weekly recall@k.
 
     Each replicate resamples every week's pool with replacement to its
-    original size and recomputes the top-k recall; the interval runs between
-    the (1 - level)/2 and (1 + level)/2 quantiles of the R replicate means,
-    so its width estimates the sampling spread of the recall and does not
-    shrink as R grows. ``mean`` is the replicate mean. Replicates are seeded
-    by replicate index, so a parallel run would reproduce the serial result.
-    A replicate whose every week has zero positives is skipped and counted.
+    original size and takes the top-k recall of the resample, ties broken
+    uniformly at random; the interval runs between the (1 - level)/2 and
+    (1 + level)/2 quantiles of the R replicate means, so its width estimates
+    the sampling spread of the recall and does not shrink as R grows.
+    ``mean`` is the replicate mean.
+
+    The replicate is drawn in cell space, not row by row. Recall depends
+    only on how many resampled rows fall in each (rank group, label) cell
+    of the week, and on how many positives a uniform tie-break puts first
+    in the group the capacity cuts. So each week draws its cell counts with
+    one ``rng.multinomial`` over its cells, best group first, and, when the
+    cut splits a group holding both labels, the positives among the group's
+    first m rows with one ``rng.hypergeometric``. That is the law of a row
+    resample followed by a uniform shuffle, at a cost that does not depend
+    on the pool size. Replicates are seeded by replicate index, so a
+    parallel run would reproduce the serial result. A week whose draw holds
+    no positives reads 0.0 and draws no tie-break; a replicate with no
+    positives in any week is skipped and counted.
     """
     if replicates < 2:
         raise MetricError("need at least 2 bootstrap replicates")
     if not 0.0 < level < 1.0:
         raise MetricError("confidence level must lie in (0, 1)")
+    if k < 0:
+        raise MetricError(f"k must be >= 0, got {k}")
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
 
-    # Scores per record are fixed by the model: rank each week once, and let
-    # every replicate sort its resample of the ranks.
-    per_week = [(dense_rank(score_matrix(model, cohort.week_features(week))),
-                 cohort.week_labels(week)) for week in weeks]
+    # Scores per record are fixed by the model: group each week once.
+    per_week = []
+    for week in weeks:
+        y = cohort.week_labels(week)
+        rank = dense_rank(score_matrix(model, cohort.week_features(week)))
+        per_week.append((len(y), *_week_cells(rank, y)))
 
     means: list[float] = []
     skipped = 0
@@ -235,16 +265,29 @@ def bootstrap_ci(
         rng = np.random.default_rng(derive_seed(seed, "bootstrap", r))
         week_recalls = []
         any_positive = False
-        for rank, y in per_week:
-            n = len(y)
-            idx = rng.integers(0, n, size=n)
-            y_res = y[idx]
-            if not y_res.any():
-                # No tie-break draw here: replicate streams depend on skipping it.
+        for n, share, positive, start, stop in per_week:
+            drawn = rng.multinomial(n, share)
+            hits = (drawn * positive).cumsum()  # positives in the cells up to each
+            positives = int(hits[-1])
+            if not positives:
                 week_recalls.append(0.0)
                 continue
             any_positive = True
-            week_recalls.append(recall_at_k(top_k(rank[idx], k, rng), y_res))
+            taken = drawn.cumsum()
+            cut = taken.searchsorted(k, side="right")  # the cell of row k + 1
+            if cut == len(taken):
+                week_recalls.append(1.0)
+                continue
+            a, b = start[cut], stop[cut]
+            before, found = (int(taken[a - 1]), int(hits[a - 1])) if a else (0, 0)
+            pos = int(hits[b - 1]) - found
+            neg = int(taken[b - 1]) - before - pos
+            m = k - before  # rows taken from the cut group
+            if m and pos and neg:
+                found += int(rng.hypergeometric(pos, neg, m))
+            elif not neg:
+                found += m
+            week_recalls.append(found / positives)
         if not any_positive:
             skipped += 1
             log.warning("bootstrap replicate %d skipped: no positives in any week", r)

@@ -195,9 +195,7 @@ def dense_rank(scores: np.ndarray) -> np.ndarray:
 
     Equal scores (-0.0 and 0.0 included) share a key and higher scores get
     higher keys; NaN, which a float sort puts last, gets the lowest. The keys
-    are int16 when they fit, and numpy's stable sort on 16-bit keys is a
-    radix sort: resamples of one pool cost one float sort, then a radix
-    sort each.
+    are int16 when they fit.
     """
     values, rank = np.unique(scores, return_inverse=True)
     if len(values) and np.isnan(values[-1]):  # np.unique puts NaN last, as one value

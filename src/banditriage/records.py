@@ -586,26 +586,48 @@ _OUT_GENDER = np.array(["male", "female", ""], dtype=object)
 _OUT_INDICATION = np.array(["Contact with confirmed", "Abroad", "Other"], dtype=object)
 
 
-def cohort_to_rows(cohort: Cohort) -> list[tuple[str, ...]]:
-    """The cohort's rows in the ingestion schema (:data:`REQUIRED_COLUMNS`)."""
-    columns = [np.datetime_as_string(cohort.test_date, unit="D"), *_OUT_SYMPTOM[cohort.symptoms].T,
-               _OUT_RESULT[cohort.result], _OUT_GENDER[cohort.gender],
-               _OUT_INDICATION[cohort.indication]]
+def cohort_to_rows(cohort: Cohort, rows: np.ndarray | slice = slice(None)) -> list[tuple[str, ...]]:
+    """The cohort's rows, or those that ``rows`` indexes, in the ingestion
+    schema (:data:`REQUIRED_COLUMNS`)."""
+    columns = [np.datetime_as_string(cohort.test_date[rows], unit="D"),
+               *_OUT_SYMPTOM[cohort.symptoms[rows]].T, _OUT_RESULT[cohort.result[rows]],
+               _OUT_GENDER[cohort.gender[rows]], _OUT_INDICATION[cohort.indication[rows]]]
     return list(zip(*(c.tolist() for c in columns)))
 
 
+class _Lines(list):
+    """A file for :func:`csv.writer` that keeps each row's line as an item:
+    ``writerow`` makes one ``write`` call per row."""
+
+    write = list.append
+
+
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
-              comment: str | None = None) -> None:
+              comment: str | None = None, order: np.ndarray | None = None) -> None:
     """Write a CSV file, lines ending in LF: a ``# comment`` line when given,
-    the header, then the rows."""
+    the header, then the rows, or ``rows[i]`` for each i in ``order`` when
+    it is given. Each row is formatted once, however often it is written."""
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    body = lines[1:] if order is None else np.array(lines[1:], dtype=object)[order].tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(lines[0])
+        fh.write("".join(body))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path, *, header_comment: str | None = None) -> None:
-    """Write a cohort in the exact ingestion schema (round-trips through load_cohort)."""
-    write_csv(path, REQUIRED_COLUMNS, cohort_to_rows(cohort), comment=header_comment)
+    """Write a cohort in the exact ingestion schema (round-trips through load_cohort).
+
+    Cohorts repeat rows, so each distinct row, keyed by one int64 from its
+    date and its eight 3-valued codes, is formatted once.
+    """
+    key = cohort.test_date.astype(np.int64)
+    for codes in (*cohort.symptoms.T, cohort.result, cohort.gender, cohort.indication):
+        key = key * 3 + codes
+    _, first, order = np.unique(key, return_index=True, return_inverse=True)
+    write_csv(path, REQUIRED_COLUMNS, cohort_to_rows(cohort, first), comment=header_comment,
+              order=order)

@@ -329,17 +329,19 @@ def sweep_exploration(
 
 
 def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
-                   config: TrainConfig | None = None) -> tuple[RiskModel, Cohort]:
-    """A model fitted on the cohort's records of ``weeks``, and those records.
+                   config: TrainConfig | None = None) -> tuple[RiskModel, dict[int, np.ndarray]]:
+    """A model fitted on the cohort's records of ``weeks``, and the labels of
+    those records by week, for the weeks of the cohort among ``weeks``.
 
     Raises ValueError if none of the weeks holds a record.
     """
-    sub = cohort.subset_weeks(weeks)
-    if len(sub) == 0:
+    wanted = set(weeks)
+    trained = [w for w in cohort.weeks if w in wanted]
+    if not trained:
         raise ValueError(f"no records in training weeks {list(weeks)}")
-    X = np.vstack([sub.week_features(w) for w in sub.weeks])
-    y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
-    return train(X, y, kind, config), sub
+    X = np.vstack([cohort.week_features(w) for w in trained])
+    labels = {w: cohort.week_labels(w) for w in trained}
+    return train(X, np.concatenate(list(labels.values())), kind, config), labels
 
 
 def train_eval_split_experiment(

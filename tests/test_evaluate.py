@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from banditriage.evaluate import (
     weekly_recall_table,
 )
 from banditriage.records import FEATURE_NAMES
+from banditriage.scoring import score_matrix
+from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
 from conftest import small_params
@@ -232,6 +236,64 @@ class TestBootstrap:
             bootstrap_ci(cohort, model, k=5, replicates=1)
         with pytest.raises(MetricError):
             bootstrap_ci(cohort, model, k=5, level=1.5)
+
+    def test_zero_capacity_reads_zero(self):
+        params = small_params(n_per_week=300)
+        cohort = generate_cohort(params)
+        res = bootstrap_ci(cohort, planted_model(params), k=0, replicates=10, seed=2)
+        assert res.replicate_means == [0.0] * 10
+        assert res.lo == res.mean == res.hi == 0.0
+
+    @pytest.mark.parametrize("k", [1, 150, 300, 450, 1000])
+    def test_separated_ranking_reads_min_k_p_over_p_of_drawn_counts(self, k):
+        # Every positive outranks every negative, so no group holds both
+        # labels and a replicate draws one multinomial per week over its
+        # (score, label) cells, best first: recall@k is min(k, P)/P of the
+        # positives P drawn, and 0.0 when none is.
+        params = resolve_scenario("oracle")
+        cohort = generate_cohort(params)
+        model = planted_model(params)
+        cells = []
+        for week in cohort.weeks:
+            y = cohort.week_labels(week)
+            _, group, counts = np.unique(-score_matrix(model, cohort.week_features(week)),
+                                         return_inverse=True, return_counts=True)
+            positive = np.zeros(len(counts), bool)
+            positive[group] = y
+            cells.append((len(y), counts / len(y), positive))
+        expected = []
+        for r in range(20):
+            rng = np.random.default_rng(derive_seed(5, "bootstrap", r))
+            recalls = []
+            for n, share, positive in cells:
+                drawn = int(rng.multinomial(n, share)[positive].sum())
+                recalls.append(min(k, drawn) / drawn if drawn else 0.0)
+            expected.append(float(np.mean(recalls)))
+        res = bootstrap_ci(cohort, model, k, replicates=20, seed=5)
+        assert res.replicate_means == expected
+
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_tied_pool_reads_a_hypergeometric_draw_of_drawn_counts(self, k):
+        # Every record has the same features, so each week is one group of
+        # two cells, positives first: a replicate draws their counts, then
+        # the positives among the k rows a uniform tie-break puts first.
+        from conftest import make_record
+        from banditriage.records import Cohort, TestResult
+
+        recs = [make_record(record_id=i, test_date=date(2020, 3, 9 + 7 * (i // 50)),
+                            result=TestResult.POSITIVE if i % 5 == 0 else TestResult.NEGATIVE)
+                for i in range(100)]
+        cohort = Cohort.from_records(recs)
+        expected = []
+        for r in range(30):
+            rng = np.random.default_rng(derive_seed(3, "bootstrap", r))
+            recalls = []
+            for _ in cohort.weeks:
+                pos, neg = rng.multinomial(50, np.array([10, 40]) / 50)
+                recalls.append(int(rng.hypergeometric(pos, neg, k)) / pos if pos else 0.0)
+            expected.append(float(np.mean(recalls)))
+        res = bootstrap_ci(cohort, planted_model(small_params()), k, replicates=30, seed=3)
+        assert res.replicate_means == expected
 
     def test_seeded_replicates_reproducible(self):
         params = small_params(n_per_week=300)

@@ -12,7 +12,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditriage.cli import EXIT_DATA, EXIT_OK, main
@@ -26,6 +26,7 @@ from banditriage.records import (
     TestResult,
     TriState,
     ValueMapping,
+    cohort_to_rows,
     load_cohort,
     write_cohort_csv,
 )
@@ -92,6 +93,41 @@ def test_cohort_csv_round_trip_is_exact(cohort):
         for view in (Cohort.week_ids, Cohort.week_features, Cohort.week_labels):
             a, b = view(loaded, week), view(cohort, week)
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def repeating_cohorts(draw) -> Cohort:
+    """Cohorts of 1-80 records, each a copy of one of a few base rows with at
+    most one cell redrawn, so rows repeat or differ in a single column."""
+    base = [row[1:] for row in draw(one_iso_year_rows().filter(bool))]
+    cells = [st.sampled_from([row[0] for row in base]),
+             *[st.sampled_from(TriState)] * len(SYMPTOM_FIELDS),
+             st.sampled_from(Indication), st.sampled_from(Gender), st.sampled_from(TestResult)]
+    rows = []
+    for i in range(draw(st.integers(1, 80))):
+        row = list(draw(st.sampled_from(base)))
+        j = draw(st.integers(0, len(row)))  # len(row): no cell redrawn
+        if j < len(row):
+            row[j] = draw(cells[j])
+        rows.append((i, *row))
+    return Cohort.from_records(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_cohorts(), st.sampled_from([None, "manifest: x.json"]))
+@example(Cohort.from_records([(0, date(2020, 3, 9), *[TriState.UNKNOWN] * len(SYMPTOM_FIELDS),
+                               Indication.ABROAD, Gender.UNKNOWN, TestResult.POSITIVE)]), None)
+def test_cohort_csv_is_the_csv_writer_over_its_rows(cohort, comment):
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REQUIRED_COLUMNS)
+    writer.writerows(cohort_to_rows(cohort))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        write_cohort_csv(cohort, path, header_comment=comment)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 _TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
