@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .records import FEATURE_NAMES, Cohort
+from .records import FEATURE_NAMES, N_FEATURES, Cohort
 from .policy import dense_rank, rank_candidates
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
@@ -121,15 +121,16 @@ class CorrelationTable:
 
 
 def weekly_correlations(cohort: Cohort) -> CorrelationTable:
-    """Correlate every feature with the positive label, week by week."""
+    """Correlate every feature with the positive label, week by week:
+    feature j of a record is bit 8 - j of its pattern code."""
     weeks = cohort.weeks
-    values = np.full((len(weeks), len(FEATURE_NAMES)), np.nan)
+    values = np.full((len(weeks), N_FEATURES), np.nan)
     for i, week in enumerate(weeks):
-        X = cohort.week_features(week)
+        patterns = cohort.week_patterns(week)
         y = cohort.week_labels(week).astype(float)
-        for j in range(len(FEATURE_NAMES)):
+        for j in range(N_FEATURES):
             try:
-                values[i, j] = pearson(X[:, j], y)
+                values[i, j] = pearson((patterns >> (N_FEATURES - 1 - j)) & 1, y)
             except MetricError:
                 pass  # constant cell: stays NaN, excluded from the median
     return CorrelationTable(weeks=weeks, features=FEATURE_NAMES, values=values)
@@ -167,7 +168,7 @@ def ranked_recall(
         if not labels.any():
             log.warning("recall undefined: week %s has no positives; reporting 0.0", week)
             continue
-        ranked = rank_candidates(score_matrix(model, cohort.week_features(week)),
+        ranked = rank_candidates(score_matrix(model, cohort.week_patterns(week)),
                                  derive_seed(seed, *stream, week))
         for j, k in enumerate(ks):
             recall[j, i] = recall_at_k(ranked[:k], labels)
@@ -256,7 +257,7 @@ def bootstrap_ci(
     per_week = []
     for week in weeks:
         y = cohort.week_labels(week)
-        rank = dense_rank(score_matrix(model, cohort.week_features(week)))
+        rank = dense_rank(score_matrix(model, cohort.week_patterns(week)))
         per_week.append((len(y), *_week_cells(rank, y)))
 
     means: list[float] = []

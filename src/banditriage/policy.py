@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .records import FEATURE_NAMES, one_of, read_ini, switch
+from .records import FEATURE_NAMES, PATTERN_FEATURES, one_of, read_ini, switch
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -72,7 +72,7 @@ class ArmPredicate:
         return " & ".join(f"{name}={int(value)}" for name, value in self.constraints)
 
     def mask(self, X: np.ndarray) -> np.ndarray:
-        """Boolean membership over rows of a base feature matrix."""
+        """Boolean membership over the rows of a feature matrix (PATTERN_FEATURES)."""
         out = np.ones(len(X), dtype=bool)
         for name, value in self.constraints:
             out &= X[:, FEATURE_NAMES.index(name)] == value
@@ -257,10 +257,11 @@ def thompson_allocate(
     arms: Sequence[ArmSpec],
     k: int,
     ids: np.ndarray | Sequence[int],
-    X: np.ndarray,
+    patterns: np.ndarray,
     seed: int,
 ) -> tuple[list[tuple[int, str]], int]:
-    """Assign up to k exploration slots across arms by Thompson sampling.
+    """Assign up to k exploration slots across a pool's records (ids and
+    pattern codes) by Thompson sampling.
 
     Per slot: draw theta ~ Beta(alpha, beta) (one scalar ``rng.beta``) for
     every arm with untested members left, in arm order; give the slot to the
@@ -282,7 +283,9 @@ def thompson_allocate(
         raise PolicyError("pool record ids must be unique")
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
 
-    members = {arm.name: _ArmMembers(arm.predicate.mask(X)[order]) for arm in arms}
+    sorted_patterns = np.asarray(patterns)[order]
+    members = {arm.name: _ArmMembers(arm.predicate.mask(PATTERN_FEATURES)[sorted_patterns])
+               for arm in arms}
     picks: list[tuple[int, str]] = []
     for _ in range(k):
         live = [arm for arm in arms if members[arm.name].remaining]
@@ -303,14 +306,15 @@ def thompson_allocate(
 
 def select(
     ids: np.ndarray | Sequence[int],
-    X: np.ndarray,
+    patterns: np.ndarray,
     model: RiskModel,
     config: PolicyConfig,
     arm_states: Sequence[ArmSpec] | None = None,
     *,
     seed: int,
 ) -> Selection:
-    """One period's selection from the pool (ids, X) under the policy.
+    """One period's selection from the pool (record ids, pattern codes)
+    under the policy.
 
     The exploit set is the top of the ranking; the explore set is drawn
     without replacement from the rest by the configured sampler. A pool no
@@ -321,7 +325,7 @@ def select(
     if len(ids) == 0:
         raise PolicyError("cannot select from an empty pool")
     k_exploit, k_explore = split_budget(config.capacity, config.exploration_fraction)
-    scores = score_matrix(model, X)
+    scores = score_matrix(model, patterns)
     ranked = rank_candidates(scores, seed)
 
     def picked(exploit: np.ndarray, explore: np.ndarray, **extra) -> Selection:
@@ -351,17 +355,16 @@ def select(
 
     rest = rest[np.argsort(ids[rest], kind="stable")]  # the allocator's own id order
     rest_ids = ids[rest]
-    rest_X = X[rest]
+    rest_patterns = np.asarray(patterns)[rest]
     arms = config.arms if arm_states is None else arm_states
     if config.strict_arm_coverage:
-        covered = np.zeros(len(rest_ids), dtype=bool)
-        for arm in arms:
-            covered |= arm.predicate.mask(rest_X)
+        covered = np.logical_or.reduce(
+            [arm.predicate.mask(PATTERN_FEATURES) for arm in arms])[rest_patterns]
         if not covered.all():
             missing = ids[np.sort(rest[~covered])]  # in pool order
             raise UncoveredCandidateError(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
-    picks, shortfall = thompson_allocate(arms, k_explore, rest_ids, rest_X, seed)
+    picks, shortfall = thompson_allocate(arms, k_explore, rest_ids, rest_patterns, seed)
     chosen = rest[np.searchsorted(rest_ids, [pid for pid, _ in picks])]
     return picked(exploit, chosen, arm_assignments=dict(picks), explore_shortfall=shortfall)

@@ -6,10 +6,11 @@ Input is a delimited text file with one row per performed test (the public
 line once, validates and codes each required column's distinct cells once,
 and gathers the codes of the accepted rows into a :class:`Cohort`, a frozen
 set of equal-length numpy columns holding the row's id, date and categorical
-codes. Scorers consume the fixed-order binary encoding (:data:`FEATURE_NAMES`)
-the cohort derives from those codes. Records are pooled by ISO-8601 week
-number, the time frame used everywhere downstream (selection, retraining,
-metrics); a cohort therefore lies within one ISO year.
+codes. Scorers consume the nine binary features (:data:`FEATURE_NAMES`) the
+cohort derives from those codes, as one pattern code per record
+(:data:`PATTERN_FEATURES`). Records are pooled by ISO-8601 week number, the
+time frame used everywhere downstream (selection, retraining, metrics); a
+cohort therefore lies within one ISO year.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ FEATURE_NAMES: tuple[str, ...] = SYMPTOM_FIELDS + (
 )
 
 N_FEATURES = len(FEATURE_NAMES)
+
+#: Row p holds the features of pattern code p. A record's pattern code is
+#: sum(x_j * 2**(8 - j)) over its features x_j in FEATURE_NAMES order, so
+#: cough is the most significant bit and female the least; ascending codes
+#: order patterns as binary numbers read from the first feature.
+PATTERN_FEATURES = ((np.arange(2**N_FEATURES)[:, None] >> np.arange(N_FEATURES - 1, -1, -1))
+                    & 1).astype(float)
+PATTERN_FEATURES.flags.writeable = False
 
 REQUIRED_COLUMNS: tuple[str, ...] = (
     ("test_date",) + SYMPTOM_FIELDS + ("corona_result", "gender", "test_indication")
@@ -267,8 +276,8 @@ class ValueMapping:
 
 # ---------------------------------------------------------------------------
 # Cohort: equal-length columns, one entry per record in record order, with
-# the numeric views (ids / features / labels per week) derived once so it is
-# cheap and safe to share across threads.
+# the numeric views (ids / pattern codes / labels per week) derived once so it
+# is cheap and safe to share across threads.
 # ---------------------------------------------------------------------------
 
 _COLUMN_DTYPES = {
@@ -288,9 +297,10 @@ class Cohort:
     already of their column's dtype are kept, not copied.
 
     ``symptoms`` holds the :class:`TriState` codes in :data:`SYMPTOM_FIELDS`
-    order; unknown symptoms encode as 0.0, identical to absent, so rows with
-    uncollected symptoms are kept and read as "no indication of the symptom"
-    (``null_policy="drop"`` at load time is the strict alternative).
+    order; unknown symptoms encode as absent, so rows with uncollected
+    symptoms are kept and read as "no indication of the symptom"
+    (``null_policy="drop"`` at load time is the strict alternative). The
+    week views hold each record's uint16 code in :data:`PATTERN_FEATURES`.
     """
 
     record_id: np.ndarray  # int64
@@ -322,16 +332,17 @@ class Cohort:
                             "--window-start/--window-end")
         week = np.array([w for _, w, _ in iso], dtype=np.int64)[day_of_record]
 
+        # Pattern codes: symptoms are bits 8 to 4, indication i bit 3 - i, female bit 0.
+        pattern = ((self.symptoms == TriState.PRESENT) @ (1 << np.arange(8, 3, -1))
+                   + (8 >> self.indication.astype(np.int64)) + (self.gender == Gender.FEMALE))
+
         order = np.argsort(week, kind="stable")  # keeps record order within a week
         weeks, starts = np.unique(week[order], return_index=True)
-        X = np.zeros((n, N_FEATURES))
-        X[:, :5] = self.symptoms[order] == TriState.PRESENT
-        X[np.arange(n), 5 + self.indication[order]] = 1.0
-        X[:, 8] = self.gender[order] == Gender.FEMALE
         ids = self.record_id[order]
+        pattern = pattern[order].astype(np.uint16)
         y = self.result[order] == TestResult.POSITIVE
         ends = [*starts[1:], n]
-        views = {int(w): (ids[a:b], X[a:b], y[a:b]) for w, a, b in zip(weeks, starts, ends)}
+        views = {int(w): (ids[a:b], pattern[a:b], y[a:b]) for w, a, b in zip(weeks, starts, ends)}
         object.__setattr__(self, "_week", week)
         object.__setattr__(self, "_views", views)
 
@@ -365,7 +376,7 @@ class Cohort:
     def week_ids(self, week: int) -> np.ndarray:
         return self._view(week)[0]
 
-    def week_features(self, week: int) -> np.ndarray:
+    def week_patterns(self, week: int) -> np.ndarray:
         return self._view(week)[1]
 
     def week_labels(self, week: int) -> np.ndarray:

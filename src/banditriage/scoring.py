@@ -5,7 +5,7 @@ L2-regularized logistic loss.
 A trained model's score is its margin w.x + b, an estimate of the log-odds
 of a positive result. Any monotone calibration of a margin induces the same
 ranking, and ranking is the only downstream use, so no calibration step
-exists here.
+exists here. Records enter as pattern codes (:data:`PATTERN_FEATURES`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import FEATURE_NAMES, N_FEATURES, read_text
+from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, read_text
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ RULE_WEIGHTS = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
 @dataclass(frozen=True)
 class RiskModel:
-    """A scorer over the canonical base feature space.
+    """A scorer over the canonical base feature space (:data:`FEATURE_NAMES`).
 
     ``weights`` live in the model's own feature space: base features for
     RULE_BASED/LINEAR, base plus pairwise products for POLY2.
@@ -48,15 +48,12 @@ class RiskModel:
     kind: ModelKind
     weights: np.ndarray
     bias: float
-    base_dim: int = N_FEATURES
 
     def __post_init__(self):
-        expected = poly2_dim(self.base_dim) if self.kind is ModelKind.POLY2 else self.base_dim
+        expected = poly2_dim(N_FEATURES) if self.kind is ModelKind.POLY2 else N_FEATURES
         if len(self.weights) != expected:
             raise ValueError(
-                f"{self.kind.value} model over base_dim={self.base_dim} "
-                f"needs {expected} weights, got {len(self.weights)}"
-            )
+                f"{self.kind.value} model needs {expected} weights, got {len(self.weights)}")
 
 
 def rule_based_model() -> RiskModel:
@@ -80,29 +77,19 @@ def expand_poly2(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     pairs = pair_order(X.shape[1])
-    if not pairs:
-        return X.copy()
     left = X[:, [i for i, _ in pairs]]
     right = X[:, [j for _, j in pairs]]
     return np.hstack([X, left * right])
 
 
-def _patterns(X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 0/1 matrix, in the order of the binary numbers
-    they spell with the first column as the most significant bit, and each
-    row's index into them. A row's number is exact in a float for <= 53
-    columns.
-
-    Raises ValueError if an entry is not 0 or 1.
-    """
-    d = X.shape[1]
-    if d > 53:
-        raise ValueError(f"cannot code patterns of {d} > 53 columns")
-    if ((X != 0.0) & (X != 1.0)).any():
-        raise ValueError(f"{what} must be 0 or 1")
-    bit = 2.0 ** np.arange(d - 1, -1, -1)
-    codes, pattern_of_row = np.unique(X @ bit, return_inverse=True)
-    return np.floor(codes[:, None] / bit) % 2, pattern_of_row
+def _pattern_codes(X) -> np.ndarray:
+    """``X`` as an array of pattern codes; raises ValueError unless it is a
+    1-D array of integers."""
+    codes = np.asarray(X)
+    if codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise ValueError(f"want a 1-D array of pattern codes, got {codes.dtype} of shape "
+                         f"{codes.shape}")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -123,18 +110,18 @@ def train(
     kind: ModelKind,
     config: TrainConfig | None = None,
 ) -> RiskModel:
-    """Fit a log-odds ranker on (0/1 base feature matrix, binary labels).
+    """Fit a log-odds ranker on (pattern code per record, binary label).
 
     L2-regularized logistic regression: minimize the mean log-loss plus
     lam/2 ||w||^2, the bias being an augmented, regularized constant
     coordinate, by damped Newton's method from w = 0 (IRLS; McCullagh &
     Nelder, *Generalized Linear Models*, 1989, ch. 4).
 
-    Features are 0 or 1, so the rows fall into at most 2**d distinct
-    patterns (192 for the cohort features), and into groups of equal
-    (pattern, label). The loss, gradient and Hessian are sums over the
-    groups weighted by their row counts; only the groups' feature vectors
-    are expanded, never the rows'.
+    ``X`` holds one pattern code per record, so the records fall into at
+    most 2 * 192 groups of equal (pattern, label), taken in ascending
+    ``code * 2 + label``. The loss, gradient and Hessian are sums over the
+    groups weighted by their record counts; only the groups' features are
+    expanded, never the records'.
 
     Damping: a Newton step n that moves some group's margin by at most
     delta = max_g |x_g.n| is scaled by log(1 + delta)/delta. The log-loss
@@ -147,32 +134,27 @@ def train(
     ``config.epochs`` steps with a logged warning. It draws no random
     numbers, and rows enter only through their group counts, so the same
     rows in any order give bitwise-identical weights.
-
-    Raises ValueError if any entry of X is not 0 or 1.
     """
     config = config or TrainConfig()
     if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
         raise ValueError(f"cannot train model kind {kind.value}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("X must be (n, d) with one label per row")
-    if len(X) == 0:
-        raise ValueError("empty training set")
-    n, base_dim = X.shape
+    codes = _pattern_codes(X)
     positive = np.asarray(y, dtype=bool)
-    # Groups: rows equal in features and label, the label as the last bit.
-    groups, group_of_row = _patterns(np.column_stack([X, positive]), "training features")
+    if len(codes) != len(positive):
+        raise ValueError("X must hold one pattern code per label")
+    if len(codes) == 0:
+        raise ValueError("empty training set")
     if positive.all() or not positive.any():
         raise DegenerateTrainingError("training set contains a single class")
+    groups, group_of_row = np.unique(codes * 2 + positive, return_inverse=True)
     lam = config.regularization
 
-    x = groups[:, :-1]
+    x = PATTERN_FEATURES[groups >> 1]
     if kind is ModelKind.POLY2:
         x = expand_poly2(x)
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
-    sign = np.where(groups[:, -1] == 1.0, 1.0, -1.0)
-    share = np.bincount(group_of_row, minlength=len(groups)) / n
+    sign = np.where(groups & 1, 1.0, -1.0)
+    share = np.bincount(group_of_row, minlength=len(groups)) / len(codes)
 
     w = np.zeros(x.shape[1])
     for _ in range(config.epochs):
@@ -192,31 +174,16 @@ def train(
         log.warning("training stopped at the cap of %d Newton iterations before converging",
                     config.epochs)
 
-    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]), base_dim=base_dim)
+    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]))
 
 
 def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
-    """Risk score of every row of a 0/1 base feature matrix under the model.
-
-    A score depends only on the row's pattern, so each distinct pattern
-    present in X is scored once and the scores are gathered per row; no
-    2**d table is built.
-
-    Raises ValueError if any entry of X is not 0 or 1, or if d > 53.
-    """
-    X = np.asarray(X, dtype=float)
-    d = model.base_dim
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError(f"feature matrix of shape {X.shape} does not match model base_dim {d}")
-    distinct, pattern_of_row = _patterns(X, "scored features")
-    # A BLAS matrix-vector product computes its last few rows by another
-    # kernel, which may round differently: zero rows up to a multiple of 8
-    # keep every pattern in the blocked main loop that scores most of a large X.
-    patterns = np.zeros((len(distinct) + -len(distinct) % 8, d))
-    patterns[: len(distinct)] = distinct
-    if model.kind is ModelKind.POLY2:
-        patterns = expand_poly2(patterns)
-    return (patterns @ model.weights + model.bias)[pattern_of_row]
+    """Risk score of every record of ``X``, an array of pattern codes, under
+    the model: the rows of :data:`PATTERN_FEATURES` are scored once and the
+    scores gathered by code."""
+    codes = _pattern_codes(X)
+    table = expand_poly2(PATTERN_FEATURES) if model.kind is ModelKind.POLY2 else PATTERN_FEATURES
+    return (table @ model.weights + model.bias)[codes]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +209,7 @@ def save_model(
         f"manifest {manifest}",
         f"trained_weeks {trained_weeks}",
         f"kind {model.kind.value}",
-        f"base_dim {model.base_dim}",
+        f"base_dim {N_FEATURES}",
         f"feature_hash {feature_order_hash()}",
         f"bias {float(model.bias)!r}",
         f"weights {len(model.weights)}",
@@ -272,20 +239,22 @@ def model_metadata(path: str | Path) -> dict[str, str]:
 
 
 def load_model(path: str | Path) -> RiskModel:
+    """The model a :func:`save_model` file holds; a malformed file, one for
+    another encoding, or a bias or weight that is not finite is a ValueError."""
     fields, rest = _read_model_file(path)
     for required in ("kind", "base_dim", "feature_hash", "bias", "weights"):
         if required not in fields:
             raise ValueError(f"{path}: missing field {required!r}")
     if fields["feature_hash"] != feature_order_hash():
         raise ValueError(f"{path}: feature order hash mismatch; model is for a different encoding")
+    if fields["base_dim"] != str(N_FEATURES):
+        raise ValueError(f"{path}: base_dim must be {N_FEATURES}, got {fields['base_dim']!r}")
     n_weights = int(fields["weights"])
     weight_lines = rest[:n_weights]
     if len(weight_lines) != n_weights:
         raise ValueError(f"{path}: expected {n_weights} weight lines")
     weights = np.array([float(line) for line in weight_lines])
-    return RiskModel(
-        kind=ModelKind(fields["kind"]),
-        weights=weights,
-        bias=float(fields["bias"]),
-        base_dim=int(fields["base_dim"]),
-    )
+    bias = float(fields["bias"])
+    if not np.isfinite(np.append(weights, bias)).all():
+        raise ValueError(f"{path}: bias and weights must be finite numbers")
+    return RiskModel(kind=ModelKind(fields["kind"]), weights=weights, bias=bias)

@@ -198,18 +198,18 @@ def run_replay(
     version = 0
 
     arm_states = policy.arms
-    labeled_X: list[np.ndarray] = []
+    labeled_patterns: list[np.ndarray] = []
     labeled_y: list[np.ndarray] = []
     labeled_periods: list[int] = []
 
     for step, period in enumerate(weeks, start=1):
         ids = cohort.week_ids(period)
-        X = cohort.week_features(period)
+        patterns = cohort.week_patterns(period)
         y = cohort.week_labels(period)
         events: list[str] = []
 
         selection = select(
-            ids, X, model, policy, arm_states=arm_states, seed=derive_seed(seed, "period", period)
+            ids, patterns, model, policy, arm_states=arm_states, seed=derive_seed(seed, "period", period)
         )
         if selection.explore_shortfall:
             events.append(f"explore shortfall {selection.explore_shortfall}")
@@ -239,7 +239,7 @@ def run_replay(
         if policy.retrain_on == "exploration_only":
             rows = rows[len(selection.exploit_ids):]
         if len(rows):
-            labeled_X.append(X[rows])
+            labeled_patterns.append(patterns[rows])
             labeled_y.append(y[rows])
             labeled_periods.append(period)
 
@@ -260,11 +260,11 @@ def run_replay(
         )
 
         is_last = step == len(weeks)
-        if retrain_every and step % retrain_every == 0 and not is_last and labeled_X:
-            X_train = np.vstack(labeled_X)
+        if retrain_every and step % retrain_every == 0 and not is_last and labeled_patterns:
             y_train = np.concatenate(labeled_y)
             try:
-                model = train(X_train, y_train, retrain_kind, train_config)
+                model = train(np.concatenate(labeled_patterns), y_train, retrain_kind,
+                              train_config)
             except DegenerateTrainingError:
                 trace.periods[-1].events.append(
                     "retrain skipped: labeled store is single-class; model carried over"
@@ -339,9 +339,9 @@ def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
     trained = [w for w in cohort.weeks if w in wanted]
     if not trained:
         raise ValueError(f"no records in training weeks {list(weeks)}")
-    X = np.vstack([cohort.week_features(w) for w in trained])
+    patterns = np.concatenate([cohort.week_patterns(w) for w in trained])
     labels = {w: cohort.week_labels(w) for w in trained}
-    return train(X, np.concatenate(list(labels.values())), kind, config), labels
+    return train(patterns, np.concatenate(list(labels.values())), kind, config), labels
 
 
 def train_eval_split_experiment(

@@ -14,6 +14,7 @@ from banditriage.records import (
     TestResult,
     TriState,
 )
+from banditriage.scoring import ModelKind, RiskModel, expand_poly2
 from banditriage.synthgen import GeneratorParams, RiskCoefficients
 
 
@@ -40,6 +41,27 @@ def make_record(
 def feature_array(**kv) -> np.ndarray:
     """Vector in canonical feature order from keyword entries."""
     return np.array([float(kv.get(name, 0.0)) for name in FEATURE_NAMES])
+
+
+def codes_of(X) -> np.ndarray:
+    """The pattern codes of 0/1 feature rows in canonical order: each row
+    read as a binary number, the first feature the most significant bit."""
+    X = np.asarray(X, dtype=np.int64)
+    return X @ (1 << np.arange(len(FEATURE_NAMES) - 1, -1, -1))
+
+
+def row_wise_scores(model: RiskModel, X: np.ndarray) -> np.ndarray:
+    """Each row's score as the row-wise product ``expand_poly2(x) @ w + b``
+    over a 0/1 feature matrix: the reference for ``score_matrix``.
+
+    A BLAS matrix-vector product computes the last few rows of a matrix (and,
+    threaded, of each thread's share) by another kernel that may round
+    differently, so ``expand_poly2(X) @ w + b`` itself can give equal rows
+    scores an ulp apart. Here each row is scored in a block of eight copies
+    of itself, which the product's blocked main loop computes.
+    """
+    E = expand_poly2(X) if model.kind is ModelKind.POLY2 else np.asarray(X, dtype=float)
+    return np.array([(np.tile(e, (8, 1)) @ model.weights + model.bias)[0] for e in E])
 
 
 def small_params(**overrides) -> GeneratorParams:

@@ -106,7 +106,7 @@ def test_criterion_1_real_data_recall():
     train_weeks = [w for w in cohort.weeks if w <= 12]
     eval_weeks = [w for w in (13, 14, 15, 16) if w in cohort.weeks]
     sub = cohort.subset_weeks(train_weeks)
-    X = np.vstack([sub.week_features(w) for w in sub.weeks])
+    X = np.concatenate([sub.week_patterns(w) for w in sub.weeks])
     y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
     model = train(X, y, ModelKind.POLY2, TrainConfig())
 
@@ -234,7 +234,7 @@ def test_criterion_5_ranking_beats_random():
         params = replace(base, seed=derive_seed(5, "cohort", seed))
         cohort = generate_cohort(params)
         sub = cohort.subset_weeks([1, 2, 3])
-        X = np.vstack([sub.week_features(w) for w in sub.weeks])
+        X = np.concatenate([sub.week_patterns(w) for w in sub.weeks])
         y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
         model = train(X, y, ModelKind.POLY2, TrainConfig())
         recalls.append(

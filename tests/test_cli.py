@@ -457,6 +457,31 @@ class TestMalformedFiles:
         assert err.startswith("error: data:") and str(latin1) in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("line, value", [
+        *[("bias", value) for value in ("nan", "inf", "-inf")],
+        *[("weight", value) for value in ("nan", "inf", "-inf")],
+        ("base_dim", "8"),
+    ])
+    def test_bad_model_number_is_data_error_naming_it(self, workdir, small_cohort_csv,
+                                                       small_model, capsys, line, value):
+        # A NaN weight would score every record NaN and rank at random; a
+        # model over other than the 9 features cannot score a cohort.
+        lines = small_model.read_text(encoding="utf-8").splitlines()
+        if line == "weight":
+            lines[-1] = value
+        else:
+            lines = [f"{line} {value}" if entry.startswith(f"{line} ") else entry
+                     for entry in lines]
+        small_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(["bootstrap", "--cohort", str(small_cohort_csv), "--model", str(small_model),
+                    "--k", "300", "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {small_model}: ") and "Traceback" not in err
+        assert ("base_dim" if line == "base_dim" else "finite") in err
+        assert not (workdir / "out").exists()
+
+
 class TestWithoutScipy:
     def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):
         # numpy is the only runtime dependency; this fails if scipy comes back.

@@ -256,7 +256,7 @@ class TestBootstrap:
         cells = []
         for week in cohort.weeks:
             y = cohort.week_labels(week)
-            _, group, counts = np.unique(-score_matrix(model, cohort.week_features(week)),
+            _, group, counts = np.unique(-score_matrix(model, cohort.week_patterns(week)),
                                          return_inverse=True, return_counts=True)
             positive = np.zeros(len(counts), bool)
             positive[group] = y

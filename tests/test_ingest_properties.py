@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from banditriage.cli import EXIT_DATA, EXIT_OK, main
 from banditriage.records import (
+    FEATURE_NAMES,
+    PATTERN_FEATURES,
     REQUIRED_COLUMNS,
     SYMPTOM_FIELDS,
     Cohort,
@@ -52,7 +54,8 @@ def one_iso_year_rows(draw) -> list[tuple]:
 
 def reference_views(rows) -> dict[int, tuple[list, list, list]]:
     """The per-record loop the columnar cohort replaced: group by ISO week in
-    record order and encode each record on its own."""
+    record order and encode each record on its own, as its feature vector:
+    present symptoms, one-hot indication, female gender."""
     views: dict[int, tuple[list, list, list]] = {}
     for record_id, day, *symptoms, indication, gender, result in rows:
         v = [1.0 if s is TriState.PRESENT else 0.0 for s in symptoms] + [0.0] * 4
@@ -74,8 +77,22 @@ def test_week_views_equal_the_per_record_encoding(rows):
     assert cohort.weeks == tuple(sorted(expected))
     for week, (ids, X, y) in expected.items():
         assert cohort.week_ids(week).tolist() == ids
-        assert cohort.week_features(week).tolist() == X
+        assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
         assert cohort.week_labels(week).tolist() == y
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_iso_year_rows().filter(bool))
+def test_pattern_codes_ascend_as_binary_numbers_read_from_the_first_feature(rows):
+    # `train` fits over its (pattern, label) groups in ascending code order,
+    # so this order fixes the order of its sums, and so its weights to the
+    # bit: the first feature is the most significant bit and female the least.
+    cohort = Cohort.from_records(rows)
+    codes = np.unique(np.concatenate([cohort.week_patterns(w) for w in cohort.weeks]))
+    features = [tuple(row) for row in PATTERN_FEATURES[codes].tolist()]
+    assert features == sorted(features)
+    assert codes.tolist() == [sum(int(x) << (len(FEATURE_NAMES) - 1 - j) for j, x in enumerate(f))
+                              for f in features]
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,7 +107,7 @@ def test_cohort_csv_round_trip_is_exact(cohort):
         assert np.array_equal(getattr(loaded, column), getattr(cohort, column)), column
     assert loaded.weeks == cohort.weeks
     for week in cohort.weeks:
-        for view in (Cohort.week_ids, Cohort.week_features, Cohort.week_labels):
+        for view in (Cohort.week_ids, Cohort.week_patterns, Cohort.week_labels):
             a, b = view(loaded, week), view(cohort, week)
             assert a.dtype == b.dtype and np.array_equal(a, b)
 

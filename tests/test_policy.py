@@ -26,11 +26,11 @@ from banditriage.policy import (
     top_k,
     update_arm,
 )
-from banditriage.records import FEATURE_NAMES
+from banditriage.records import FEATURE_NAMES, PATTERN_FEATURES
 from banditriage.scoring import RiskModel, ModelKind, rule_based_model, score_matrix
 from banditriage.seeds import derive_seed
 
-from conftest import feature_array
+from conftest import codes_of, feature_array
 
 
 def linear_model(**kv):
@@ -38,9 +38,9 @@ def linear_model(**kv):
 
 
 def pool_of(vectors):
+    """A pool of the feature vectors: record ids 0.., and their pattern codes."""
     ids = np.arange(len(vectors), dtype=np.int64)
-    X = np.stack(vectors)
-    return ids, X
+    return ids, codes_of(np.stack(vectors)).astype(np.uint16)
 
 
 def ranked_ids(model, ids, X, seed):
@@ -111,7 +111,7 @@ class TestRankCandidates:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(PolicyError):
-            rank_candidates(score_matrix(rule_based_model(), np.zeros((0, 9))), seed=0)
+            rank_candidates(score_matrix(rule_based_model(), np.zeros(0, np.uint16)), seed=0)
 
     def test_top_k_is_prefix_of_full_ranking(self):
         scores = np.repeat([3.0, 1.0, 2.0, 0.0], 25)  # heavy ties
@@ -341,8 +341,9 @@ class TestThompson:
 
 
 def reference_thompson_allocate(arms, k, ids, X, seed):
-    """The set-and-sort allocator the Fenwick-tree one replaced: O(n log n)
-    per slot, same rng calls, the oracle for its picks."""
+    """The set-and-sort allocator the Fenwick-tree one replaced, over the
+    pool's 0/1 feature rows X: O(n log n) per slot, same rng calls, the
+    oracle for its picks."""
     ids = np.asarray(ids, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
     members = {arm.name: set(ids[arm.predicate.mask(X)].tolist()) for arm in arms}
@@ -363,15 +364,13 @@ def reference_thompson_allocate(arms, k, ids, X, seed):
 
 @st.composite
 def pools(draw, max_size=120):
-    """Unique record ids in no particular order, with random binary features."""
+    """Unique record ids in no particular order, with random pattern codes."""
     rows = draw(st.lists(
-        st.tuples(st.integers(0, 10**9), st.integers(0, 2 ** len(FEATURE_NAMES) - 1)),
+        st.tuples(st.integers(0, 10**9), st.integers(0, len(PATTERN_FEATURES) - 1)),
         unique_by=lambda row: row[0], max_size=max_size,
     ))
     ids = np.array([rid for rid, _ in rows], dtype=np.int64)
-    bits = np.array([b for _, b in rows], dtype=np.int64).reshape(-1, 1)
-    X = ((bits >> np.arange(len(FEATURE_NAMES))) & 1).astype(float)
-    return ids, X
+    return ids, np.array([code for _, code in rows], dtype=np.uint16)
 
 
 @st.composite
@@ -394,7 +393,7 @@ def test_thompson_allocate_matches_reference(pool, arms, data, seed):
     ids, X = pool
     k = data.draw(st.integers(0, len(ids) + 5), label="k")  # up to past the covered pool
     assert thompson_allocate(arms, k, ids, X, seed) == reference_thompson_allocate(
-        arms, k, ids, X, seed)
+        arms, k, ids, PATTERN_FEATURES[X], seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,7 +424,7 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
         assert set(sel.arm_assignments) == set(sel.explore_ids)
         predicate_of = {arm.name: arm.predicate for arm in arms}
         for rid, name in sel.arm_assignments.items():
-            assert predicate_of[name].mask(X[[row_of[rid]]])[0]
+            assert predicate_of[name].mask(PATTERN_FEATURES[X[[row_of[rid]]]])[0]
     else:
         assert not sel.arm_assignments
     positions = [row_of[rid] for rid in sel.all_ids]

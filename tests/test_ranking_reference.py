@@ -1,8 +1,9 @@
 """Ranked-selection metrics against a reference computation.
 
 The reference below is the earlier, independent implementation: each caller
-did its own seeded shuffle, stable argsort and top-k step, and counted
-recall through dict/set pools over record ids. The shared top-k primitive
+scored each record's feature row on its own, did its own seeded shuffle,
+stable argsort and top-k step, and counted recall through dict/set pools
+over record ids. The shared top-k primitive
 must reproduce it exactly (same random draws, same floats). The bootstrap
 draws its resamples as cell counts, not rows, so it matches its row-level
 reference in law, and exactly where the law is degenerate.
@@ -23,11 +24,11 @@ from banditriage.evaluate import (
     weekly_recall_at_k,
     weekly_recall_table,
 )
-from banditriage.scoring import ModelKind, TrainConfig, rule_based_model, score_matrix, train
+from banditriage.scoring import ModelKind, TrainConfig, rule_based_model, train
 from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model
 
-from conftest import small_params
+from conftest import row_wise_scores, small_params
 
 N_PER_WEEK = 200
 EMPTY_WEEK = 3  # every record of this week is relabelled negative
@@ -37,7 +38,7 @@ LONG_WEEKS = (1, 9)
 
 
 def ref_rank(model, ids, X, seed):
-    scores = score_matrix(model, X)
+    scores = row_wise_scores(model, X)
     rng = np.random.default_rng(derive_seed(seed, "rank"))
     perm = rng.permutation(len(ids))
     order = np.argsort(-scores[perm], kind="stable")
@@ -60,7 +61,7 @@ def ref_f1(selected, pool):
 
 def ref_selected(model, cohort, week, k, seed):
     ids = cohort.week_ids(week)
-    ranked = ref_rank(model, ids, cohort.week_features(week), seed)
+    ranked = ref_rank(model, ids, records.PATTERN_FEATURES[cohort.week_patterns(week)], seed)
     pool = dict(zip(ids.tolist(), cohort.week_labels(week).tolist()))
     return set(ranked[: min(k, len(ranked))].tolist()), pool
 
@@ -96,7 +97,8 @@ def ref_bootstrap_means(cohort, model, k, replicates, seed):
     resample's scores, ties broken by a uniform shuffle: the law that
     :func:`bootstrap_ci`'s cell draws must follow."""
     per_week = [
-        (score_matrix(model, cohort.week_features(w)), cohort.week_labels(w))
+        (row_wise_scores(model, records.PATTERN_FEATURES[cohort.week_patterns(w)]),
+         cohort.week_labels(w))
         for w in cohort.weeks
     ]
     means = []
@@ -142,7 +144,7 @@ def long_cohort():
 
 @pytest.fixture(scope="module")
 def models(cohort):
-    X = np.vstack([cohort.week_features(w) for w in (1, 2)])
+    X = np.concatenate([cohort.week_patterns(w) for w in (1, 2)])
     y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
     return {
         "rule_based": rule_based_model(),  # integer scores: many ties

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from banditriage.records import (
-    FEATURE_NAMES,
+    PATTERN_FEATURES,
     REQUIRED_COLUMNS,
     Cohort,
     CohortFormatError,
@@ -49,7 +49,7 @@ def features_of(rec: tuple) -> np.ndarray:
     """One record's feature vector, read from the week view of a one-row cohort."""
     cohort = Cohort.from_records([rec])
     (week,) = cohort.weeks
-    return cohort.week_features(week)[0]
+    return PATTERN_FEATURES[cohort.week_patterns(week)[0]]
 
 
 def load_row(tmp_path, mapping=MAPPING, study_window=None, **cells):
@@ -373,7 +373,7 @@ class TestRoundTrip:
         assert loaded.weeks == cohort.weeks
         for week in cohort.weeks:
             assert np.array_equal(loaded.week_ids(week), cohort.week_ids(week))
-            assert np.array_equal(loaded.week_features(week), cohort.week_features(week))
+            assert np.array_equal(loaded.week_patterns(week), cohort.week_patterns(week))
 
 
 class TestCohort:
@@ -386,10 +386,10 @@ class TestCohort:
         assert toy_cohort.weeks == (11, 12)
         assert len(toy_cohort.week_ids(11)) == 4
         assert toy_cohort.week_labels(11).sum() == 2
-        assert toy_cohort.week_features(12).shape == (4, len(FEATURE_NAMES))
+        assert toy_cohort.week_patterns(12).shape == (4,)
 
     def test_missing_week_is_data_error(self, toy_cohort):
-        for lookup in (toy_cohort.week_ids, toy_cohort.week_features, toy_cohort.week_labels):
+        for lookup in (toy_cohort.week_ids, toy_cohort.week_patterns, toy_cohort.week_labels):
             with pytest.raises(DataError, match=r"week 13 .*11, 12"):
                 lookup(13)
 
@@ -407,12 +407,13 @@ class TestCohort:
         cohort = Cohort.from_records(recs)
         assert cohort.weeks == (11, 12)
         assert cohort.week_ids(12).tolist() == [0, 2]
-        assert cohort.week_features(12)[:, 0].tolist() == [1.0, 0.0]
-        assert cohort.week_features(12)[:, 8].tolist() == [0.0, 1.0]
+        features = PATTERN_FEATURES[cohort.week_patterns(12)]
+        assert features[:, 0].tolist() == [1.0, 0.0]
+        assert features[:, 8].tolist() == [0.0, 1.0]
         assert cohort.week_labels(11).tolist() == [True]
         for week in cohort.weeks:
-            views = cohort.week_ids(week), cohort.week_features(week), cohort.week_labels(week)
-            assert [v.dtype for v in views] == [np.int64, np.float64, np.bool_]
+            views = cohort.week_ids(week), cohort.week_patterns(week), cohort.week_labels(week)
+            assert [v.dtype for v in views] == [np.int64, np.uint16, np.bool_]
             assert all(v.flags.c_contiguous for v in views)
 
     def test_empty_cohort(self):

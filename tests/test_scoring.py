@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
-from banditriage.records import N_FEATURES
+from banditriage.records import N_FEATURES, PATTERN_FEATURES
 from banditriage.scoring import (
     DegenerateTrainingError,
     ModelKind,
@@ -29,12 +30,12 @@ from banditriage.scoring import (
 )
 from banditriage.synthgen import RiskCoefficients, generate_cohort
 
-from conftest import feature_array, small_params
+from conftest import codes_of, feature_array, row_wise_scores, small_params
 
 
 def score_one(model, fv):
-    """A single vector's score, through score_matrix on a one-row stack."""
-    return float(score_matrix(model, np.asarray(fv)[None, :])[0])
+    """A single feature vector's score, through score_matrix on its code."""
+    return float(score_matrix(model, codes_of([fv]))[0])
 
 
 def rule_score(fv):
@@ -54,8 +55,9 @@ class TestRuleScore:
         assert rule_score(fv) == 4.0
 
     def test_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            rule_score(np.zeros(5))
+        # Records enter as pattern codes, not as feature rows.
+        with pytest.raises(ValueError, match="1-D array of pattern codes"):
+            score_matrix(rule_based_model(), np.zeros((1, N_FEATURES), dtype=np.int64))
 
     def test_range_over_all_binary_inputs(self):
         for bits in range(8):
@@ -97,14 +99,15 @@ class TestExpandPoly2:
 
 
 def separable_dataset(n=200, seed=0):
-    """Positives have contact=1, negatives contact=0; other features noise."""
+    """Pattern codes and labels: positives have contact=1, negatives
+    contact=0; other features noise."""
     rng = np.random.default_rng(seed)
     X = (rng.random((n, N_FEATURES)) < 0.3).astype(float)
     X[:, 5] = (np.arange(n) % 2 == 0).astype(float)
     X[:, 6] = 0.0
     X[:, 7] = 1.0 - X[:, 5]
     y = X[:, 5].astype(bool)
-    return X, y
+    return codes_of(X), y
 
 
 def augmented(X: np.ndarray, kind: ModelKind) -> np.ndarray:
@@ -125,9 +128,10 @@ def logistic_gradient(Xa: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) 
     return Xa.T @ (p - y) / len(y) + lam * w
 
 
-# The fit `train` runs over (pattern, label) groups, done row by row instead,
-# kept as the oracle it must match: the same damped Newton steps and stopping
-# rule, with the gradient and Hessian summed over every row.
+# The fit `train` runs over (pattern, label) groups, done row by row instead
+# over a 0/1 feature matrix, kept as the oracle it must match: the same damped
+# Newton steps and stopping rule, with the gradient and Hessian summed over
+# every row.
 def _reference_train(
     X: np.ndarray,
     y: np.ndarray,
@@ -148,7 +152,7 @@ def _reference_train(
         w = w - step
         if np.abs(step).max() <= 1e-10:
             break
-    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]), base_dim=X.shape[1])
+    return RiskModel(kind=kind, weights=w[:-1], bias=float(w[-1]))
 
 
 @contextmanager
@@ -167,15 +171,17 @@ def logged_warnings():
 
 @st.composite
 def binary_training_sets(draw):
-    """A random 0/1 feature matrix (2 to 400 rows) with both classes."""
+    """Random pattern codes (2 to 400 records, each feature present with one
+    drawn density, or any of the 512 codes alike) and labels of both classes."""
     n = draw(st.integers(2, 400))
-    d = draw(st.integers(1, N_FEATURES))
-    density = draw(st.floats(0.05, 0.95))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = (rng.random((n, d)) < density).astype(float)
+    if draw(st.booleans()):
+        X = rng.integers(0, len(PATTERN_FEATURES), n)
+    else:
+        X = codes_of(rng.random((n, N_FEATURES)) < draw(st.floats(0.05, 0.95)))
     y = rng.random(n) < draw(st.floats(0.05, 0.95))
     y[:2] = (True, False)
-    return X, y
+    return X.astype(draw(st.sampled_from([np.uint16, np.int64]))), y
 
 
 KINDS = st.sampled_from([ModelKind.LINEAR, ModelKind.POLY2])
@@ -204,7 +210,7 @@ class TestTrain:
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            train(np.zeros((0, 9)), np.zeros(0, dtype=bool), ModelKind.LINEAR, TrainConfig())
+            train(np.zeros(0, np.uint16), np.zeros(0, dtype=bool), ModelKind.LINEAR, TrainConfig())
 
     def test_rule_based_not_trainable(self):
         X, y = separable_dataset()
@@ -215,11 +221,11 @@ class TestTrain:
         # Holds on an easy set and on a sparse noisy one.
         for params_seed in (0, 1):
             cohort = generate_cohort(small_params(seed=params_seed, n_per_week=600))
-            X = np.vstack([cohort.week_features(w) for w in cohort.weeks])
+            X = np.concatenate([cohort.week_patterns(w) for w in cohort.weeks])
             y = np.concatenate([cohort.week_labels(w) for w in cohort.weeks])
             config = TrainConfig()
             model = train(X, y, ModelKind.POLY2, config)
-            Xa = augmented(X, ModelKind.POLY2)
+            Xa = augmented(PATTERN_FEATURES[X], ModelKind.POLY2)
             w_full = np.concatenate([model.weights, [model.bias]])
             trained = logistic_objective(Xa, y, w_full, config.regularization)
             at_zero = logistic_objective(Xa, y, np.zeros(Xa.shape[1]), config.regularization)
@@ -234,7 +240,8 @@ class TestTrain:
         assert len(warnings) <= 1
         if not warnings:  # converged within the cap
             w_full = np.concatenate([model.weights, [model.bias]])
-            grad = logistic_gradient(augmented(X, kind), y, w_full, config.regularization)
+            grad = logistic_gradient(augmented(PATTERN_FEATURES[X], kind), y, w_full,
+                                     config.regularization)
             assert np.abs(grad).max() <= 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -242,7 +249,7 @@ class TestTrain:
     def test_matches_per_row_reference(self, data, kind, config):
         X, y = data
         got = train(X, y, kind, config)
-        want = _reference_train(X, y, kind, config)
+        want = _reference_train(PATTERN_FEATURES[X], y, kind, config)
         assert np.max(np.abs(got.weights - want.weights)) <= 1e-9
         assert abs(got.bias - want.bias) <= 1e-9
 
@@ -255,13 +262,6 @@ class TestTrain:
         a = train(X, y, kind, config)
         b = train(X[order], y[order], kind, config)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
-
-    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
-    def test_features_must_be_zero_or_one(self, bad):
-        X, y = separable_dataset()
-        X[3, 2] = bad
-        with pytest.raises(ValueError, match="0 or 1"):
-            train(X, y, ModelKind.LINEAR, TrainConfig())
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -290,18 +290,14 @@ class TestScore:
         assert score_one(model, fv) == rule_score(fv) == 3.0
 
     def test_dimension_mismatch(self):
+        # A feature matrix, or codes held as floats, is no array of codes.
         model = rule_based_model()
-        with pytest.raises(ValueError):
-            score_one(model, np.zeros(4))
-        with pytest.raises(ValueError):
-            score_matrix(model, np.zeros((3, 4)))
-
-    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, np.nan, np.inf])
-    def test_features_must_be_zero_or_one(self, bad):
-        X = np.zeros((4, N_FEATURES))
-        X[2, 3] = bad
-        with pytest.raises(ValueError, match="0 or 1"):
-            score_matrix(rule_based_model(), X)
+        with pytest.raises(ValueError, match="pattern codes"):
+            score_matrix(model, np.zeros((3, N_FEATURES)))
+        with pytest.raises(ValueError, match="pattern codes"):
+            score_matrix(model, np.zeros(3))
+        with pytest.raises(ValueError, match="pattern codes"):
+            train(np.zeros(3), np.array([True, False, True]), ModelKind.LINEAR)
 
     def test_ranking_invariant_under_positive_affine_weights(self):
         # Power-of-two scale: exact in binary floating point, so the argsort
@@ -334,19 +330,6 @@ class TestScore:
                               np.argsort(-transformed, kind="stable"))
 
 
-def row_wise_scores(model: RiskModel, X: np.ndarray) -> np.ndarray:
-    """Each row's score as the row-wise product ``expand_poly2(x) @ w + b``.
-
-    A BLAS matrix-vector product computes the last few rows of a matrix (and,
-    threaded, of each thread's share) by another kernel that may round
-    differently, so ``expand_poly2(X) @ w + b`` itself can give equal rows
-    scores an ulp apart. Here each row is scored in a block of eight copies
-    of itself, which the product's blocked main loop computes.
-    """
-    E = expand_poly2(X) if model.kind is ModelKind.POLY2 else X
-    return np.array([(np.tile(e, (8, 1)) @ model.weights + model.bias)[0] for e in E])
-
-
 #: Weights from subnormal to 1e300: large and small magnitudes, and no
 #: overflow in a sum of 45 terms.
 WEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
@@ -371,18 +354,17 @@ def test_scores_equal_the_row_wise_product(data):
     if kind is ModelKind.RULE_BASED:
         model = rule_based_model()
     else:
-        base_dim = data.draw(st.integers(1, N_FEATURES))
-        dim = poly2_dim(base_dim) if kind is ModelKind.POLY2 else base_dim
+        dim = poly2_dim(N_FEATURES) if kind is ModelKind.POLY2 else N_FEATURES
         model = RiskModel(kind=kind, weights=data.draw(weight_vectors(dim)),
-                          bias=data.draw(WEIGHT), base_dim=base_dim)
-    # rows drawn from a few patterns, so that patterns repeat
-    patterns = data.draw(st.lists(st.integers(0, 2**model.base_dim - 1), min_size=1,
+                          bias=data.draw(WEIGHT))
+    # records drawn from a few of the 512 codes, so that patterns repeat
+    patterns = data.draw(st.lists(st.integers(0, len(PATTERN_FEATURES) - 1), min_size=1,
                                   max_size=12))
-    codes = np.array(data.draw(st.lists(st.sampled_from(patterns), max_size=300)), dtype=np.int64)
-    X = ((codes[:, None] >> np.arange(model.base_dim)) & 1).astype(float)
-    scores = score_matrix(model, X)
-    assert scores.dtype == np.float64 and scores.shape == (len(X),)
-    assert scores.tobytes() == row_wise_scores(model, X).tobytes()
+    codes = np.array(data.draw(st.lists(st.sampled_from(patterns), max_size=300)),
+                     dtype=data.draw(st.sampled_from([np.uint16, np.int64])))
+    scores = score_matrix(model, codes)
+    assert scores.dtype == np.float64 and scores.shape == (len(codes),)
+    assert scores.tobytes() == row_wise_scores(model, PATTERN_FEATURES[codes]).tobytes()
 
 
 class TestRecallMarginGrowsWithSignal:
@@ -406,7 +388,7 @@ class TestRecallMarginGrowsWithSignal:
                     ),
                 )
                 cohort = generate_cohort(params)
-                X = np.vstack([cohort.week_features(w) for w in (1, 2)])
+                X = np.concatenate([cohort.week_patterns(w) for w in (1, 2)])
                 y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
                 model = train(X, y, ModelKind.POLY2, TrainConfig())
                 recalls.append(
@@ -425,7 +407,6 @@ class TestSerialization:
         save_model(model, path, manifest="train.manifest.json")
         loaded = load_model(path)
         assert loaded.kind is model.kind
-        assert loaded.base_dim == model.base_dim
         assert loaded.bias == model.bias
         assert np.array_equal(loaded.weights, model.weights)
 
@@ -437,21 +418,19 @@ class TestSerialization:
         # A numpy scalar bias must not be written as its repr "np.float64(...)".
         kind = data.draw(st.sampled_from(
             [ModelKind.LINEAR, ModelKind.POLY2, ModelKind.RULE_BASED]))
-        base_dim = data.draw(st.integers(1, N_FEATURES))
-        dim = poly2_dim(base_dim) if kind is ModelKind.POLY2 else base_dim
+        dim = poly2_dim(N_FEATURES) if kind is ModelKind.POLY2 else N_FEATURES
         finite = st.one_of(
             st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
             st.floats(allow_nan=False, allow_infinity=False),
         )
         weights = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
         bias = data.draw(st.sampled_from([float, np.float64]))(data.draw(finite))
-        model = RiskModel(kind=kind, weights=weights, bias=bias, base_dim=base_dim)
+        model = RiskModel(kind=kind, weights=weights, bias=bias)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.txt"
             save_model(model, path)
             loaded = load_model(path)
         assert loaded.kind is model.kind
-        assert loaded.base_dim == model.base_dim
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert np.float64(loaded.bias).tobytes() == np.float64(model.bias).tobytes()
 
@@ -467,6 +446,18 @@ class TestSerialization:
         text = path.read_text(encoding="utf-8").replace("feature_hash ", "feature_hash beef")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="feature order"):
+            load_model(path)
+
+    @pytest.mark.parametrize("base_dim", ["8", "10", "nine", ""])
+    def test_rejects_base_dim_other_than_nine(self, tmp_path, base_dim):
+        # The v1 format keeps its base_dim line; a model over any other
+        # number of features cannot score a cohort.
+        path = tmp_path / "m.txt"
+        save_model(rule_based_model(), path)
+        text = path.read_text(encoding="utf-8")
+        assert "\nbase_dim 9\n" in text
+        path.write_text(text.replace("base_dim 9", f"base_dim {base_dim}"), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: base_dim")):
             load_model(path)
 
     def test_model_dim_validation(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from banditriage.evaluate import pearson
-from banditriage.records import FEATURE_NAMES
+from banditriage.records import FEATURE_NAMES, PATTERN_FEATURES
 from banditriage.scoring import ModelKind
 from banditriage.synthgen import (
     GeneratorParams,
@@ -30,7 +30,7 @@ def logit(p: float) -> float:
 
 
 def stack_features(cohort):
-    return np.vstack([cohort.week_features(w) for w in cohort.weeks])
+    return PATTERN_FEATURES[np.concatenate([cohort.week_patterns(w) for w in cohort.weeks])]
 
 
 def stack_labels(cohort):
@@ -118,8 +118,8 @@ class TestGenerateCohort:
         cohort = generate_cohort(params)
         j_contact = FEATURE_NAMES.index("contact_with_confirmed")
         j_ha = FEATURE_NAMES.index("head_ache")
-        pre_X, pre_y = cohort.week_features(1), cohort.week_labels(1).astype(float)
-        post_X, post_y = cohort.week_features(2), cohort.week_labels(2).astype(float)
+        pre_X, pre_y = PATTERN_FEATURES[cohort.week_patterns(1)], cohort.week_labels(1).astype(float)
+        post_X, post_y = PATTERN_FEATURES[cohort.week_patterns(2)], cohort.week_labels(2).astype(float)
         assert pearson(pre_X[:, j_contact], pre_y) > 0.3
         assert abs(pearson(post_X[:, j_contact], post_y)) < 0.1
         assert pearson(post_X[:, j_ha], post_y) > 0.3
