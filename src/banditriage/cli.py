@@ -338,16 +338,20 @@ def cmd_simulate(args, manifest: Manifest) -> None:
     )
 
     with manifest.artifact(args.out_trace) as tmp:
-        trace.to_jsonl(tmp, manifest=manifest.name)
-    manifest.write_csv(args.out_summary, None, [summary_row(p) for p in trace.period_dicts()])
+        periods = trace.to_jsonl(tmp, manifest=manifest.name)
+    manifest.write_csv(args.out_summary, None, [summary_row(p) for p in periods])
 
     sel_rows = []
     for p in trace.periods:
         sel = p.selection
-        for i, (rid, score) in enumerate(zip(sel.all_ids, sel.scores)):
-            channel = "exploit" if i < len(sel.exploit_ids) else "explore"
-            arm = sel.arm_assignments.get(rid, "")
-            sel_rows.append([rid, p.period, channel, arm, repr(score)])
+        # scores come from a few hundred patterns: format each distinct one
+        # once, keyed by its bits so that -0.0 keeps its sign
+        bits, which = np.unique(np.array(sel.scores).view(np.int64), return_inverse=True)
+        text = [repr(score) for score in bits.view(np.float64).tolist()]
+        n_exploit, arm = len(sel.exploit_ids), sel.arm_assignments
+        sel_rows += [[rid, p.period, "exploit" if i < n_exploit else "explore",
+                      arm.get(rid, ""), text[j]]
+                     for i, (rid, j) in enumerate(zip(sel.all_ids, which.tolist()))]
     manifest.write_csv(args.out_selections, ["record_id", "period", "channel", "arm", "score"],
                        sel_rows)
 

@@ -212,47 +212,6 @@ def rank_candidates(scores: np.ndarray, seed: int, k: int | None = None) -> np.n
     return top_k(scores, len(scores) if k is None else k, rng)
 
 
-class _ArmMembers:
-    """One arm's members as positions into the id-sorted pool, with a Fenwick
-    tree (Fenwick, SP&E 1994) over which of them are still untested, so the
-    r-th remaining member and a removal each cost O(log n). The state is
-    int32 numpy arrays, read and written through memoryviews, which index
-    to plain ints at about half the cost of numpy scalar indexing."""
-
-    def __init__(self, member: np.ndarray):
-        positions = np.flatnonzero(member).astype(np.int32)
-        local = np.cumsum(member, dtype=np.int32)  # 1-based member index
-        local[~member] = 0  # 0: not a member
-        # node i of a tree over all-present members counts lowbit(i) of them
-        nodes = np.arange(len(positions) + 1, dtype=np.int32)
-        self.positions, self.local = memoryview(positions), memoryview(local)
-        self.tree = memoryview(nodes & -nodes)
-        self.size = self.remaining = len(positions)
-        self.top = 1 << (self.size.bit_length() - 1) if self.size else 0
-
-    def nth(self, r: int) -> int:
-        """Pool position of the r-th (0-based) remaining member."""
-        tree, size, node, step = self.tree, self.size, 0, self.top
-        while step:
-            nxt = node + step
-            if nxt <= size and tree[nxt] <= r:
-                node = nxt
-                r -= tree[nxt]
-            step >>= 1
-        return self.positions[node]
-
-    def discard(self, position: int) -> None:
-        """Remove a remaining pool position; no-op if it is not a member."""
-        i = self.local[position]
-        if not i:
-            return
-        tree, size = self.tree, self.size
-        while i <= size:
-            tree[i] -= 1
-            i += i & -i
-        self.remaining -= 1
-
-
 def thompson_allocate(
     arms: Sequence[ArmSpec],
     k: int,
@@ -263,12 +222,16 @@ def thompson_allocate(
     """Assign up to k exploration slots across a pool's records (ids and
     pattern codes) by Thompson sampling.
 
-    Per slot: draw theta ~ Beta(alpha, beta) (one scalar ``rng.beta``) for
-    every arm with untested members left, in arm order; give the slot to the
-    first argmax arm; pick its r-th remaining member in ascending record_id
-    order, r = ``rng.integers(remaining)``; remove the pick from every arm.
-    Posteriors are frozen for the whole batch. The pool is sorted once and a
-    slot costs O(log n) plus the draws. Returns (picks as (record_id,
+    Every draw comes first: one ``rng.permutation`` per arm, in arm order,
+    of its members in ascending record_id order; then one ``rng.beta`` block
+    of ``min(k, covered)`` rows, a theta ~ Beta(alpha, beta) per arm in each.
+    Slot t goes to the first argmax arm of row t, whose cursor walks its
+    shuffled members past those already taken. An arm whose cursor runs off
+    the end has no untested members: its column is dropped from rows t on
+    and slot t is redone. Posteriors are frozen for the whole batch, so each
+    slot goes to the argmax of independent draws over the live arms and the
+    pick is uniform over the winner's remaining members. Skipping costs at
+    most k per arm, O(1) a slot amortised. Returns (picks as (record_id,
     arm_name), shortfall). A positive shortfall means the covered pool ran
     out before k slots were filled.
     """
@@ -284,20 +247,35 @@ def thompson_allocate(
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
 
     sorted_patterns = np.asarray(patterns)[order]
-    members = {arm.name: _ArmMembers(arm.predicate.mask(PATTERN_FEATURES)[sorted_patterns])
-               for arm in arms}
-    picks: list[tuple[int, str]] = []
-    for _ in range(k):
-        live = [arm for arm in arms if members[arm.name].remaining]
-        if not live:
-            break
-        draws = [rng.beta(arm.alpha, arm.beta) for arm in live]
-        winner = live[int(np.argmax(draws))]
-        pool = members[winner.name]
-        position = pool.nth(int(rng.integers(pool.remaining)))
-        picks.append((int(sorted_ids[position]), winner.name))
-        for remaining in members.values():
-            remaining.discard(position)
+    masks = [arm.predicate.mask(PATTERN_FEATURES) for arm in arms]
+    rows = min(k, int(np.count_nonzero(np.logical_or.reduce(masks)[sorted_patterns])))
+    # A cursor passes only taken records, and fewer than `rows` are taken
+    # while a slot is open, so no cursor reads past the first `rows` members.
+    queues = [rng.permutation(np.flatnonzero(mask[sorted_patterns]))[:rows].tolist()
+              for mask in masks]
+    theta = rng.beta([arm.alpha for arm in arms], [arm.beta for arm in arms],
+                     size=(rows, len(arms)))
+    winners = theta.argmax(axis=1).tolist()
+    cursors = [0] * len(arms)
+    taken = bytearray(len(ids))
+    positions: list[int] = []
+    names: list[str] = []
+    t = 0
+    while t < rows:  # some arm stays live while a covered record is untaken
+        winner = winners[t]
+        queue, cursor = queues[winner], cursors[winner]
+        while cursor < len(queue) and taken[queue[cursor]]:
+            cursor += 1
+        if cursor == len(queue):  # the winner has no untested members left
+            theta[t:, winner] = -np.inf
+            winners[t:] = theta[t:].argmax(axis=1).tolist()
+            continue
+        cursors[winner] = cursor + 1
+        taken[queue[cursor]] = 1
+        positions.append(queue[cursor])
+        names.append(arms[winner].name)
+        t += 1
+    picks = list(zip(sorted_ids[positions].tolist(), names))
     shortfall = k - len(picks)
     if shortfall:
         log.warning("thompson allocation truncated: %d uncovered slots", shortfall)

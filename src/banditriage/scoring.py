@@ -249,12 +249,15 @@ def load_model(path: str | Path) -> RiskModel:
         raise ValueError(f"{path}: feature order hash mismatch; model is for a different encoding")
     if fields["base_dim"] != str(N_FEATURES):
         raise ValueError(f"{path}: base_dim must be {N_FEATURES}, got {fields['base_dim']!r}")
-    n_weights = int(fields["weights"])
-    weight_lines = rest[:n_weights]
-    if len(weight_lines) != n_weights:
+    try:
+        n_weights = int(fields["weights"])
+        weights = np.array([float(line) for line in rest[:n_weights]])
+        bias = float(fields["bias"])
+        kind = ModelKind(fields["kind"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(weights) != n_weights:
         raise ValueError(f"{path}: expected {n_weights} weight lines")
-    weights = np.array([float(line) for line in weight_lines])
-    bias = float(fields["bias"])
     if not np.isfinite(np.append(weights, bias)).all():
         raise ValueError(f"{path}: bias and weights must be finite numbers")
-    return RiskModel(kind=ModelKind(fields["kind"]), weights=weights, bias=bias)
+    return RiskModel(kind=kind, weights=weights, bias=bias)

@@ -132,11 +132,14 @@ class SimulationTrace:
             for p in self.periods
         ]
 
-    def to_jsonl(self, path, *, manifest: str = "-") -> None:
-        """One JSON object per line: a header, then one record per period."""
+    def to_jsonl(self, path, *, manifest: str = "-") -> list[dict]:
+        """One JSON object per line: a header, then one record per period.
+        Returns the period objects written (:meth:`period_dicts`)."""
+        periods = self.period_dicts()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for obj in [self.header_dict(manifest)] + self.period_dicts():
+            for obj in [self.header_dict(manifest)] + periods:
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        return periods
 
 
 def summary_row(period: dict) -> dict:

@@ -481,6 +481,28 @@ class TestMalformedFiles:
         assert ("base_dim" if line == "base_dim" else "finite") in err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("line, value", [
+        ("weights", "x"), ("weight", "abc"), ("kind", "bogus"),
+    ])
+    def test_unparsable_model_entry_names_its_file(self, workdir, small_cohort_csv,
+                                                   small_model, capsys, line, value):
+        # report --models reads several files; the message says which is bad.
+        lines = small_model.read_text(encoding="utf-8").splitlines()
+        if line == "weight":
+            lines[-1] = value
+        else:
+            lines = [f"{line} {value}" if entry.startswith(f"{line} ") else entry
+                     for entry in lines]
+        bad = workdir / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(["report", "--cohort", str(small_cohort_csv), "--k-list", "100",
+                    "--models", f"{small_model},{bad}", "--out-dir", str(workdir / "out"),
+                    "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {bad}: ") and repr(value) in err
+        assert "Traceback" not in err and not (workdir / "out").exists()
+
 
 class TestWithoutScipy:
     def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):

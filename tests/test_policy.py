@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +255,7 @@ class TestSelect:
 
 CONTACT = ArmPredicate.from_text("contact_with_confirmed=1")
 NO_CONTACT = ArmPredicate.from_text("contact_with_confirmed=0")
+FEVER = ArmPredicate.from_text("fever=1")
 
 
 class TestThompson:
@@ -313,6 +316,63 @@ class TestThompson:
         assert {pid for pid, _ in picks} == set(range(5))
         assert shortfall == 0
 
+    def test_exact_allocation_law(self):
+        # Pool {1: A only, 2: A and B, 3: B only}, both arms Beta(1, 1), two
+        # slots. Each slot goes to a live arm with probability 1/live and the
+        # pick is uniform over that arm's untaken members; the frequency of
+        # every ordered pair of picks over 4000 seeds lies within 4 s.d. of
+        # that law. One shuffle shared by the arms would give the pair
+        # ((3, B), (1, A)) 1/12 in place of 1/16, 5.4 s.d. off.
+        members = {"A": {1, 2}, "B": {2, 3}}
+        arms = [ArmSpec("A", CONTACT), ArmSpec("B", FEVER)]
+        _, X = pool_of([feature_array(contact_with_confirmed=1),
+                        feature_array(contact_with_confirmed=1, fever=1),
+                        feature_array(fever=1)])
+        ids = np.array([1, 2, 3])
+
+        def law(taken: frozenset, slots: int) -> dict:
+            if not slots:
+                return {(): Fraction(1)}
+            out = Counter()
+            live = [name for name, m in members.items() if m - taken]
+            for name in live:
+                left = members[name] - taken
+                for rid in left:
+                    for rest, q in law(taken | {rid}, slots - 1).items():
+                        out[((rid, name),) + rest] += q / (len(live) * len(left))
+            return out
+
+        exact = law(frozenset(), 2)
+        assert sum(exact.values()) == 1 and len(exact) == 10
+        trials = 4000
+        counts = Counter(tuple(thompson_allocate(arms, 2, ids, X, seed)[0])
+                         for seed in range(trials))
+        assert set(counts) <= set(exact)
+        for pair, p in exact.items():
+            p = float(p)
+            assert abs(counts[pair] / trials - p) < 4 * math.sqrt(p * (1 - p) / trials), pair
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arms_die_mid_batch(self, seed):
+        # Overlapping arms and k past the covered pool, so every arm runs out
+        # while slots remain (the confident small arm first): the covered
+        # pool is taken exactly once and the rest of k is the shortfall.
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, len(PATTERN_FEATURES), 300)
+        ids = 7 + rng.permutation(1000)[:300]
+        arms = [ArmSpec("both", ArmPredicate.from_text("contact_with_confirmed=1 & fever=1"),
+                        alpha=50.0, beta=1.0),
+                ArmSpec("contact", CONTACT), ArmSpec("fever", FEVER, alpha=1.0, beta=5.0)]
+        masks = {arm.name: arm.predicate.mask(PATTERN_FEATURES)[patterns] for arm in arms}
+        covered = set(ids[np.logical_or.reduce(list(masks.values()))].tolist())
+        k = len(covered) + 40
+        picks, shortfall = thompson_allocate(arms, k, ids, patterns, seed)
+        picked = [rid for rid, _ in picks]
+        assert sorted(picked) == sorted(covered)
+        assert shortfall == k - len(covered)
+        member_ids = {name: set(ids[m].tolist()) for name, m in masks.items()}
+        assert all(rid in member_ids[name] for rid, name in picks)
+
     def test_repeated_record_id_rejected(self):
         ids, X = self.two_arm_pool(n_contact=3, n_other=0)
         arms = [ArmSpec("c", CONTACT)]
@@ -341,23 +401,24 @@ class TestThompson:
 
 
 def reference_thompson_allocate(arms, k, ids, X, seed):
-    """The set-and-sort allocator the Fenwick-tree one replaced, over the
-    pool's 0/1 feature rows X: O(n log n) per slot, same rng calls, the
-    oracle for its picks."""
+    """The allocation contract over sets, the oracle for the allocator's
+    picks, over the pool's 0/1 feature rows X. Same rng calls in the same
+    order: one permutation of each arm's members in ascending record_id
+    order, then one Beta block of min(k, covered) rows. Each row's slot goes
+    to the first argmax among the arms that still have members, and the pick
+    is the first of the winner's shuffled members still untaken."""
     ids = np.asarray(ids, dtype=np.int64)
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
-    members = {arm.name: set(ids[arm.predicate.mask(X)].tolist()) for arm in arms}
+    members = [set(ids[arm.predicate.mask(X)].tolist()) for arm in arms]
+    queues = [rng.permutation(sorted(m)).tolist() for m in members]
+    draws = rng.beta([arm.alpha for arm in arms], [arm.beta for arm in arms],
+                     size=(min(k, len(set().union(*members))), len(arms)))
     picks = []
-    for _ in range(k):
-        live = [arm for arm in arms if members[arm.name]]
-        if not live:
-            break
-        draws = [rng.beta(arm.alpha, arm.beta) for arm in live]
-        winner = live[int(np.argmax(draws))]
-        pool = sorted(members[winner.name])
-        chosen = pool[int(rng.integers(len(pool)))]
-        picks.append((chosen, winner.name))
-        for remaining in members.values():
+    for row in draws.tolist():
+        winner = max((i for i, m in enumerate(members) if m), key=row.__getitem__)
+        chosen = next(rid for rid in queues[winner] if rid in members[winner])
+        picks.append((chosen, arms[winner].name))
+        for remaining in members:
             remaining.discard(chosen)
     return picks, k - len(picks)
 
