@@ -199,9 +199,10 @@ def _checked(what: str, convert, accept, want: str):
 
 
 def _list_of(item, what: str):
-    """An argparse type: comma-separated values of the ``item`` type, at least one."""
+    """An argparse type: comma-separated values of the ``item`` type, at least
+    one and none repeated (a repeat would make a duplicate row or column)."""
     return _checked(f"{what} list", lambda text: [item(x) for x in text.split(",") if x.strip()],
-                    bool, "non-empty")
+                    lambda v: v and len(set(v)) == len(v), "non-empty, without repeats")
 
 
 _seed = _checked("seed", int, lambda s: 0 <= s < 2**64, "an integer in [0, 2**64)")
@@ -391,7 +392,7 @@ def cmd_bootstrap(args, manifest: Manifest) -> None:
         [[result.k, len(result.replicate_means), result.level,
           repr(result.mean), repr(result.lo), repr(result.hi), result.skipped_replicates]])
     print(f"recall@{args.k}: mean {result.mean:.3f}, "
-          f"{int(args.level * 100)}% CI ({result.lo:.3f}, {result.hi:.3f})")
+          f"{args.level * 100:g}% CI ({result.lo:.3f}, {result.hi:.3f})")
 
 
 def _model_entries(text: str) -> dict[str, str]:
@@ -461,7 +462,7 @@ def cmd_report(args, manifest: Manifest) -> None:
         if args.recall_table:
             model = load_model(args.model)
             manifest.note_input(args.model)
-            rows_d = weekly_recall_table(cohort, model, ks, weeks=args.weeks, seed=args.seed)
+            rows_d = weekly_recall_table(cohort, model, ks, weeks=args.weeks)
             messages.append(f"weekly recall table -> {queue('weekly_recall.csv', None, rows_d)}")
 
         if args.models:
@@ -469,8 +470,7 @@ def cmd_report(args, manifest: Manifest) -> None:
             for name, entry in model_entries.items():
                 named[name] = rule_based_model() if entry == "rule_based" else load_model(entry)
                 manifest.note_input(None if entry == "rule_based" else entry)
-            rows_m = model_comparison_table(cohort, named, ks,
-                                            weeks=args.weeks, seed=args.seed)
+            rows_m = model_comparison_table(cohort, named, ks, weeks=args.weeks)
             out = queue("model_comparison.csv", None, rows_m)
             messages.append(f"model comparison ({len(rows_m)} models) -> {out}")
 
@@ -481,7 +481,6 @@ def cmd_report(args, manifest: Manifest) -> None:
                 args.weeks_b,
                 args.weeks,
                 args.k_list or [100, 300, 1000, 3000],
-                seed=args.seed,
             )
             out = queue("crossover.csv", ["k", "recall_a", "recall_b"],
                         [[r["k"], repr(r["recall_a"]), repr(r["recall_b"])] for r in rows_x])

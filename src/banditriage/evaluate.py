@@ -1,14 +1,16 @@
 """Metrics and statistics: recall/precision/F1 at capacity, per-week Pearson
 feature correlations, and bootstrap confidence intervals on mean weekly recall.
 
+Recall and F1 at capacity k are exact means over the order of tied scores,
+read off a pool's (score group, label) cell counts; no tie-break is drawn.
+
 The bootstrap resamples each week's pool with replacement to its original
-size (per-record, stratified by week), re-ranks the resample with uniform
-tie-breaks, and reports the percentile interval of the replicate means
-(Efron & Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 13). It
-draws each week's resample as counts of its (rank group, label) cells, the
-same law as a row resample at a cost independent of the pool size. The
-trained model is never refit inside a replicate: the interval measures
-ranking variance under resampling, not training variance.
+size (per-record, stratified by week), draws the resample as counts of the
+same cells, reads its recall by the same rule, and reports the percentile
+interval of the replicate means (Efron & Tibshirani, *An Introduction to the
+Bootstrap*, 1993, ch. 13). The trained model is never refit inside a
+replicate: the interval measures ranking variance under resampling, not
+training variance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .records import FEATURE_NAMES, N_FEATURES, Cohort
-from .policy import dense_rank, rank_candidates
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -141,26 +142,64 @@ def weekly_correlations(cohort: Cohort) -> CorrelationTable:
 # ---------------------------------------------------------------------------
 
 
+def score_cells(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pool's (score group, label) cell counts: the rows and the positives
+    of each group of equal scores, best group first. Equal scores (-0.0 and
+    0.0 included) share a group; NaN scores form the last group, as
+    :func:`banditriage.policy.rank_candidates` ranks them last."""
+    values, group = np.unique(scores, return_inverse=True)
+    rows = np.bincount(group, minlength=len(values))[::-1]
+    positives = np.bincount(group[np.asarray(labels, dtype=bool)], minlength=len(values))[::-1]
+    if len(values) and np.isnan(values[-1]):  # np.unique puts NaN last, as one value
+        rows, positives = np.roll(rows, -1), np.roll(positives, -1)
+    return rows, positives
+
+
+def _expected_recall(rows: np.ndarray, positives: np.ndarray,
+                     k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """recall@k and F1@k when the first k rows of a pool with these
+    :func:`score_cells` counts are tested, each the mean over every order of
+    its ties. Each row of ``rows`` and ``positives`` is a pool, cut at its
+    entry of ``k``; a single pool is cut at every entry. No k exceeds its
+    pool's size.
+
+    Row k falls in group g, of n_g rows and p_g positives, and m of them are
+    taken. Every tie order takes the positives of the groups above g, and
+    takes m·p_g/n_g of g's positives on average. So E[hits] is their sum,
+    recall is E[hits]/P and F1 is 2·E[hits]/(k + P), since F1 is linear in
+    the hits. Both are single divisions of integers, so each is the exact
+    value rounded once. Both read 0.0 for a pool without positives.
+    """
+    rows, positives = np.atleast_2d(rows, positives)
+    taken = np.pad(rows.cumsum(axis=1), ((0, 0), (1, 0)))  # rows in the groups above each
+    found = np.pad(positives.cumsum(axis=1), ((0, 0), (1, 0)))
+    pool = np.arange(len(taken))
+    g = np.count_nonzero(taken[:, 1:] < k[:, None], axis=1)  # the first group reaching row k
+    # An empty group (a bootstrap draw) is cut only at k = 0, where m = 0.
+    n_g = np.maximum(taken[pool, g + 1] - taken[pool, g], 1)
+    hits = found[pool, g] * n_g + (k - taken[pool, g]) * (found[pool, g + 1] - found[pool, g])
+    total = np.maximum(found[:, -1], 1)
+    return hits / (n_g * total), 2 * hits / (n_g * (k + total))  # hits is n_g·E[hits]
+
+
 def ranked_recall(
     cohort: Cohort,
     model: RiskModel,
     ks: Sequence[int],
     *,
     weeks: Sequence[int] | None = None,
-    seed: int = 0,
-    stream: tuple[str, ...] = ("week",),
 ) -> tuple[np.ndarray, np.ndarray]:
     """recall@k and F1@k when the model's top k of each week's pool is tested,
     as two arrays indexed [capacity, week] over ``ks`` and ``weeks``.
 
-    Each pool is scored and ranked once, its ties broken by the stream
-    ``derive_seed(seed, *stream, week)``, and capacity k takes the first k
-    of that ranking. :func:`top_k` draws one permutation whatever k is, so
-    each prefix is the selection a ranking cut at k alone would make. The
-    F1 of an empty selection is 0.0, and so are both metrics of a week
-    without positives, which is logged once.
+    Each is the exact mean over every order of the pool's tied scores (see
+    :func:`_expected_recall`), read off the week's :func:`score_cells`, which
+    are built once whatever the capacities; no random number is drawn. Both
+    metrics of a week without positives are 0.0, which is logged once.
     """
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    if any(k < 0 for k in ks):
+        raise MetricError(f"k must be >= 0, got {min(ks)}")
     recall = np.zeros((len(ks), len(weeks)))
     f1 = np.zeros_like(recall)
     for i, week in enumerate(weeks):
@@ -168,26 +207,28 @@ def ranked_recall(
         if not labels.any():
             log.warning("recall undefined: week %s has no positives; reporting 0.0", week)
             continue
-        ranked = rank_candidates(score_matrix(model, cohort.week_patterns(week)),
-                                 derive_seed(seed, *stream, week))
-        for j, k in enumerate(ks):
-            recall[j, i] = recall_at_k(ranked[:k], labels)
-            f1[j, i] = f1_at_k(ranked[:k], labels) if k else 0.0
+        cells = score_cells(score_matrix(model, cohort.week_patterns(week)), labels)
+        capped = np.array([min(k, len(labels)) for k in ks], dtype=np.int64)
+        recall[:, i], f1[:, i] = _expected_recall(*cells, capped)
     return recall, f1
 
 
 def weekly_recall_at_k(cohort: Cohort, model: RiskModel, k: int, *,
-                       weeks: Sequence[int] | None = None, seed: int = 0) -> dict[int, float]:
+                       weeks: Sequence[int] | None = None) -> dict[int, float]:
     """recall@k per week when the model's top-k of each week's pool is tested."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
-    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks, seed=seed)
+    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks)
     return dict(zip(weeks, recall[0].tolist()))
 
 
 def mean_weekly_recall(cohort: Cohort, model: RiskModel, k: int, *,
-                       weeks: Sequence[int] | None = None, seed: int = 0) -> float:
-    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks, seed=seed)
+                       weeks: Sequence[int] | None = None) -> float:
+    recall, _ = ranked_recall(cohort, model, [k], weeks=weeks)
     return float(np.mean(recall[0]))
+
+
+#: Replicates drawn at a time by :func:`bootstrap_ci`, which bounds its memory.
+_REPLICATE_BLOCK = 256
 
 
 @dataclass
@@ -199,18 +240,6 @@ class BootstrapResult:
     k: int
     replicate_means: list[float] = field(default_factory=list)
     skipped_replicates: int = 0
-
-
-def _week_cells(rank: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A week's non-empty (rank group, label) cells, best group first: each
-    cell's share of the pool, whether it is positive, and the cell index
-    where its group starts and ends."""
-    cell, counts = np.unique(rank.astype(np.int64) * 2 + y, return_counts=True)
-    cell, counts = cell[::-1], counts[::-1]
-    group = cell >> 1
-    start = np.searchsorted(-group, -group, side="left")
-    stop = np.searchsorted(-group, -group, side="right")
-    return counts / len(y), (cell & 1).astype(np.int64), start, stop
 
 
 def bootstrap_ci(
@@ -226,24 +255,23 @@ def bootstrap_ci(
     """Percentile bootstrap confidence interval on mean weekly recall@k.
 
     Each replicate resamples every week's pool with replacement to its
-    original size and takes the top-k recall of the resample, ties broken
-    uniformly at random; the interval runs between the (1 - level)/2 and
-    (1 + level)/2 quantiles of the R replicate means, so its width estimates
-    the sampling spread of the recall and does not shrink as R grows.
-    ``mean`` is the replicate mean.
+    original size and takes the top-k recall of the resample; the interval
+    runs between the (1 - level)/2 and (1 + level)/2 quantiles of the R
+    replicate means, so its width estimates the sampling spread of the
+    recall and does not shrink as R grows. ``mean`` is the replicate mean.
 
     The replicate is drawn in cell space, not row by row. Recall depends
-    only on how many resampled rows fall in each (rank group, label) cell
-    of the week, and on how many positives a uniform tie-break puts first
-    in the group the capacity cuts. So each week draws its cell counts with
-    one ``rng.multinomial`` over its cells, best group first, and, when the
-    cut splits a group holding both labels, the positives among the group's
-    first m rows with one ``rng.hypergeometric``. That is the law of a row
-    resample followed by a uniform shuffle, at a cost that does not depend
-    on the pool size. Replicates are seeded by replicate index, so a
-    parallel run would reproduce the serial result. A week whose draw holds
-    no positives reads 0.0 and draws no tie-break; a replicate with no
-    positives in any week is skipped and counted.
+    only on how many resampled rows fall in each of the week's
+    :func:`score_cells`, so each week draws its cell counts with one
+    ``rng.multinomial``, the law of a row resample. It reads the recall off
+    them by the tables' rule, the mean over tie orders, in place of drawing
+    a tie order (Rao-Blackwellisation: Blackwell, 1947), so the replicate
+    keeps the mean of a row resample followed by a uniform shuffle. A
+    replicate thus draws once per week whatever k is, at a cost that does
+    not depend on the pool size. Replicates are seeded by replicate index,
+    so a parallel run would reproduce the serial result. A week whose draw
+    holds no positives reads 0.0; a replicate with no positives in any week
+    is skipped and counted.
     """
     if replicates < 2:
         raise MetricError("need at least 2 bootstrap replicates")
@@ -253,47 +281,36 @@ def bootstrap_ci(
         raise MetricError(f"k must be >= 0, got {k}")
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
 
-    # Scores per record are fixed by the model: group each week once.
+    # Scores per record are fixed by the model: group each week once. Only
+    # the non-empty cells (each group's positive, then negative) are drawn.
     per_week = []
     for week in weeks:
         y = cohort.week_labels(week)
-        rank = dense_rank(score_matrix(model, cohort.week_patterns(week)))
-        per_week.append((len(y), *_week_cells(rank, y)))
+        rows, positives = score_cells(score_matrix(model, cohort.week_patterns(week)), y)
+        cells = np.column_stack([positives, rows - positives]).ravel()
+        nonempty = np.flatnonzero(cells)
+        per_week.append((len(y), len(cells), nonempty, cells[nonempty] / len(y)))
 
     means: list[float] = []
     skipped = 0
-    for r in range(replicates):
-        rng = np.random.default_rng(derive_seed(seed, "bootstrap", r))
-        week_recalls = []
-        any_positive = False
-        for n, share, positive, start, stop in per_week:
-            drawn = rng.multinomial(n, share)
-            hits = (drawn * positive).cumsum()  # positives in the cells up to each
-            positives = int(hits[-1])
-            if not positives:
-                week_recalls.append(0.0)
-                continue
-            any_positive = True
-            taken = drawn.cumsum()
-            cut = taken.searchsorted(k, side="right")  # the cell of row k + 1
-            if cut == len(taken):
-                week_recalls.append(1.0)
-                continue
-            a, b = start[cut], stop[cut]
-            before, found = (int(taken[a - 1]), int(hits[a - 1])) if a else (0, 0)
-            pos = int(hits[b - 1]) - found
-            neg = int(taken[b - 1]) - before - pos
-            m = k - before  # rows taken from the cut group
-            if m and pos and neg:
-                found += int(rng.hypergeometric(pos, neg, m))
-            elif not neg:
-                found += m
-            week_recalls.append(found / positives)
-        if not any_positive:
-            skipped += 1
-            log.warning("bootstrap replicate %d skipped: no positives in any week", r)
-            continue
-        means.append(float(np.mean(week_recalls)))
+    for first in range(0, replicates, _REPLICATE_BLOCK):
+        block = range(first, min(first + _REPLICATE_BLOCK, replicates))
+        rngs = [np.random.default_rng(derive_seed(seed, "bootstrap", r)) for r in block]
+        recalls = np.empty((len(block), len(per_week)))  # one replicate a row
+        any_positive = np.zeros(len(block), dtype=bool)
+        for w, (n, size, nonempty, share) in enumerate(per_week):
+            drawn = np.zeros((len(block), size), dtype=np.int64)
+            drawn[:, nonempty] = [rng.multinomial(n, share) for rng in rngs]
+            drawn = drawn.reshape(len(block), -1, 2)
+            any_positive |= drawn[:, :, 0].any(axis=1)
+            recalls[:, w] = _expected_recall(drawn.sum(axis=2), drawn[:, :, 0],
+                                             np.full(len(block), min(k, n)))[0]
+        for r, used, mean in zip(block, any_positive, recalls.mean(axis=1).tolist()):
+            if used:
+                means.append(mean)
+            else:
+                skipped += 1
+                log.warning("bootstrap replicate %d skipped: no positives in any week", r)
 
     if len(means) < 2:
         raise MetricError("fewer than 2 usable bootstrap replicates")
@@ -310,22 +327,21 @@ def bootstrap_ci(
 
 
 def weekly_recall_table(cohort: Cohort, model: RiskModel, ks: Sequence[int], *,
-                        weeks: Sequence[int] | None = None, seed: int = 0) -> list[dict]:
+                        weeks: Sequence[int] | None = None) -> list[dict]:
     """Rows keyed by week with one recall column per capacity."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
-    recall, _ = ranked_recall(cohort, model, ks, weeks=weeks, seed=seed)
+    recall, _ = ranked_recall(cohort, model, ks, weeks=weeks)
     return [{"week": week, "n_tests": int(len(cohort.week_ids(week))),
              **{f"recall@{k}": r for k, r in zip(ks, column)}}
             for week, column in zip(weeks, recall.T.tolist())]
 
 
 def model_comparison_table(cohort: Cohort, models: Mapping[str, RiskModel], ks: Sequence[int],
-                           *, weeks: Sequence[int] | None = None, seed: int = 0) -> list[dict]:
+                           *, weeks: Sequence[int] | None = None) -> list[dict]:
     """One row per model: mean weekly recall and F1 at each capacity."""
     rows = []
     for name, model in models.items():
-        recall, f1 = ranked_recall(cohort, model, ks, weeks=weeks, seed=seed,
-                                   stream=("cmp", name))
+        recall, f1 = ranked_recall(cohort, model, ks, weeks=weeks)
         row: dict = {"model": name}
         for k, r, f in zip(ks, recall, f1):
             # One 1-D mean per capacity: a mean over an axis of the 2-D array

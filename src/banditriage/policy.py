@@ -2,6 +2,9 @@
 exploration budgets, take the top-ranked exploit set, and fill the explore
 set by uniform random sampling or Thompson sampling over expert-defined arms.
 
+The exploit set breaks ties among equal scores by a seeded shuffle
+(:func:`rank_candidates`), because it must name actual records; the recall
+tables of :mod:`banditriage.evaluate` take the mean over tie orders instead.
 Rounding favors exploitation: the explore budget is floor(rho * capacity).
 Exploration draws from the pool excluding the exploit picks, so no candidate
 is tested twice. Thompson arm posteriors stay frozen within a period (results
@@ -177,39 +180,19 @@ def split_budget(capacity: int, exploration_fraction: float) -> tuple[int, int]:
     return capacity - k_explore, k_explore
 
 
-def top_k(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions of the k highest scores, best first.
+def rank_candidates(scores: np.ndarray, seed: int) -> np.ndarray:
+    """Positions of a pool's scores, best first.
 
     Ties are broken by a pre-shuffle: the pool is permuted uniformly at
-    random (one ``rng.permutation`` draw) before a stable sort, so tie order
-    is reproducible for a given rng state but carries no input-order bias.
+    random (one ``rng.permutation`` draw from the stream derived from
+    ``seed``) before a stable sort, so tie order is reproducible for a given
+    seed but carries no input-order bias. NaN scores rank last.
     """
-    if k < 0:
-        raise PolicyError(f"k must be >= 0, got {k}")
-    perm = rng.permutation(len(scores))
-    return perm[np.argsort(-scores[perm], kind="stable")[:k]]
-
-
-def dense_rank(scores: np.ndarray) -> np.ndarray:
-    """Integer keys that :func:`top_k` orders exactly as it orders ``scores``.
-
-    Equal scores (-0.0 and 0.0 included) share a key and higher scores get
-    higher keys; NaN, which a float sort puts last, gets the lowest. The keys
-    are int16 when they fit.
-    """
-    values, rank = np.unique(scores, return_inverse=True)
-    if len(values) and np.isnan(values[-1]):  # np.unique puts NaN last, as one value
-        rank[rank == len(values) - 1] = -1
-    return rank.astype(np.int16 if len(values) < 2**15 else np.int64)
-
-
-def rank_candidates(scores: np.ndarray, seed: int, k: int | None = None) -> np.ndarray:
-    """:func:`top_k` of a pool's scores (the whole ranking when k is None),
-    with the tie-break stream derived from ``seed``."""
     if len(scores) == 0:
         raise PolicyError("cannot rank an empty pool")
     rng = np.random.default_rng(derive_seed(seed, "rank"))
-    return top_k(scores, len(scores) if k is None else k, rng)
+    perm = rng.permutation(len(scores))
+    return perm[np.argsort(-scores[perm], kind="stable")]
 
 
 def thompson_allocate(

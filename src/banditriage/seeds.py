@@ -1,8 +1,8 @@
 """Deterministic seed derivation.
 
 A single master seed governs a whole run. Every randomized subcomponent
-(tie-breaking, exploration draws, bootstrap replicates) derives its own
-stream as SHA-256 over the master seed and a label path, so adding or
+(selection tie-breaks, exploration draws, bootstrap replicates) derives its
+own stream as SHA-256 over the master seed and a label path, so adding or
 reordering one component never perturbs another.
 """
 

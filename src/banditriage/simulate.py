@@ -356,7 +356,6 @@ def train_eval_split_experiment(
     *,
     kind: ModelKind = ModelKind.POLY2,
     train_config: TrainConfig | None = None,
-    seed: int = 0,
 ) -> list[dict]:
     """Train one model per time frame, compare recall@k on later weeks.
 
@@ -373,9 +372,7 @@ def train_eval_split_experiment(
 
     model_a, _ = train_on_weeks(cohort, a, kind, train_config)
     model_b, _ = train_on_weeks(cohort, b, kind, train_config)
-    recall_a, _ = ranked_recall(cohort, model_a, capacities, weeks=ev,
-                                seed=derive_seed(seed, "eval", repr(a)))
-    recall_b, _ = ranked_recall(cohort, model_b, capacities, weeks=ev,
-                                seed=derive_seed(seed, "eval", repr(b)))
+    recall_a, _ = ranked_recall(cohort, model_a, capacities, weeks=ev)
+    recall_b, _ = ranked_recall(cohort, model_b, capacities, weeks=ev)
     return [{"k": int(k), "recall_a": float(np.mean(ra)), "recall_b": float(np.mean(rb))}
             for k, ra, rb in zip(capacities, recall_a, recall_b)]

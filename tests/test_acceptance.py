@@ -111,13 +111,13 @@ def test_criterion_1_real_data_recall():
     model = train(X, y, ModelKind.POLY2, TrainConfig())
 
     rows = weekly_recall_table(cohort, model, ks=[1000, 2000, 3000, 4000, 5000],
-                               weeks=eval_weeks, seed=0)
+                               weeks=eval_weeks)
     deviations = []
     for row in rows:
         expected = PUBLISHED_WEEKLY_RECALL[row["week"]]
         got = [row[f"recall@{k}"] for k in (1000, 2000, 3000, 4000, 5000)]
         deviations.append(max(abs(g - e) for g, e in zip(got, expected)))
-    mean5000 = mean_weekly_recall(cohort, model, 5000, weeks=eval_weeks, seed=0)
+    mean5000 = mean_weekly_recall(cohort, model, 5000, weeks=eval_weeks)
     elapsed = time.monotonic() - t0
     lo, hi = PUBLISHED_RECALL_5000_CI
     ok = (
@@ -238,7 +238,7 @@ def test_criterion_5_ranking_beats_random():
         y = np.concatenate([sub.week_labels(w) for w in sub.weeks])
         model = train(X, y, ModelKind.POLY2, TrainConfig())
         recalls.append(
-            mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6, 7, 8], seed=seed)
+            mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6, 7, 8])
         )
     median = float(np.median(recalls))
     random_baseline = k / base.n_per_week
@@ -257,7 +257,7 @@ def test_criterion_6_bootstrap_coverage():
     cohort = generate_cohort(params)
     model = planted_model(params)
     k = 100
-    truth = mean_weekly_recall(cohort, model, k, seed=99)  # exhaustive evaluation
+    truth = mean_weekly_recall(cohort, model, k)  # exhaustive evaluation
     covered = 0
     for run in range(100):
         res = bootstrap_ci(cohort, model, k, replicates=10, level=0.95, seed=run)
@@ -281,7 +281,7 @@ def test_criterion_7_regime_shift_crossover():
     for seed in range(20):
         cohort = generate_cohort(replace(base, seed=derive_seed(7, "cohort", seed)))
         rows = train_eval_split_experiment(
-            cohort, range(10, 13), range(21, 24), range(24, 27), ks, seed=seed
+            cohort, range(10, 13), range(21, 24), range(24, 27), ks
         )
         if rows[0]["recall_b"] > rows[0]["recall_a"]:
             b_wins_smallest += 1
@@ -442,7 +442,7 @@ def test_criterion_11_bootstrap_covers_population_recall():
     model = planted_model(base)
     k = 100
     truth = float(np.mean([
-        mean_weekly_recall(generate_cohort(replace(base, seed=10000 + s)), model, k, seed=s)
+        mean_weekly_recall(generate_cohort(replace(base, seed=10000 + s)), model, k)
         for s in range(200)
     ]))
     covered = 0

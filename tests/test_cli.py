@@ -292,6 +292,34 @@ class TestCapacityFlags:
         assert code == EXIT_DATA
         assert "capacity must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--recall-table", "--model", "model.txt", "--k-list", "300,300"],
+        ["report", "--crossover", "--weeks-a", "1", "--weeks-b", "2", "--weeks", "3",
+         "--k-list", "300,100,300"],
+        ["sweep", "--rule-based", "--rho-list", "0.3,0.30", "--k-list", "300"],
+        ["sweep", "--rule-based", "--rho-list", "0,-0", "--k-list", "300"],
+        ["sweep", "--rule-based", "--rho-list", "0.3", "--k-list", "300,300"],
+    ])
+    def test_repeated_list_entry_is_usage_error(self, workdir, small_cohort_csv, capsys, argv):
+        # A repeat used to write a duplicate row, or one column for two entries.
+        code = run(argv + ["--cohort", str(small_cohort_csv),
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: usage:" in err and "without repeats" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("entry", ["k_list = 300,300", "rho_list = 0.5,0.5"])
+    def test_repeated_list_entry_from_config_is_data_error(self, workdir, small_cohort_csv,
+                                                            capsys, entry):
+        cfg = workdir / "run.config"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        code = run(["sweep", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--config", str(cfg), "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        assert "without repeats" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestFlagValues:
     @pytest.mark.parametrize("argv", [
@@ -569,6 +597,17 @@ class TestSweepBootstrapReport:
         lines = (workdir / "bootstrap.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "k"
 
+    @pytest.mark.parametrize("level, printed", [("0.29", "29% CI"), ("0.57", "57% CI"),
+                                                ("0.955", "95.5% CI")])
+    def test_bootstrap_prints_its_level(self, workdir, small_cohort_csv, small_model, capsys,
+                                        level, printed):
+        # A truncated percentage printed 0.29 as 28% and 0.955 as 95%.
+        code = run(["bootstrap", "--cohort", str(small_cohort_csv),
+                    "--model", str(small_model), "--k", "100", "--level", level,
+                    "--replicates", "20", "--out-dir", str(workdir), "--quiet"])
+        assert code == EXIT_OK
+        assert f", {printed} (" in capsys.readouterr().out
+
     def test_report_from_cohort_and_crossover(self, workdir):
         code = run(["synth", "--scenario", "regime_shift", "--out", "shift.csv",
                     "--out-dir", str(workdir), "--seed", "6", "--quiet"])
@@ -817,6 +856,26 @@ class TestDeterminism:
                          "--out-dir", str(out), "--seed", "9", "--quiet"],
             tmp_path,
         )
+
+    def test_report_tables_do_not_depend_on_the_seed(self, workdir):
+        # Every recall table is an exact expectation over tie orders, so no
+        # random number is drawn and --seed changes no byte of it.
+        common = ["--out-dir", str(workdir), "--seed", "42", "--quiet"]
+        assert run(["synth", "--scenario", "default", "--out", "cohort.csv", *common]) == EXIT_OK
+        assert run(["train", "--cohort", "cohort.csv", "--weeks", "1-3", "--out", "model.txt",
+                    *common]) == EXIT_OK
+        tables = ("weekly_recall.csv", "model_comparison.csv", "crossover.csv")
+        written = []
+        for seed in ("1", "2"):
+            out = workdir / f"seed{seed}"
+            assert run(["report", "--cohort", "cohort.csv", "--recall-table",
+                        "--model", "model.txt", "--models", "rule_based,model.txt",
+                        "--crossover", "--weeks-a", "1-2", "--weeks-b", "3", "--weeks", "4-8",
+                        "--k-list", "100,600,2100", "--out-dir", str(out), "--seed", seed,
+                        "--quiet"]) == EXIT_OK
+            written.append([(out / name).read_bytes() for name in tables])
+        for name, one, two in zip(tables, *written):
+            assert one == two, name
 
 
 class TestMissingWeeks:

@@ -1,24 +1,33 @@
 from __future__ import annotations
 
+import itertools
+import math
 from datetime import date
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditriage.evaluate import (
     MetricError,
+    _expected_recall,
     bootstrap_ci,
     f1_at_k,
     mean_weekly_recall,
     pearson,
     precision_at_k,
+    ranked_recall,
     recall_at_k,
+    score_cells,
     weekly_correlations,
     weekly_recall_at_k,
     weekly_recall_table,
 )
+from banditriage.policy import rank_candidates
 from banditriage.records import FEATURE_NAMES
-from banditriage.scoring import score_matrix
+from banditriage.scoring import rule_based_model, score_matrix
 from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
@@ -273,10 +282,11 @@ class TestBootstrap:
         assert res.replicate_means == expected
 
     @pytest.mark.parametrize("k", [1, 20])
-    def test_tied_pool_reads_a_hypergeometric_draw_of_drawn_counts(self, k):
+    def test_tied_pool_reads_k_over_n_whatever_the_drawn_labels(self, k):
         # Every record has the same features, so each week is one group of
-        # two cells, positives first: a replicate draws their counts, then
-        # the positives among the k rows a uniform tie-break puts first.
+        # two cells, positives first: a replicate draws their counts, and the
+        # k rows a tie order puts first hold k/n of the drawn positives on
+        # average, which is the week's recall.
         from conftest import make_record
         from banditriage.records import Cohort, TestResult
 
@@ -289,8 +299,8 @@ class TestBootstrap:
             rng = np.random.default_rng(derive_seed(3, "bootstrap", r))
             recalls = []
             for _ in cohort.weeks:
-                pos, neg = rng.multinomial(50, np.array([10, 40]) / 50)
-                recalls.append(int(rng.hypergeometric(pos, neg, k)) / pos if pos else 0.0)
+                pos, _ = rng.multinomial(50, np.array([10, 40]) / 50)
+                recalls.append(k / 50 if pos else 0.0)
             expected.append(float(np.mean(recalls)))
         res = bootstrap_ci(cohort, planted_model(small_params()), k, replicates=30, seed=3)
         assert res.replicate_means == expected
@@ -314,7 +324,7 @@ class TestPerfectRankerLaw:
         model = planted_model(params)
         positives = cohort.positives_by_week()
         for k in (50, 200, 1000):
-            per_week = weekly_recall_at_k(cohort, model, k, seed=13)
+            per_week = weekly_recall_at_k(cohort, model, k)
             for week, got in per_week.items():
                 assert got == min(k, positives[week]) / positives[week]
 
@@ -324,7 +334,7 @@ class TestWeeklyRecallTable:
         params = small_params()
         cohort = generate_cohort(params)
         model = planted_model(params)
-        rows = weekly_recall_table(cohort, model, ks=[10, 40], seed=2)
+        rows = weekly_recall_table(cohort, model, ks=[10, 40])
         assert [r["week"] for r in rows] == list(cohort.weeks)
         for row in rows:
             assert set(row) == {"week", "n_tests", "recall@10", "recall@40"}
@@ -335,15 +345,94 @@ class TestWeeklyRecallTable:
         cohort = generate_cohort(params)
         model = planted_model(params)
         ks = [1, 25, 120, 400, 900]  # the pools hold 400 candidates
-        rows = weekly_recall_table(cohort, model, ks=ks, seed=2)
+        rows = weekly_recall_table(cohort, model, ks=ks)
         for k in ks:
             column = {row["week"]: row[f"recall@{k}"] for row in rows}
-            assert column == weekly_recall_at_k(cohort, model, k, seed=2)
+            assert column == weekly_recall_at_k(cohort, model, k)
 
     def test_mean_weekly_recall_matches_table(self):
         params = small_params()
         cohort = generate_cohort(params)
         model = planted_model(params)
-        rows = weekly_recall_table(cohort, model, ks=[25], seed=2)
-        mean = mean_weekly_recall(cohort, model, 25, seed=2)
+        rows = weekly_recall_table(cohort, model, ks=[25])
+        mean = mean_weekly_recall(cohort, model, 25)
         assert mean == pytest.approx(np.mean([r["recall@25"] for r in rows]))
+
+    def test_negative_k_rejected(self):
+        # A prefix [:-5] would quietly mean "all but 5".
+        cohort = generate_cohort(small_params(weeks=(1, 1), n_per_week=50))
+        with pytest.raises(MetricError, match="k must be >= 0"):
+            ranked_recall(cohort, rule_based_model(), [10, -5])
+        with pytest.raises(MetricError, match="k must be >= 0"):
+            weekly_recall_table(cohort, rule_based_model(), [-1])
+
+
+# Scores with ties, -0.0 against 0.0, +-inf and NaN.
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _order_key(i, scores):
+    """Best first with NaN last; -0.0 and 0.0 tie."""
+    s = scores[i]
+    return (math.isnan(s), 0.0 if math.isnan(s) else -s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SCORE, min_size=1, max_size=4), st.data())
+def test_exact_metrics_are_the_mean_over_every_tie_order(values, data):
+    # Every permutation of the rows, stably sorted by score, is a tie order,
+    # and each tie order arises from equally many permutations.
+    n = data.draw(st.integers(1, 7))
+    scores = [data.draw(st.sampled_from(values)) for _ in range(n)]
+    labels = [data.draw(st.booleans()) for _ in range(n)]
+    ks = list(range(n + 3))
+    hit_sums = [0] * len(ks)
+    orders = 0
+    for perm in itertools.permutations(range(n)):
+        ranked = sorted(perm, key=lambda i: _order_key(i, scores))
+        prefix = list(itertools.accumulate((labels[i] for i in ranked), initial=0))
+        for j, k in enumerate(ks):
+            hit_sums[j] += prefix[min(k, n)]
+        orders += 1
+    positives = sum(labels)
+    want_recall = [float(Fraction(h, orders * positives)) if positives else 0.0
+                   for h in hit_sums]
+    want_f1 = [float(Fraction(2 * h, orders * (min(k, n) + positives))) if positives else 0.0
+               for k, h in zip(ks, hit_sums)]
+    recall, f1 = _expected_recall(*score_cells(np.array(scores), np.array(labels)),
+                                  np.minimum(ks, n))
+    assert recall.tolist() == want_recall
+    assert f1.tolist() == want_f1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCORE, min_size=1, max_size=60), st.data(), st.integers(0, 2**32 - 1))
+def test_score_cells_group_as_rank_candidates_ranks(values, data, seed):
+    # A pool's scores drawn with repeats, ranked by the selection's seeded
+    # ranking: its runs of equal scores (NaN equal to NaN) are the cells'
+    # groups, in order, with their positive and negative counts.
+    scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=200)))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                         max_size=len(scores))))
+    order = [_order_key(i, scores.tolist()) for i in range(len(scores))]
+    runs = []
+    for _, members in itertools.groupby(rank_candidates(scores, seed).tolist(),
+                                        key=order.__getitem__):
+        members = list(members)
+        positives = int(labels[members].sum())
+        runs.append((positives, len(members) - positives))
+    rows, positives = score_cells(scores, labels)
+    assert list(zip(positives.tolist(), (rows - positives).tolist())) == runs
+
+
+def test_untied_pool_reads_its_sorted_prefix():
+    # 40,000 distinct scores: every group holds one row, so recall@k is the
+    # share of positives among the k best rows.
+    rng = np.random.default_rng(3)
+    scores = rng.permutation(40_000) / 7.0
+    labels = rng.random(40_000) < 0.1
+    ks = np.array([0, 1, 500, 39_999, 40_000, 40_001])
+    recall, _ = _expected_recall(*score_cells(scores, labels), np.minimum(ks, 40_000))
+    best_first = labels[np.argsort(-scores)]
+    assert recall.tolist() == [best_first[:k].sum() / labels.sum() for k in ks]

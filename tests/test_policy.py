@@ -20,12 +20,10 @@ from banditriage.policy import (
     Sampler,
     Selection,
     UncoveredCandidateError,
-    dense_rank,
     rank_candidates,
     select,
     split_budget,
     thompson_allocate,
-    top_k,
     update_arm,
 )
 from banditriage.records import FEATURE_NAMES, PATTERN_FEATURES
@@ -116,53 +114,17 @@ class TestRankCandidates:
             rank_candidates(score_matrix(rule_based_model(), np.zeros(0, np.uint16)), seed=0)
 
     def test_top_k_is_prefix_of_full_ranking(self):
-        scores = np.repeat([3.0, 1.0, 2.0, 0.0], 25)  # heavy ties
+        # select's exploit set at capacity k is the first k of the one seeded
+        # ranking of the pool, whatever k is.
+        ids, X = pool_of([feature_array(cough=c, fever=f) for c in (0, 1) for f in (0, 1)] * 25)
+        model = rule_based_model()
         for seed in range(5):
-            full = top_k(scores, len(scores), np.random.default_rng(seed))
+            full = ranked_ids(model, ids, X, seed)
             assert sorted(full.tolist()) == list(range(100))
-            assert np.all(np.diff(scores[full]) <= 0)
-            for k in (0, 1, 30, 100, 150):
-                part = top_k(scores, k, np.random.default_rng(seed))
-                assert np.array_equal(part, full[:k])
-
-    def test_negative_k_rejected(self):
-        # A slice [:-5] would quietly mean "all but 5".
-        with pytest.raises(PolicyError, match="k must be >= 0"):
-            top_k(np.arange(10.0), -5, np.random.default_rng(0))
-        with pytest.raises(PolicyError):
-            rank_candidates(np.arange(10.0), seed=0, k=-1)
-
-    def test_rank_candidates_k_is_prefix(self):
-        scores = np.repeat([1.0, 0.0], 20)
-        full = rank_candidates(scores, seed=3)
-        assert np.array_equal(rank_candidates(scores, seed=3, k=7), full[:7])
-        assert np.array_equal(rank_candidates(scores, seed=3, k=99), full)
-
-
-_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
-                   st.floats(allow_nan=True, allow_infinity=True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_SCORE, min_size=1, max_size=60), st.data(), st.integers(0, 2**32 - 1))
-def test_top_k_of_dense_rank_equals_top_k_of_scores(values, data, seed):
-    # A pool's scores drawn with repeats (ties, -0.0 against 0.0, +-inf, NaN),
-    # ranked once, then resampled as the bootstrap does.
-    scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=200)))
-    rank = dense_rank(scores)
-    assert rank.dtype == np.int16
-    idx = np.array(data.draw(st.lists(st.integers(0, len(scores) - 1), max_size=250)), dtype=np.intp)
-    k = data.draw(st.integers(0, len(idx) + 2))
-    expected = top_k(scores[idx], k, np.random.default_rng(seed))
-    assert np.array_equal(top_k(rank[idx], k, np.random.default_rng(seed)), expected)
-
-
-def test_dense_rank_widens_past_int16():
-    scores = np.random.default_rng(3).permutation(40_000) / 7.0
-    rank = dense_rank(scores)
-    assert rank.dtype == np.int64
-    assert np.array_equal(top_k(rank, 500, np.random.default_rng(1)),
-                          top_k(scores, 500, np.random.default_rng(1)))
+            assert np.all(np.diff(score_matrix(model, X)[full]) <= 0)
+            for k in (1, 30, 100, 150):
+                sel = select(ids, X, model, uniform_config(k, 0.0), seed=seed)
+                assert sel.exploit_ids == tuple(full[:k].tolist())
 
 
 def uniform_config(capacity, rho, **kv):

@@ -1,17 +1,23 @@
 """Ranked-selection metrics against a reference computation.
 
-The reference below is the earlier, independent implementation: each caller
-scored each record's feature row on its own, did its own seeded shuffle,
-stable argsort and top-k step, and counted recall through dict/set pools
-over record ids. The shared top-k primitive
-must reproduce it exactly (same random draws, same floats). The bootstrap
-draws its resamples as cell counts, not rows, so it matches its row-level
-reference in law, and exactly where the law is degenerate.
+The reference below is independent of the cell counts. It scores each
+record's feature row on its own and keeps pools as dicts and sets over
+record ids. When the model's top k of a pool is tested, ties in uniform
+random order, a record is tested with probability 1 if its score beats the
+group of tied scores that row k falls in, m/n_g if it is in that group (m of
+the group's n_g rows are taken), and 0 otherwise. Expected hits sum those
+probabilities over the positives as exact fractions, and the tables must
+reproduce the reference exactly (the same floats). The bootstrap draws its
+resamples as cell counts, not rows, and takes the mean over tie orders, so it
+matches its row-level reference in mean, and exactly where the law is
+degenerate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,55 +43,47 @@ EMPTY_WEEK = 3  # every record of this week is relabelled negative
 LONG_WEEKS = (1, 9)
 
 
-def ref_rank(model, ids, X, seed):
-    scores = row_wise_scores(model, X)
-    rng = np.random.default_rng(derive_seed(seed, "rank"))
-    perm = rng.permutation(len(ids))
-    order = np.argsort(-scores[perm], kind="stable")
-    return ids[perm[order]]
+def ref_inclusion(scores, k):
+    """Each record's probability of being among the first k of the ranking,
+    by record id. Equal scores (-0.0 and 0.0 too) tie, and NaN ranks last."""
+    groups = {}
+    for record_id, score in scores.items():
+        groups.setdefault("nan" if math.isnan(score) else score, []).append(record_id)
+    order = sorted((g for g in groups if g != "nan"), reverse=True) + ["nan"] * ("nan" in groups)
+    chance, left = {}, k
+    for key in order:
+        members = groups[key]
+        taken = min(left, len(members))
+        chance.update(dict.fromkeys(members, Fraction(taken, len(members))))
+        left -= taken
+    return chance
 
 
-def ref_recall(selected, pool):
+def ref_metrics(model, cohort, week, k):
+    """(recall@k, F1@k) of the week's pool, each an expectation over tie orders."""
+    ids = cohort.week_ids(week).tolist()
+    X = records.PATTERN_FEATURES[cohort.week_patterns(week)]
+    scores = dict(zip(ids, row_wise_scores(model, X).tolist()))
+    pool = dict(zip(ids, cohort.week_labels(week).tolist()))
     positives = {i for i, positive in pool.items() if positive}
     if not positives:
-        return 0.0
-    return len(selected & positives) / len(positives)
+        return 0.0, 0.0
+    chance = ref_inclusion(scores, k)
+    hits = sum(chance[i] for i in positives)
+    return (float(hits / len(positives)),
+            float(2 * hits / (min(k, len(pool)) + len(positives))))
 
 
-def ref_f1(selected, pool):
-    positives = {i for i, positive in pool.items() if positive}
-    p = len(selected & positives) / len(selected)
-    r = ref_recall(selected, pool)
-    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+def ref_weekly_recall(cohort, model, k):
+    return {week: ref_metrics(model, cohort, week, k)[0] for week in cohort.weeks}
 
 
-def ref_selected(model, cohort, week, k, seed):
-    ids = cohort.week_ids(week)
-    ranked = ref_rank(model, ids, records.PATTERN_FEATURES[cohort.week_patterns(week)], seed)
-    pool = dict(zip(ids.tolist(), cohort.week_labels(week).tolist()))
-    return set(ranked[: min(k, len(ranked))].tolist()), pool
-
-
-def ref_weekly_recall(cohort, model, k, seed):
-    out = {}
-    for week in cohort.weeks:
-        selected, pool = ref_selected(model, cohort, week, k, derive_seed(seed, "week", week))
-        out[week] = ref_recall(selected, pool)
-    return out
-
-
-def ref_comparison(cohort, models, ks, seed):
+def ref_comparison(cohort, models, ks):
     rows = []
     for name, model in models.items():
         row = {"model": name}
         for k in ks:
-            recalls, f1s = [], []
-            for week in cohort.weeks:
-                selected, pool = ref_selected(
-                    model, cohort, week, k, derive_seed(seed, "cmp", name, week)
-                )
-                recalls.append(ref_recall(selected, pool))
-                f1s.append(ref_f1(selected, pool) if selected else 0.0)
+            recalls, f1s = zip(*(ref_metrics(model, cohort, week, k) for week in cohort.weeks))
             row[f"recall@{k}"] = float(np.mean(recalls))
             row[f"f1@{k}"] = float(np.mean(f1s))
         rows.append(row)
@@ -94,8 +92,9 @@ def ref_comparison(cohort, models, ks, seed):
 
 def ref_bootstrap_means(cohort, model, k, replicates, seed):
     """Replicate means of a row resample with a float sort of every
-    resample's scores, ties broken by a uniform shuffle: the law that
-    :func:`bootstrap_ci`'s cell draws must follow."""
+    resample's scores, ties broken by a uniform shuffle. :func:`bootstrap_ci`
+    takes the mean over the shuffle in place of drawing it, so its replicate
+    means share this mean."""
     per_week = [
         (row_wise_scores(model, records.PATTERN_FEATURES[cohort.week_patterns(w)]),
          cohort.week_labels(w))
@@ -130,20 +129,12 @@ def _with_empty_week(base):
     return out
 
 
-@pytest.fixture(scope="module")
-def cohort():
+def _cohort(weeks, seed):
     return _with_empty_week(
-        generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=(1, 4), seed=23)))
+        generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=weeks, seed=seed)))
 
 
-@pytest.fixture(scope="module")
-def long_cohort():
-    return _with_empty_week(
-        generate_cohort(small_params(n_per_week=N_PER_WEEK, weeks=LONG_WEEKS, seed=29)))
-
-
-@pytest.fixture(scope="module")
-def models(cohort):
+def _models(cohort):
     X = np.concatenate([cohort.week_patterns(w) for w in (1, 2)])
     y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
     return {
@@ -153,26 +144,36 @@ def models(cohort):
     }
 
 
+@pytest.fixture(scope="module")
+def cohort():
+    return _cohort((1, 4), 23)
+
+
+@pytest.fixture(scope="module")
+def models(cohort):
+    return _models(cohort)
+
+
 KS = (10, 150, N_PER_WEEK, N_PER_WEEK + 50)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_weekly_recall_matches_reference(cohort, models, seed):
-    for model in models.values():
+# The tables draw nothing, so the parameter varies the cohort instead.
+@pytest.mark.parametrize("cohort_seed", [0, 1, 7])
+def test_weekly_recall_matches_reference(cohort_seed):
+    cohort = _cohort((1, 4), 23 + cohort_seed)
+    for model in _models(cohort).values():
         for k in KS:
-            assert weekly_recall_at_k(cohort, model, k, seed=seed) == ref_weekly_recall(
-                cohort, model, k, seed
-            )
+            assert weekly_recall_at_k(cohort, model, k) == ref_weekly_recall(cohort, model, k)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_model_comparison_matches_reference(cohort, models, seed):
-    assert model_comparison_table(cohort, models, KS, seed=seed) == ref_comparison(
-        cohort, models, KS, seed
-    )
+@pytest.mark.parametrize("cohort_seed", [0, 1, 7])
+def test_model_comparison_matches_reference(cohort_seed):
+    cohort = _cohort((1, 4), 23 + cohort_seed)
+    models = _models(cohort)
+    assert model_comparison_table(cohort, models, KS) == ref_comparison(cohort, models, KS)
 
 
-#: Replicates per side of the law check, and its bound in standard errors.
+#: Replicates per side of the mean check, and its bound in standard errors.
 LAW_REPLICATES = 2000
 LAW_BOUND = 4.0
 
@@ -182,7 +183,7 @@ LAW_BOUND = 4.0
 def test_bootstrap_replicates_match_reference(cohort, models, seed, k):
     """Where k covers the pool, every week with positives reads 1.0 whatever
     is drawn, so the replicate means equal the reference's exactly. A
-    smaller k is checked in law: the two mean replicate recalls agree within
+    smaller k is checked in mean: the two mean replicate recalls agree within
     LAW_BOUND combined standard errors."""
     for model in models.values():
         if k >= N_PER_WEEK:
@@ -195,21 +196,23 @@ def test_bootstrap_replicates_match_reference(cohort, models, seed, k):
         assert abs(np.mean(got) - np.mean(want)) <= LAW_BOUND * se
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_means_over_many_weeks_match_reference(long_cohort, models, seed):
-    assert model_comparison_table(long_cohort, models, KS, seed=seed) == ref_comparison(
-        long_cohort, models, KS, seed
+@pytest.mark.parametrize("cohort_seed", [0, 1, 7])
+def test_means_over_many_weeks_match_reference(cohort_seed):
+    long_cohort = _cohort(LONG_WEEKS, 29 + cohort_seed)
+    models = _models(long_cohort)
+    assert model_comparison_table(long_cohort, models, KS) == ref_comparison(
+        long_cohort, models, KS
     )
     for model in models.values():
         for k in KS:
-            reference = ref_weekly_recall(long_cohort, model, k, seed)
-            assert mean_weekly_recall(long_cohort, model, k, seed=seed) == float(
+            reference = ref_weekly_recall(long_cohort, model, k)
+            assert mean_weekly_recall(long_cohort, model, k) == float(
                 np.mean(list(reference.values()))
             )
 
 
 def test_week_without_positives_reads_zero_and_is_logged_once(cohort, models, caplog):
-    rows = weekly_recall_table(cohort, models["planted"], KS, seed=0)
+    rows = weekly_recall_table(cohort, models["planted"], KS)
     empty = next(row for row in rows if row["week"] == EMPTY_WEEK)
     assert all(empty[f"recall@{k}"] == 0.0 for k in KS)
     warnings = [r.getMessage() for r in caplog.records if "no positives" in r.getMessage()]

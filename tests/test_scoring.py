@@ -392,7 +392,7 @@ class TestRecallMarginGrowsWithSignal:
                 y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
                 model = train(X, y, ModelKind.POLY2, TrainConfig())
                 recalls.append(
-                    mean_weekly_recall(cohort, model, k, weeks=(3, 4), seed=seed)
+                    mean_weekly_recall(cohort, model, k, weeks=(3, 4))
                 )
             medians[scale] = float(np.median(recalls))
         assert medians[0.75] > k / 600

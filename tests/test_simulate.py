@@ -18,7 +18,6 @@ from banditriage.simulate import (
     train_eval_split_experiment,
     train_on_weeks,
 )
-from banditriage.seeds import derive_seed
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
 from conftest import make_record, small_params
@@ -204,7 +203,7 @@ class TestTrainEvalSplit:
     def test_identical_ranges_identical_columns(self):
         cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=500))
         rows = train_eval_split_experiment(
-            cohort, [1, 2], [1, 2], [5, 6], capacities=[50, 150], seed=7
+            cohort, [1, 2], [1, 2], [5, 6], capacities=[50, 150]
         )
         for row in rows:
             assert row["recall_a"] == row["recall_b"]
@@ -212,13 +211,12 @@ class TestTrainEvalSplit:
     def test_rows_are_mean_weekly_recall_at_each_capacity(self):
         cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=300))
         ks = [20, 90, 400]
-        rows = train_eval_split_experiment(cohort, [2, 1], [3], [6, 4, 5], ks, seed=7)
+        rows = train_eval_split_experiment(cohort, [2, 1], [3], [6, 4, 5], ks)
         assert [row["k"] for row in rows] == ks
         for weeks, column in (([1, 2], "recall_a"), ([3], "recall_b")):
             model, _ = train_on_weeks(cohort, weeks, ModelKind.POLY2)
-            seed = derive_seed(7, "eval", repr(weeks))
             assert [row[column] for row in rows] == [
-                mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6], seed=seed) for k in ks]
+                mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6]) for k in ks]
 
     def test_overlap_rejected(self):
         cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=200))
@@ -240,7 +238,7 @@ class TestTrainEvalSplit:
         cohort = generate_cohort(replace(params, seed=1005))
         rows = train_eval_split_experiment(
             cohort, range(10, 13), range(21, 24), range(24, 27),
-            capacities=[100, 2000], seed=5,
+            capacities=[100, 2000],
         )
         assert rows[0]["recall_b"] > rows[0]["recall_a"]
         assert rows[-1]["recall_a"] >= rows[-1]["recall_b"]
