@@ -10,7 +10,10 @@ codes. Scorers consume the nine binary features (:data:`FEATURE_NAMES`) the
 cohort derives from those codes, as one pattern code per record
 (:data:`PATTERN_FEATURES`). Records are pooled by ISO-8601 week number, the
 time frame used everywhere downstream (selection, retraining, metrics); a
-cohort therefore lies within one ISO year.
+cohort therefore lies within one ISO year, which its first and last dates
+fix. A cohort is built in passes over small integer columns: weeks by
+arithmetic from the Monday of that year's week 1, pattern codes directly in
+uint16.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from enum import IntEnum
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -291,6 +294,11 @@ _COLUMN_DTYPES = {
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
+def _iso_year(day) -> int:
+    """The ISO year of a day counted from 1970-01-01."""
+    return date.fromordinal(int(day) + _EPOCH_ORDINAL).isocalendar()[0]
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Columns of one cohort, one entry per record in record order. Arrays
@@ -300,7 +308,12 @@ class Cohort:
     order; unknown symptoms encode as absent, so rows with uncollected
     symptoms are kept and read as "no indication of the symptom"
     (``null_policy="drop"`` at load time is the strict alternative). The
-    week views hold each record's uint16 code in :data:`PATTERN_FEATURES`.
+    week views hold each record's uint16 code in :data:`PATTERN_FEATURES`,
+    built in uint16 from the present-flags, the indication and the gender.
+
+    Weeks are numbered within one ISO year: the years of the first and last
+    dates must agree (the ISO year never falls as the date rises), else a
+    :class:`DataError` lists the years present. Ids must be distinct.
     """
 
     record_id: np.ndarray  # int64
@@ -318,31 +331,42 @@ class Cohort:
             len(getattr(self, f.name)) != n for f in fields(self)
         ):
             raise ValueError("cohort columns differ in length")
-        ids, counts = np.unique(self.record_id, return_counts=True)
-        if (counts > 1).any():
-            raise ValueError(f"duplicate record_id {ids[counts > 1][0]}")
+        # Ids as built by load_cohort and generate_cohort ascend: one pass
+        # shows they are distinct, and only other orders pay for a sort.
+        if n > 1 and not (self.record_id[1:] > self.record_id[:-1]).all():
+            ids, counts = np.unique(self.record_id, return_counts=True)
+            if (counts > 1).any():
+                raise ValueError(f"duplicate record_id {ids[counts > 1][0]}")
 
-        # ISO calendar once per distinct date.
-        days, day_of_record = np.unique(self.test_date, return_inverse=True)
-        iso = [d.isocalendar() for d in days.astype(object)]
-        years = sorted({y for y, _, _ in iso})
-        if len(years) > 1:
-            raise DataError(f"dates span ISO years {', '.join(map(str, years))}, but weeks are "
-                            "numbered within one; select one year with ingest "
-                            "--window-start/--window-end")
-        week = np.array([w for _, w, _ in iso], dtype=np.int64)[day_of_record]
+        # The ISO year never falls as the date rises, so the first and last
+        # dates fix it; weeks then count from the Monday of its week 1.
+        day = self.test_date.view(np.int64)
+        week = np.zeros(0, np.uint8)
+        if n:
+            year, last = _iso_year(day.min()), _iso_year(day.max())
+            if year != last:
+                years = sorted(set(map(_iso_year, np.unique(day))))
+                raise DataError(f"dates span ISO years {', '.join(map(str, years))}, but weeks "
+                                "are numbered within one; select one year with ingest "
+                                "--window-start/--window-end")
+            monday = date.fromisocalendar(year, 1, 1).toordinal() - _EPOCH_ORDINAL
+            week = ((day - monday) // 7 + 1).astype(np.uint8)
 
-        # Pattern codes: symptoms are bits 8 to 4, indication i bit 3 - i, female bit 0.
-        pattern = ((self.symptoms == TriState.PRESENT) @ (1 << np.arange(8, 3, -1))
-                   + (8 >> self.indication.astype(np.int64)) + (self.gender == Gender.FEMALE))
+        # Pattern codes: symptoms are bits 8 to 4, indication i bit 3 - i, female
+        # bit 0. packbits puts the first of the five present-flags in bit 7.
+        pattern = np.packbits(self.symptoms == TriState.PRESENT, axis=1).ravel().astype(np.uint16)
+        pattern <<= 1
+        pattern |= np.right_shift(np.uint16(8), self.indication.view(np.uint8))
+        pattern |= self.gender == Gender.FEMALE
 
-        order = np.argsort(week, kind="stable")  # keeps record order within a week
-        weeks, starts = np.unique(week[order], return_index=True)
-        ids = self.record_id[order]
-        pattern = pattern[order].astype(np.uint16)
+        order = np.argsort(week, kind="stable")  # a radix sort; keeps record order in a week
+        ids, pattern = self.record_id[order], pattern[order]
         y = self.result[order] == TestResult.POSITIVE
-        ends = [*starts[1:], n]
-        views = {int(w): (ids[a:b], pattern[a:b], y[a:b]) for w, a, b in zip(weeks, starts, ends)}
+        counts = np.bincount(week)
+        ends = np.cumsum(counts)
+        bounds = zip((ends - counts).tolist(), ends.tolist())
+        views = {w: (ids[a:b], pattern[a:b], y[a:b])
+                 for w, (a, b) in enumerate(bounds) if a < b}
         object.__setattr__(self, "_week", week)
         object.__setattr__(self, "_views", views)
 
@@ -445,23 +469,25 @@ def _column_coders(mapping: ValueMapping, study_window: tuple[date, date] | None
 
 
 def _read_rows(path: str | Path, delimiter: str,
-               columns: Sequence[str]) -> tuple[list[tuple[str, ...]], np.ndarray]:
-    """The distinct data rows of a delimited file, each the tuple of its cells
-    in ``columns`` (required columns, found by their stripped header names),
-    and each data row's index into them, in row order.
+               columns: Sequence[str]) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+    """The distinct cells of each of ``columns`` (required columns, found by
+    their stripped header names) in a delimited file; its distinct data rows,
+    row r holding the number of its cell in column i at ``[i, r]``; and each
+    data row's index into them, in row order.
 
     One record per physical line. The header is the first line that is not
     a ``#`` comment; comment lines and blank lines are no rows, and a cell
-    missing from a short row is empty. Exports repeat lines and rows, so the
-    lines are read once, each distinct line is parsed once, and equal rows
-    share a tuple. A quoted field still open at a line break would run into
-    the next line: it is a :class:`CohortFormatError` naming the line.
+    missing from a short row is empty. Exports repeat lines, rows and cells,
+    so the lines are read once, each distinct line is parsed once, and each
+    column keeps one string per distinct cell. A quoted field still open at
+    a line break would run into the next line: it is a
+    :class:`CohortFormatError` naming the line.
     """
     first_line = defaultdict(count().__next__)
     try:
         # utf-8-sig: spreadsheet exports often start with a byte-order mark.
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            line_of = np.fromiter(map(first_line.__getitem__, fh), np.intp)
+            line_of = np.fromiter(map(first_line.__getitem__, fh), np.int32)
     except OSError as exc:
         raise CohortFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -493,8 +519,11 @@ def _read_rows(path: str | Path, delimiter: str,
         cells = map(itemgetter(*(position[column] for column in columns)),
                     map(add, csv.reader(compress(lines, ~comment), delimiter=delimiter),
                         repeat(pad)))
+        # A row is keyed by its cells' numbers, each column numbering its own.
+        number = [defaultdict(count().__next__) for _ in columns]
+        keys = map(tuple, map(map, repeat(defaultdict.__getitem__), repeat(number), cells))
         first_row = defaultdict(count().__next__)
-        row_of_parsed = np.fromiter(map(first_row.__getitem__, cells), np.intp)
+        row_of_parsed = np.fromiter(map(first_row.__getitem__, keys), np.int32)
         # An open line takes in the next, so the row count falls short; the
         # last line has no next one and is checked on its own.
         if len(row_of_parsed) < len(parsed) or is_open(lines[parsed[-1]]):
@@ -502,12 +531,13 @@ def _read_rows(path: str | Path, delimiter: str,
     except csv.Error as exc:
         raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
 
-    row_of_line = np.full(len(lines), -1)  # -1: a comment or blank line, no row
+    row_of_line = np.full(len(lines), -1, np.int32)  # -1: a comment or blank line, no row
     row_of_line[parsed] = row_of_parsed
     # blank: the lines the csv module reads as no cells at all
     row_of_line[np.fromiter(map(("\n", "\r", "\r\n").__contains__, lines), bool, len(lines))] = -1
     row_of = row_of_line[data_lines[1:]]
-    return list(first_row), row_of[row_of >= 0]
+    rows = np.fromiter(chain.from_iterable(first_row), np.int32).reshape(-1, len(columns)).T
+    return list(map(list, number)), rows, row_of[row_of >= 0]
 
 
 def load_cohort(
@@ -540,21 +570,20 @@ def load_cohort(
     coders = _column_coders(mapping or ValueMapping.default(), study_window)
     symptom_rows = slice(1, 1 + len(SYMPTOM_FIELDS))
     result_row = 1 + len(SYMPTOM_FIELDS)
-    rows, row_of = _read_rows(path, delimiter, [column for column, _ in coders])
+    cells, rows, row_of = _read_rows(path, delimiter, [column for column, _ in coders])
 
     # Code the distinct rows: column by column, each distinct cell once.
-    coded = np.empty((len(coders), len(rows)), np.int64)
-    reasons = []  # per column: raw cell -> rejection reason
+    coded = np.empty(rows.shape, np.int64)
+    reasons = []  # per column: cell number -> rejection reason
     for i, (column, coder) in enumerate(coders):
-        cells = list(map(itemgetter(i), rows))
-        table, why = {}, {}
-        for raw in set(cells):
+        table, why = np.empty(len(cells[i]), np.int64), {}
+        for c, raw in enumerate(cells[i]):
             try:
-                table[raw] = coder(raw.strip())
+                table[c] = coder(raw.strip())
             except ValueError as exc:
-                table[raw] = _REJECTED
-                why[raw] = f"{column}={raw.strip()!r}: {exc}"
-        coded[i] = np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+                table[c] = _REJECTED
+                why[c] = f"{column}={raw.strip()!r}: {exc}"
+        coded[i] = table[rows[i]]
         reasons.append(why)
 
     bad = coded == _REJECTED
@@ -568,7 +597,7 @@ def load_cohort(
     for j in np.flatnonzero(rejected).tolist():
         if failed[j]:
             i = first_bad[j]
-            reason_of[j] = reasons[i][rows[j][i]]
+            reason_of[j] = reasons[i][rows[i, j]]
         elif other[j]:
             reason_of[j] = "result 'other' excluded (keep_other_results retains)"
         else:

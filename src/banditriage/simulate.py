@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,36 +110,57 @@ class SimulationTrace:
         }
 
     def period_dicts(self) -> list[dict]:
-        """One JSON object per period: the trace's record of that period."""
+        """One JSON object per period: the trace's record of that period. Its
+        keys are in sorted order at every level, record ids sorted as text
+        (id 10 before id 9), so it dumps as ``sort_keys`` would write it."""
         return [
             {
-                "type": "period",
-                "period": p.period,
-                "pool_size": p.pool_size,
-                "pool_positives": p.pool_positives,
+                "arm_assignments": _text_keyed(p.selection.arm_assignments, str),
+                "arm_posteriors": dict(sorted(p.arm_posteriors.items())),
+                "events": p.events,
                 "exploit_ids": list(p.selection.exploit_ids),
                 "explore_ids": list(p.selection.explore_ids),
-                "arm_assignments": {str(k): v for k, v in p.selection.arm_assignments.items()},
                 "explore_shortfall": p.selection.explore_shortfall,
-                "revealed": {str(k): bool(v) for k, v in p.revealed.items()},
-                "recall": p.recall,
-                "precision": p.precision,
                 "f1": p.f1,
                 "model_version": p.model_version,
-                "arm_posteriors": p.arm_posteriors,
-                "events": p.events,
+                "period": p.period,
+                "pool_positives": p.pool_positives,
+                "pool_size": p.pool_size,
+                "precision": p.precision,
+                "recall": p.recall,
+                "revealed": _text_keyed(p.revealed, bool),
+                "type": "period",
             }
             for p in self.periods
         ]
 
     def to_jsonl(self, path, *, manifest: str = "-") -> list[dict]:
-        """One JSON object per line: a header, then one record per period.
-        Returns the period objects written (:meth:`period_dicts`)."""
+        """One JSON object per line, keys sorted: a header, then one record
+        per period. Returns the period objects written (:meth:`period_dicts`)."""
         periods = self.period_dicts()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for obj in [self.header_dict(manifest)] + periods:
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(self.header_dict(manifest), sort_keys=True) + "\n")
+            for obj in periods:
+                fh.write(json.dumps(obj) + "\n")
         return periods
+
+
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _text_keyed(mapping: Mapping[int, object], convert: Callable) -> dict[str, object]:
+    """``mapping`` with its int64 keys as text, in text order, and its values
+    converted. Text order puts negative keys first ('-' < '0'), then orders
+    the digits padded with zeros to one width, the shorter first on a tie
+    (1 < 10 < 2)."""
+    ids = np.fromiter(mapping, np.int64, len(mapping))
+    size = np.abs(ids).astype(np.uint64)  # |int64 min| wraps to 2**63 here
+    digits = np.searchsorted(_POWERS_OF_TEN[1:], size, side="right")  # one less than its digits
+    padded = size * _POWERS_OF_TEN[digits.max(initial=0) - digits]
+    order = np.lexsort((digits, padded, ids >= 0)).tolist()
+    keys, values = list(mapping), list(mapping.values())
+    return dict(zip(map(str, map(keys.__getitem__, order)),
+                    map(convert, map(values.__getitem__, order))))
 
 
 def summary_row(period: dict) -> dict:

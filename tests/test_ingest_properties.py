@@ -70,15 +70,20 @@ def reference_views(rows) -> dict[int, tuple[list, list, list]]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(one_iso_year_rows())
-def test_week_views_equal_the_per_record_encoding(rows):
-    cohort = Cohort.from_records(rows)
-    expected = reference_views(rows)
-    assert cohort.weeks == tuple(sorted(expected))
-    for week, (ids, X, y) in expected.items():
-        assert cohort.week_ids(week).tolist() == ids
-        assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
-        assert cohort.week_labels(week).tolist() == y
+@given(one_iso_year_rows(), st.data())
+def test_week_views_equal_the_per_record_encoding(rows, data):
+    # Once with ids ascending, once shuffled: a cohort whose ids do not
+    # ascend takes the sorting check that they are distinct.
+    ascending = [row[0] for row in rows]
+    for record_ids in (ascending, data.draw(st.permutations(ascending))):
+        relabelled = [(i, *row[1:]) for i, row in zip(record_ids, rows)]
+        cohort = Cohort.from_records(relabelled)
+        expected = reference_views(relabelled)
+        assert cohort.weeks == tuple(sorted(expected))
+        for week, (ids, X, y) in expected.items():
+            assert cohort.week_ids(week).tolist() == ids
+            assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
+            assert cohort.week_labels(week).tolist() == y
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -416,10 +417,46 @@ class TestCohort:
             assert [v.dtype for v in views] == [np.int64, np.uint16, np.bool_]
             assert all(v.flags.c_contiguous for v in views)
 
+    def test_duplicate_ids_out_of_order_rejected(self):
+        recs = [make_record(record_id=i) for i in (5, 2, 9, 2, 7)]
+        with pytest.raises(ValueError, match="duplicate record_id 2"):
+            Cohort.from_records(recs)
+
     def test_empty_cohort(self):
         cohort = Cohort.from_records([])
         assert len(cohort) == 0 and cohort.weeks == ()
         assert cohort.symptoms.shape == (0, len(SYMPTOM_FIELDS))
+
+    def test_header_only_file_loads_an_empty_cohort(self, tmp_path):
+        cohort, report = load_cohort(write_csv(tmp_path / "empty.csv", []))
+        assert len(cohort) == 0 and cohort.weeks == ()
+        assert report.n_rows == report.n_accepted == report.n_rejected == 0
+        assert cohort.subset_weeks([11]).weeks == ()
+
+    def test_build_peak_memory_is_bounded_per_row(self):
+        # The build works in small integer passes: a 100k-row cohort peaks
+        # near 28 bytes a row, the columns given; an (n, 5) int64 cast alone
+        # would take 40.
+        n = 100_000
+        rng = np.random.default_rng(0)
+        columns = dict(
+            record_id=np.arange(n),
+            test_date=np.datetime64("2020-03-09") + np.sort(rng.integers(0, 14, n)),
+            symptoms=rng.integers(0, 3, (n, len(SYMPTOM_FIELDS)), dtype=np.int8),
+            indication=rng.integers(0, 3, n, dtype=np.int8),
+            gender=rng.integers(0, 3, n, dtype=np.int8),
+            result=rng.integers(0, 2, n, dtype=np.int8),
+        )
+        tracemalloc.start()
+        try:
+            cohort = Cohort(**columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n
+        assert cohort.weeks == (11, 12)
+        for week in cohort.weeks:  # record order within a week
+            assert (np.diff(cohort.week_ids(week)) > 0).all()
 
 
 class TestIsoYear:
@@ -427,6 +464,15 @@ class TestIsoYear:
         recs = [make_record(record_id=0, test_date=date(2020, 12, 21)),
                 make_record(record_id=1, test_date=date(2021, 1, 6))]
         with pytest.raises(DataError, match=r"ISO years 2020, 2021.*--window-start/--window-end"):
+            Cohort.from_records(recs)
+
+    @pytest.mark.parametrize("days, years", [
+        ([date(2018, 6, 1), date(2020, 3, 11), date(2018, 1, 3)], "2018, 2020"),
+        ([date(2020, 3, 11), date(2019, 7, 1), date(2018, 6, 1)], "2018, 2019, 2020"),
+    ], ids=["none-in-2019", "each-year"])
+    def test_error_lists_only_the_iso_years_present(self, days, years):
+        recs = [make_record(record_id=i, test_date=d) for i, d in enumerate(days)]
+        with pytest.raises(DataError, match=rf"ISO years {years}, but"):
             Cohort.from_records(recs)
 
     def test_year_end_dates_in_one_iso_week_form_week_53(self):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
@@ -13,6 +15,7 @@ from banditriage.records import Cohort
 from banditriage.scoring import ModelKind
 from banditriage.simulate import (
     OverlapError,
+    _text_keyed,
     run_replay,
     sweep_exploration,
     train_eval_split_experiment,
@@ -176,6 +179,39 @@ class TestRunReplay:
         assert lines[0]["manifest"] == "simulate.manifest.json"
         assert [l["type"] for l in lines[1:]] == ["period"] * len(trace.periods)
         assert lines[1]["pool_size"] == 100
+
+    def test_trace_lines_are_written_with_sorted_keys(self, tmp_path):
+        # Ids 0-149 in week 1 mix one-, two- and three-digit ids, whose text
+        # order (10 before 9) differs from their numeric order; the arms are
+        # listed out of name order.
+        cohort = generate_cohort(small_params(n_per_week=150))
+        arms = (
+            ArmSpec("others", ArmPredicate.from_text("contact_with_confirmed=0")),
+            ArmSpec("contacts", ArmPredicate.from_text("contact_with_confirmed=1")),
+        )
+        policy = PolicyConfig(capacity=60, exploration_fraction=0.5,
+                              sampler=Sampler.THOMPSON, arms=arms)
+        trace = run_replay(cohort, None, policy, retrain_every=1, seed=4)
+        path = tmp_path / "t.jsonl"
+        written = trace.to_jsonl(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [json.dumps(obj) for obj in written]
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        first = json.loads(lines[1])
+        for key in ("revealed", "arm_assignments"):
+            ids = [int(text) for text in first[key]]
+            assert ids != sorted(ids) and len(ids) == len(set(ids)) > 0
+        assert list(first["arm_posteriors"]) == ["contacts", "others"]
+
+
+@given(st.dictionaries(st.integers(-2**63, 2**63 - 1) | st.integers(-200, 200), st.integers(0, 1),
+                       max_size=40))
+@example({10: 0, 1: 1, 100: 0, -20: 1, -2: 0, 0: 1})  # keys that pad to equal digits
+def test_text_keyed_sorts_int64_keys_as_text(mapping):
+    keyed = _text_keyed(mapping, bool)
+    assert list(keyed) == sorted(map(str, mapping))
+    assert keyed == {str(k): bool(v) for k, v in mapping.items()}
 
 
 class TestSweepExploration:
