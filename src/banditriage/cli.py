@@ -244,6 +244,8 @@ def _load_cohort_arg(args, manifest: Manifest):
 
 def _load_model_arg(args, manifest: Manifest):
     if getattr(args, "rule_based", False):
+        if args.model:
+            raise UsageError("--model and --rule-based exclude each other")
         return rule_based_model()
     if not args.model:
         raise UsageError("need --model PATH or --rule-based")
@@ -342,17 +344,18 @@ def cmd_simulate(args, manifest: Manifest) -> None:
         periods = trace.to_jsonl(tmp, manifest=manifest.name)
     manifest.write_csv(args.out_summary, None, [summary_row(p) for p in periods])
 
+    arm_names = ["", *(arm.name for arm in policy.arms)]  # at arm index + 1, so -1 reads ""
     sel_rows = []
     for p in trace.periods:
         sel = p.selection
         # scores come from a few hundred patterns: format each distinct one
         # once, keyed by its bits so that -0.0 keeps its sign
-        bits, which = np.unique(np.array(sel.scores).view(np.int64), return_inverse=True)
+        bits, which = np.unique(sel.scores.view(np.int64), return_inverse=True)
         text = [repr(score) for score in bits.view(np.float64).tolist()]
-        n_exploit, arm = len(sel.exploit_ids), sel.arm_assignments
-        sel_rows += [[rid, p.period, "exploit" if i < n_exploit else "explore",
-                      arm.get(rid, ""), text[j]]
-                     for i, (rid, j) in enumerate(zip(sel.all_ids, which.tolist()))]
+        channel = ["exploit"] * sel.n_exploit + ["explore"] * len(sel.arm)
+        arm = [""] * sel.n_exploit + list(map(arm_names.__getitem__, (sel.arm + 1).tolist()))
+        sel_rows += zip(p.record_ids.tolist(), [p.period] * len(channel), channel, arm,
+                        map(text.__getitem__, which.tolist()))
     manifest.write_csv(args.out_selections, ["record_id", "period", "channel", "arm", "score"],
                        sel_rows)
 

@@ -198,6 +198,8 @@ def ranked_recall(
     metrics of a week without positives are 0.0, which is logged once.
     """
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    if not weeks:
+        raise MetricError("no weeks to evaluate")
     if any(k < 0 for k in ks):
         raise MetricError(f"k must be >= 0, got {min(ks)}")
     recall = np.zeros((len(ks), len(weeks)))
@@ -280,6 +282,8 @@ def bootstrap_ci(
     if k < 0:
         raise MetricError(f"k must be >= 0, got {k}")
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    if not weeks:
+        raise MetricError("no weeks to evaluate")
 
     # Scores per record are fixed by the model: group each week once. Only
     # the non-empty cells (each group's positive, then negative) are drawn.

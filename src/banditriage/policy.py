@@ -1,6 +1,7 @@
 """Per-period testing decisions: split the capacity into exploitation and
 exploration budgets, take the top-ranked exploit set, and fill the explore
 set by uniform random sampling or Thompson sampling over expert-defined arms.
+A decision (:class:`Selection`) names its picks by their positions in the pool.
 
 The exploit set breaks ties among equal scores by a seeded shuffle
 (:func:`rank_candidates`), because it must name actual records; the recall
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,25 +150,21 @@ class PolicyConfig:
             raise PolicyError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Selection:
-    """One period's decision: who gets tested, through which channel, and
-    each pick's score under the model that ranked the pool."""
+    """One period's decision as parallel arrays in pick order: the exploit
+    picks in rank order, then the explore picks in draw order. A pick's
+    record id and label are the pool's at its position."""
 
-    exploit_ids: tuple[int, ...]
-    explore_ids: tuple[int, ...]
-    arm_assignments: Mapping[int, str] = field(default_factory=dict)
+    positions: np.ndarray  # in the pool
+    n_exploit: int
+    scores: np.ndarray  # under the model that ranked the pool
+    arm: np.ndarray  # per explore pick, the index of its arm in the policy; -1 if none drew it
     explore_shortfall: int = 0
-    scores: tuple[float, ...] = ()  # one per entry of all_ids, in that order
-
-    @property
-    def all_ids(self) -> tuple[int, ...]:
-        return self.exploit_ids + self.explore_ids
 
     def __post_init__(self):
-        overlap = set(self.exploit_ids) & set(self.explore_ids)
-        if overlap:
-            raise PolicyError(f"exploit and explore sets overlap: {sorted(overlap)[:5]}")
+        if len(np.unique(self.positions)) != len(self.positions):
+            raise PolicyError("a pool position is picked twice")
 
 
 def split_budget(capacity: int, exploration_fraction: float) -> tuple[int, int]:
@@ -201,7 +198,7 @@ def thompson_allocate(
     ids: np.ndarray | Sequence[int],
     patterns: np.ndarray,
     seed: int,
-) -> tuple[list[tuple[int, str]], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Assign up to k exploration slots across a pool's records (ids and
     pattern codes) by Thompson sampling.
 
@@ -214,9 +211,10 @@ def thompson_allocate(
     and slot t is redone. Posteriors are frozen for the whole batch, so each
     slot goes to the argmax of independent draws over the live arms and the
     pick is uniform over the winner's remaining members. Skipping costs at
-    most k per arm, O(1) a slot amortised. Returns (picks as (record_id,
-    arm_name), shortfall). A positive shortfall means the covered pool ran
-    out before k slots were filled.
+    most k per arm, O(1) a slot amortised. Returns the picks in slot order
+    as their positions in ``ids`` and the index of the arm that drew each,
+    and the shortfall. A positive shortfall means the covered pool ran out
+    before k slots were filled.
     """
     if k < 0:
         raise PolicyError("k must be >= 0")
@@ -242,7 +240,6 @@ def thompson_allocate(
     cursors = [0] * len(arms)
     taken = bytearray(len(ids))
     positions: list[int] = []
-    names: list[str] = []
     t = 0
     while t < rows:  # some arm stays live while a covered record is untaken
         winner = winners[t]
@@ -256,13 +253,12 @@ def thompson_allocate(
         cursors[winner] = cursor + 1
         taken[queue[cursor]] = 1
         positions.append(queue[cursor])
-        names.append(arms[winner].name)
         t += 1
-    picks = list(zip(sorted_ids[positions].tolist(), names))
-    shortfall = k - len(picks)
+    shortfall = k - rows
     if shortfall:
         log.warning("thompson allocation truncated: %d uncovered slots", shortfall)
-    return picks, shortfall
+    # winners[t] was last set while slot t was open, so it names the arm that filled it
+    return order[np.array(positions, dtype=np.intp)], np.array(winners, dtype=np.intp), shortfall
 
 
 def select(
@@ -275,7 +271,7 @@ def select(
     seed: int,
 ) -> Selection:
     """One period's selection from the pool (record ids, pattern codes)
-    under the policy.
+    under the policy, its picks named by their positions in the pool.
 
     The exploit set is the top of the ranking; the explore set is drawn
     without replacement from the rest by the configured sampler. A pool no
@@ -289,13 +285,12 @@ def select(
     scores = score_matrix(model, patterns)
     ranked = rank_candidates(scores, seed)
 
-    def picked(exploit: np.ndarray, explore: np.ndarray, **extra) -> Selection:
-        return Selection(
-            exploit_ids=tuple(ids[exploit].tolist()),
-            explore_ids=tuple(ids[explore].tolist()),
-            scores=tuple(scores[np.concatenate([exploit, explore])].tolist()),
-            **extra,
-        )
+    def picked(exploit: np.ndarray, explore: np.ndarray, arm: np.ndarray | None = None,
+               shortfall: int = 0) -> Selection:
+        positions = np.concatenate([exploit, explore])
+        return Selection(positions=positions, n_exploit=len(exploit), scores=scores[positions],
+                         arm=np.full(len(explore), -1, dtype=np.intp) if arm is None else arm,
+                         explore_shortfall=shortfall)
 
     if len(ids) <= config.capacity:
         return picked(ranked[:k_exploit], ranked[k_exploit:])
@@ -312,20 +307,17 @@ def select(
         rng = np.random.default_rng(derive_seed(seed, "explore"))
         take = min(k_explore, len(rest))
         chosen = rng.choice(rest, size=take, replace=False)
-        return picked(exploit, chosen, explore_shortfall=k_explore - take)
+        return picked(exploit, chosen, shortfall=k_explore - take)
 
-    rest = rest[np.argsort(ids[rest], kind="stable")]  # the allocator's own id order
-    rest_ids = ids[rest]
     rest_patterns = np.asarray(patterns)[rest]
     arms = config.arms if arm_states is None else arm_states
     if config.strict_arm_coverage:
         covered = np.logical_or.reduce(
             [arm.predicate.mask(PATTERN_FEATURES) for arm in arms])[rest_patterns]
         if not covered.all():
-            missing = ids[np.sort(rest[~covered])]  # in pool order
+            missing = ids[rest[~covered]]  # in pool order
             raise UncoveredCandidateError(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
-    picks, shortfall = thompson_allocate(arms, k_explore, rest_ids, rest_patterns, seed)
-    chosen = rest[np.searchsorted(rest_ids, [pid for pid, _ in picks])]
-    return picked(exploit, chosen, arm_assignments=dict(picks), explore_shortfall=shortfall)
+    chosen, arm, shortfall = thompson_allocate(arms, k_explore, ids[rest], rest_patterns, seed)
+    return picked(exploit, rest[chosen], arm, shortfall)

@@ -642,6 +642,9 @@ class _Lines(list):
     write = list.append
 
 
+_WRITE_SLICE = 1 << 13  # lines per write in write_csv, which bounds its memory
+
+
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
               comment: str | None = None, order: np.ndarray | None = None) -> None:
     """Write a CSV file, lines ending in LF: a ``# comment`` line when given,
@@ -651,12 +654,14 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
     writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    body = lines[1:] if order is None else np.array(lines[1:], dtype=object)[order].tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(lines[0])
-        fh.write("".join(body))
+        body = np.array(lines[1:], dtype=object)
+        order = np.arange(len(body)) if order is None else order
+        for start in range(0, len(order), _WRITE_SLICE):
+            fh.write("".join(body[order[start:start + _WRITE_SLICE]].tolist()))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path, *, header_comment: str | None = None) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class PeriodRecord:
     pool_size: int
     pool_positives: int
     selection: Selection
-    revealed: dict[int, bool]
+    record_ids: np.ndarray  # of the picks, in the selection's pick order
+    labels: np.ndarray  # the picks' revealed labels, in the same order
     recall: float
     precision: float | None
     f1: float | None
@@ -70,10 +71,7 @@ class SimulationTrace:
     lineage: list[ModelVersion] = field(default_factory=list)
 
     def revealed_count(self) -> int:
-        return sum(len(p.revealed) for p in self.periods)
-
-    def selected_count(self) -> int:
-        return sum(len(p.selection.all_ids) for p in self.periods)
+        return sum(len(p.labels) for p in self.periods)
 
     def header_dict(self, manifest: str = "-") -> dict:
         return {
@@ -113,14 +111,18 @@ class SimulationTrace:
         """One JSON object per period: the trace's record of that period. Its
         keys are in sorted order at every level, record ids sorted as text
         (id 10 before id 9), so it dumps as ``sort_keys`` would write it."""
-        return [
-            {
-                "arm_assignments": _text_keyed(p.selection.arm_assignments, str),
+        periods = []
+        for p in self.periods:
+            sel = p.selection
+            explore, drawn = p.record_ids[sel.n_exploit:], sel.arm >= 0
+            periods.append({
+                "arm_assignments": _text_keyed(
+                    explore[drawn], [self.policy.arms[i].name for i in sel.arm[drawn].tolist()]),
                 "arm_posteriors": dict(sorted(p.arm_posteriors.items())),
                 "events": p.events,
-                "exploit_ids": list(p.selection.exploit_ids),
-                "explore_ids": list(p.selection.explore_ids),
-                "explore_shortfall": p.selection.explore_shortfall,
+                "exploit_ids": p.record_ids[:sel.n_exploit].tolist(),
+                "explore_ids": explore.tolist(),
+                "explore_shortfall": sel.explore_shortfall,
                 "f1": p.f1,
                 "model_version": p.model_version,
                 "period": p.period,
@@ -128,11 +130,10 @@ class SimulationTrace:
                 "pool_size": p.pool_size,
                 "precision": p.precision,
                 "recall": p.recall,
-                "revealed": _text_keyed(p.revealed, bool),
+                "revealed": _text_keyed(p.record_ids, p.labels.tolist()),
                 "type": "period",
-            }
-            for p in self.periods
-        ]
+            })
+        return periods
 
     def to_jsonl(self, path, *, manifest: str = "-") -> list[dict]:
         """One JSON object per line, keys sorted: a header, then one record
@@ -148,19 +149,15 @@ class SimulationTrace:
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _text_keyed(mapping: Mapping[int, object], convert: Callable) -> dict[str, object]:
-    """``mapping`` with its int64 keys as text, in text order, and its values
-    converted. Text order puts negative keys first ('-' < '0'), then orders
-    the digits padded with zeros to one width, the shorter first on a tie
-    (1 < 10 < 2)."""
-    ids = np.fromiter(mapping, np.int64, len(mapping))
+def _text_keyed(ids: np.ndarray, values: list) -> dict[str, object]:
+    """``values`` keyed by the distinct int64 ``ids`` as text, in text order.
+    Text order puts negative keys first ('-' < '0'), then orders the digits
+    padded with zeros to one width, the shorter first on a tie (1 < 10 < 2)."""
     size = np.abs(ids).astype(np.uint64)  # |int64 min| wraps to 2**63 here
     digits = np.searchsorted(_POWERS_OF_TEN[1:], size, side="right")  # one less than its digits
     padded = size * _POWERS_OF_TEN[digits.max(initial=0) - digits]
-    order = np.lexsort((digits, padded, ids >= 0)).tolist()
-    keys, values = list(mapping), list(mapping.values())
-    return dict(zip(map(str, map(keys.__getitem__, order)),
-                    map(convert, map(values.__getitem__, order))))
+    order = np.lexsort((digits, padded, ids >= 0))
+    return dict(zip(map(str, ids[order].tolist()), map(values.__getitem__, order.tolist())))
 
 
 def summary_row(period: dict) -> dict:
@@ -238,10 +235,8 @@ def run_replay(
         if selection.explore_shortfall:
             events.append(f"explore shortfall {selection.explore_shortfall}")
 
-        by_id = np.argsort(ids, kind="stable")
-        rows = by_id[np.searchsorted(ids, selection.all_ids, sorter=by_id)]
-        revealed = {rid: bool(v) for rid, v in zip(selection.all_ids, y[rows].tolist())}
-
+        rows = selection.positions
+        labels = y[rows]
         rec = recall_at_k(rows, y)
         if len(rows):
             prec = precision_at_k(rows, y)
@@ -251,17 +246,16 @@ def run_replay(
             f1 = None
 
         # Period-end bookkeeping: arm posteriors, labeled store, retraining.
-        new_states = []
-        for state in arm_states:
-            assigned = [
-                rid for rid, arm in selection.arm_assignments.items() if arm == state.name
-            ]
-            pos = sum(1 for rid in assigned if revealed[rid])
-            new_states.append(update_arm(state, pos, len(assigned) - pos))
-        arm_states = new_states
+        drawn = selection.arm >= 0
+        arm = selection.arm[drawn]
+        tested = np.bincount(arm, minlength=len(arm_states)).tolist()
+        found = np.bincount(arm[labels[selection.n_exploit:][drawn]],
+                            minlength=len(arm_states)).tolist()
+        arm_states = [update_arm(state, pos, n - pos)
+                      for state, pos, n in zip(arm_states, found, tested)]
 
         if policy.retrain_on == "exploration_only":
-            rows = rows[len(selection.exploit_ids):]
+            rows = rows[selection.n_exploit:]
         if len(rows):
             labeled_patterns.append(patterns[rows])
             labeled_y.append(y[rows])
@@ -273,7 +267,8 @@ def run_replay(
                 pool_size=len(ids),
                 pool_positives=int(y.sum()),
                 selection=selection,
-                revealed=revealed,
+                record_ids=ids[selection.positions],
+                labels=labels,
                 recall=rec,
                 precision=prec,
                 f1=f1,

@@ -323,8 +323,9 @@ def test_criterion_8_thompson_concentration():
                            seed=seed)
         high = low = 0
         for p in trace.periods[10:]:  # burn-in: first 10 periods
-            for arm in p.selection.arm_assignments.values():
-                if arm == "high":
+            drawn = p.selection.arm[p.selection.arm >= 0]  # indices into policy.arms
+            for arm in drawn.tolist():
+                if policy.arms[arm].name == "high":
                     high += 1
                 else:
                     low += 1

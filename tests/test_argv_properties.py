@@ -66,7 +66,7 @@ MORE_VALID = {
     "correlate": {"--out": "corr.csv"},
     "train": {"--kind": "linear", "--regularization": "0.001"},
     "simulate": {"--retrain-every": "0", "--retrain-kind": "linear", "--allow-overlap": ""},
-    "sweep": {"--rule-based": "", "--out": "s.csv"},
+    "sweep": {"--out": "s.csv"},  # not --rule-based: VALID gives --model
     "bootstrap": {"--level": "0.9"},
     "report": {"--recall-table": "", "--models": "rule_based", "--weeks": "3-4"},
 }

@@ -567,6 +567,26 @@ class TestLeakageGuard:
         assert code == EXIT_OK
 
 
+class TestModelChoice:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--policy", "p.policy"],
+        ["sweep"],
+        ["bootstrap", "--k", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_model_with_rule_based_is_usage_error(self, workdir, small_cohort_csv, small_model,
+                                                  capsys, argv):
+        # The model was trained on weeks 1-2, which simulate would replay:
+        # the usage error comes before that overlap check.
+        (workdir / "p.policy").write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run([*argv, "--cohort", str(small_cohort_csv), "--model", str(small_model),
+                    "--rule-based", "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: usage: --model and --rule-based exclude each other\n")
+        assert not (workdir / "out").exists()
+
+
 class TestSweepBootstrapReport:
     def test_correlate_table(self, workdir, small_cohort_csv):
         code = run(["correlate", "--cohort", str(small_cohort_csv),
@@ -878,6 +898,50 @@ class TestDeterminism:
             assert one == two, name
 
 
+class TestGoldenArtifacts:
+    """sha256 of each artifact of two small replays, pinned so that a change
+    to the selection or trace code that alters a byte of them fails here."""
+
+    THOMPSON_POLICY = (
+        "[policy]\ncapacity = 200\nexploration_fraction = 0.6\nsampler = thompson\n"
+        "strict_arm_coverage = true\n"
+        "[arm contacts]\npredicate = contact_with_confirmed=1\nalpha = 2\nbeta = 1\n"
+        "[arm fever]\npredicate = fever=1\n"
+        "[arm others]\npredicate = contact_with_confirmed=0\nalpha = 1\nbeta = 3\n"
+    )
+    #: policy text, simulate flags and the sha256 of each artifact
+    RUNS = {
+        "uniform": ("[policy]\ncapacity = 120\nexploration_fraction = 0.4\n",
+                    ["--retrain-every", "1", "--seed", "9"], {
+                        "trace.jsonl":
+                            "9437a02cff996cd1e3e7713f5899e4e8788841676773807ea9bebeac71d6670f",
+                        "summary.csv":
+                            "facffa56346b0ca3464366c753679f33385f48c016e0f9d29542bd6418aa97eb",
+                        "selections.csv":
+                            "377c25ea14bdc8b41fc284194338d50491adcd18ef5180127cea875f1a670604",
+                    }),
+        "thompson": (THOMPSON_POLICY, ["--retrain-every", "2", "--weeks", "2-6", "--seed", "4"], {
+                        "trace.jsonl":
+                            "8205aad45d893d3fa309034dbd211116d09526f95cb42fb1e84097515e3e6b39",
+                        "summary.csv":
+                            "43593b9f22308f21f6a79fd886f1eecdd21f5ae542024884cf73ac8127283573",
+                        "selections.csv":
+                            "be6cb79b6ebf525e7db473cecbdc70acec7cfc6b3d53e5622d9099a795a41b5d",
+                    }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_simulate_artifacts_are_pinned(self, workdir, small_cohort_csv, name):
+        text, flags, digests = self.RUNS[name]
+        (workdir / "p.policy").write_text(text, encoding="utf-8")
+        out = workdir / name
+        assert run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(workdir / "p.policy"), *flags,
+                    "--out-dir", str(out), "--quiet"]) == EXIT_OK
+        assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                for artifact in digests} == digests
+
+
 class TestMissingWeeks:
     @pytest.fixture
     def default_cohort(self, workdir):
@@ -904,6 +968,22 @@ class TestMissingWeeks:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "week 9" in err
         assert "Traceback" not in err
+
+
+class TestEmptyCohort:
+    @pytest.mark.parametrize("argv", [
+        ["report", "--recall-table", "--model", "model.txt"],
+        ["report", "--models", "rule_based"],
+        ["bootstrap", "--rule-based", "--k", "10"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_no_weeks_to_evaluate_is_data_error(self, workdir, small_model, capsys, argv):
+        # A header-only file loads as a cohort without weeks.
+        (workdir / "empty.csv").write_text(",".join(REQUIRED_COLUMNS) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run([*argv, "--cohort", "empty.csv", "--out-dir", str(workdir / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: data: no weeks to evaluate\n"
+        assert not (workdir / "out").exists()
 
 
 class TestByteOrderMark:

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps program functions by
 name and reads some of their parameters. This checks, against the unmodified
 tracer, that every name it pins still resolves and that a tiny synth -> train
--> simulate run under it counts training, selection and replay."""
+-> simulate run under it counts training, selection and replay, and Thompson
+allocation's slots and picks."""
 
 from __future__ import annotations
 
@@ -52,3 +53,21 @@ def test_targets_resolve_and_the_pipeline_counts(tracing, tmp_path):
     metrics = tracer.metrics()
     for name in ("scoring.train_calls", "policy.select_calls", "simulate.periods"):
         assert metrics[name] > 0, name
+
+
+def test_thompson_slots_are_counted_and_filled(tracing, tmp_path):
+    # The tracer reads thompson_allocate's k and the length of the first item
+    # it returns; the arms cover the pool, so every slot is filled.
+    common = ["--out-dir", str(tmp_path), "--seed", "3", "--quiet"]
+    policy = tmp_path / "thompson.policy"
+    policy.write_text("[policy]\ncapacity = 100\nexploration_fraction = 0.5\n"
+                      "sampler = thompson\nstrict_arm_coverage = true\n"
+                      "[arm contact]\npredicate = contact_with_confirmed=1\n"
+                      "[arm other]\npredicate = contact_with_confirmed=0\n", encoding="utf-8")
+    synth = ["synth", "--scenario", "oracle", "--out", "cohort.csv"]
+    assert cli.main(synth + common) == cli.EXIT_OK
+    with tracing.Tracer() as tracer:
+        assert cli.main(["simulate", "--cohort", str(tmp_path / "cohort.csv"), "--rule-based",
+                         "--policy", str(policy), "--weeks", "3-4", *common]) == cli.EXIT_OK
+    metrics = tracer.metrics()
+    assert metrics["policy.thompson_slots"] == metrics["policy.thompson_filled"] == 100

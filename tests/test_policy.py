@@ -48,6 +48,20 @@ def ranked_ids(model, ids, X, seed):
     return ids[rank_candidates(score_matrix(model, X), seed)]
 
 
+def picked_ids(sel, ids):
+    """A selection's (exploit, explore) record ids from the pool with these ids."""
+    picks = ids[sel.positions].tolist()
+    return picks[:sel.n_exploit], picks[sel.n_exploit:]
+
+
+def allocate(arms, k, ids, patterns, seed):
+    """thompson_allocate's picks as (record_id, arm name) pairs, and its shortfall."""
+    chosen, arm, shortfall = thompson_allocate(arms, k, ids, patterns, seed)
+    assert len(chosen) == len(arm)
+    names = [arms[i].name for i in arm.tolist()]
+    return list(zip(np.asarray(ids)[chosen].tolist(), names)), shortfall
+
+
 class TestSplitBudget:
     def test_thirty_percent_exploration(self):
         assert split_budget(1000, 0.3) == (700, 300)
@@ -124,7 +138,7 @@ class TestRankCandidates:
             assert np.all(np.diff(score_matrix(model, X)[full]) <= 0)
             for k in (1, 30, 100, 150):
                 sel = select(ids, X, model, uniform_config(k, 0.0), seed=seed)
-                assert sel.exploit_ids == tuple(full[:k].tolist())
+                assert picked_ids(sel, ids) == (full[:k].tolist(), [])
 
 
 def uniform_config(capacity, rho, **kv):
@@ -151,36 +165,40 @@ class TestSelect:
         ids, X = self.make_pool()
         config = uniform_config(20, 0.0)
         sel = select(ids, X, rule_based_model(), config, seed=5)
-        assert sel.explore_ids == ()
         ranked = ranked_ids(rule_based_model(), ids, X, seed=5)
-        assert sel.exploit_ids == tuple(ranked[:20].tolist())
+        assert picked_ids(sel, ids) == (ranked[:20].tolist(), [])
 
     def test_pure_exploration_is_uniform_sample(self):
         ids, X = self.make_pool()
         sel = select(ids, X, rule_based_model(), uniform_config(20, 1.0), seed=5)
-        assert sel.exploit_ids == ()
-        assert len(sel.explore_ids) == 20
-        assert len(set(sel.explore_ids)) == 20
+        exploit, explore = picked_ids(sel, ids)
+        assert exploit == []
+        assert len(explore) == 20
+        assert len(set(explore)) == 20
+        assert sel.arm.tolist() == [-1] * 20
 
     def test_small_pool_selected_in_full(self):
         ids, X = self.make_pool(n=50)
         sel = select(ids, X, rule_based_model(), uniform_config(100, 0.3), seed=5)
-        assert sorted(sel.all_ids) == list(range(50))
+        assert sorted(ids[sel.positions].tolist()) == list(range(50))
 
     def test_disjoint_and_within_capacity(self):
         ids, X = self.make_pool(n=200)
         for rho in (0.0, 0.25, 0.5, 1.0):
             sel = select(ids, X, rule_based_model(), uniform_config(60, rho), seed=9)
-            assert len(sel.all_ids) == 60
-            assert set(sel.exploit_ids).isdisjoint(sel.explore_ids)
-            assert set(sel.all_ids) <= set(ids.tolist())
+            exploit, explore = picked_ids(sel, ids)
+            assert len(exploit + explore) == 60
+            assert set(exploit).isdisjoint(explore)
+            assert set(exploit + explore) <= set(ids.tolist())
 
     def test_pure_function_of_inputs(self):
         ids, X = self.make_pool()
         config = uniform_config(30, 0.4)
         a = select(ids, X, rule_based_model(), config, seed=3)
         b = select(ids, X, rule_based_model(), config, seed=3)
-        assert a == b
+        for name in ("positions", "scores", "arm"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.n_exploit, a.explore_shortfall) == (b.n_exploit, b.explore_shortfall)
 
     def test_uniform_sampler_frequencies(self):
         # 10-element pool, k=1 exploration slot: over 10,000 seeded trials each
@@ -191,7 +209,7 @@ class TestSelect:
         trials = 10_000
         for s in range(trials):
             sel = select(ids, X, rule_based_model(), config, seed=s)
-            counts[sel.explore_ids[0]] += 1
+            counts[picked_ids(sel, ids)[1][0]] += 1
         freq = counts / trials
         sigma = np.sqrt(0.1 * 0.9 / trials)
         assert np.all(np.abs(freq - 0.1) < 3 * sigma)
@@ -208,11 +226,12 @@ class TestSelect:
         )
         for config in (uniform_config(40, 0.5), uniform_config(500, 0.3), thompson):
             sel = select(ids, X, model, config, seed=4)
-            assert sel.scores == tuple(score_of[i] for i in sel.all_ids)
+            assert sel.scores.tolist() == [score_of[i] for i in ids[sel.positions].tolist()]
 
     def test_selection_rejects_overlap(self):
         with pytest.raises(PolicyError):
-            Selection(exploit_ids=(1, 2), explore_ids=(2, 3))
+            Selection(positions=np.array([1, 2, 2, 3]), n_exploit=2, scores=np.zeros(4),
+                      arm=np.array([-1, -1]))
 
 
 CONTACT = ArmPredicate.from_text("contact_with_confirmed=1")
@@ -229,14 +248,14 @@ class TestThompson:
     def test_single_arm_takes_all_slots(self):
         ids, X = self.two_arm_pool()
         arms = [ArmSpec("all", ArmPredicate.from_text("female=0"))]
-        picks, shortfall = thompson_allocate(arms, 10, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 10, ids, X, seed=0)
         assert len(picks) == 10 and shortfall == 0
         assert all(arm == "all" for _, arm in picks)
 
     def test_zero_slots(self):
         ids, X = self.two_arm_pool()
         arms = [ArmSpec("c", CONTACT)]
-        picks, shortfall = thompson_allocate(arms, 0, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 0, ids, X, seed=0)
         assert picks == [] and shortfall == 0
 
     def test_confident_posterior_dominates(self):
@@ -247,7 +266,7 @@ class TestThompson:
             ArmSpec("hot", CONTACT, alpha=100.0, beta=1.0),
             ArmSpec("cold", NO_CONTACT, alpha=1.0, beta=100.0),
         ]
-        picks, shortfall = thompson_allocate(arms, 1000, ids, X, seed=11)
+        picks, shortfall = allocate(arms, 1000, ids, X, seed=11)
         assert shortfall == 0
         hot = sum(1 for _, arm in picks if arm == "hot")
         assert hot >= 950
@@ -255,7 +274,7 @@ class TestThompson:
     def test_truncation_reported(self):
         ids, X = self.two_arm_pool(n_contact=3, n_other=100)
         arms = [ArmSpec("c", CONTACT)]
-        picks, shortfall = thompson_allocate(arms, 10, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 10, ids, X, seed=0)
         assert len(picks) == 3 and shortfall == 7
 
     def test_deterministic(self):
@@ -264,8 +283,8 @@ class TestThompson:
             ArmSpec("c", CONTACT),
             ArmSpec("n", NO_CONTACT),
         ]
-        a = thompson_allocate(arms, 20, ids, X, seed=8)
-        b = thompson_allocate(arms, 20, ids, X, seed=8)
+        a = allocate(arms, 20, ids, X, seed=8)
+        b = allocate(arms, 20, ids, X, seed=8)
         assert a == b
 
     def test_overlapping_arms_share_members(self):
@@ -274,7 +293,7 @@ class TestThompson:
             ArmSpec("a", CONTACT),
             ArmSpec("b", ArmPredicate.from_text("female=0")),
         ]
-        picks, shortfall = thompson_allocate(arms, 5, ids, X, seed=2)
+        picks, shortfall = allocate(arms, 5, ids, X, seed=2)
         assert {pid for pid, _ in picks} == set(range(5))
         assert shortfall == 0
 
@@ -307,7 +326,7 @@ class TestThompson:
         exact = law(frozenset(), 2)
         assert sum(exact.values()) == 1 and len(exact) == 10
         trials = 4000
-        counts = Counter(tuple(thompson_allocate(arms, 2, ids, X, seed)[0])
+        counts = Counter(tuple(allocate(arms, 2, ids, X, seed)[0])
                          for seed in range(trials))
         assert set(counts) <= set(exact)
         for pair, p in exact.items():
@@ -328,7 +347,7 @@ class TestThompson:
         masks = {arm.name: arm.predicate.mask(PATTERN_FEATURES)[patterns] for arm in arms}
         covered = set(ids[np.logical_or.reduce(list(masks.values()))].tolist())
         k = len(covered) + 40
-        picks, shortfall = thompson_allocate(arms, k, ids, patterns, seed)
+        picks, shortfall = allocate(arms, k, ids, patterns, seed)
         picked = [rid for rid, _ in picks]
         assert sorted(picked) == sorted(covered)
         assert shortfall == k - len(covered)
@@ -357,9 +376,10 @@ class TestThompson:
             arms=(ArmSpec("c", CONTACT),),
         )
         sel = select(ids, X, rule_based_model(), config, seed=0)
-        assert len(sel.explore_ids) == 5  # only covered candidates reachable
+        assert sel.n_exploit == 0
+        assert len(sel.positions) == 5  # only covered candidates reachable
         assert sel.explore_shortfall == 3
-        assert all(sel.arm_assignments[i] == "c" for i in sel.explore_ids)
+        assert sel.arm.tolist() == [0] * 5
 
 
 def reference_thompson_allocate(arms, k, ids, X, seed):
@@ -415,7 +435,7 @@ def arm_sets(draw):
 def test_thompson_allocate_matches_reference(pool, arms, data, seed):
     ids, X = pool
     k = data.draw(st.integers(0, len(ids) + 5), label="k")  # up to past the covered pool
-    assert thompson_allocate(arms, k, ids, X, seed) == reference_thompson_allocate(
+    assert allocate(arms, k, ids, X, seed) == reference_thompson_allocate(
         arms, k, ids, PATTERN_FEATURES[X], seed)
 
 
@@ -434,25 +454,23 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
                           arms=tuple(replace(arm, alpha=1.0, beta=1.0) for arm in arms))
     sel = select(ids, X, model, config, arm_states=arms, seed=seed)
     k_exploit, k_explore = split_budget(capacity, rho)
-    row_of = {rid: row for row, rid in enumerate(ids.tolist())}
+    exploit, explore = picked_ids(sel, ids)
 
-    assert len(sel.exploit_ids) == min(k_exploit, len(ids))
+    assert len(exploit) == min(k_exploit, len(ids))
+    assert len(sel.scores) == len(sel.positions) and len(sel.arm) == len(explore)
     if len(ids) > capacity:
-        assert len(sel.explore_ids) + sel.explore_shortfall == k_explore
+        assert len(explore) + sel.explore_shortfall == k_explore
     else:
-        assert sorted(sel.all_ids) == sorted(ids.tolist())
-    assert len(set(sel.all_ids)) == len(sel.all_ids)
-    assert set(sel.explore_ids) <= set(ids.tolist()) - set(sel.exploit_ids)
+        assert sorted(exploit + explore) == sorted(ids.tolist())
+    assert len(set(exploit + explore)) == len(exploit + explore)
+    assert set(explore) <= set(ids.tolist()) - set(exploit)
     if sampler is Sampler.THOMPSON and len(ids) > capacity:
-        assert set(sel.arm_assignments) == set(sel.explore_ids)
-        predicate_of = {arm.name: arm.predicate for arm in arms}
-        for rid, name in sel.arm_assignments.items():
-            assert predicate_of[name].mask(PATTERN_FEATURES[X[[row_of[rid]]]])[0]
+        for position, arm in zip(sel.positions[sel.n_exploit:].tolist(), sel.arm.tolist()):
+            assert arm >= 0 and arms[arm].predicate.mask(PATTERN_FEATURES[X[[position]]])[0]
     else:
-        assert not sel.arm_assignments
-    positions = [row_of[rid] for rid in sel.all_ids]
-    assert sel.scores == tuple(score_matrix(model, X)[positions].tolist())
-    assert 0.0 <= recall_at_k(positions, labels) <= 1.0
+        assert sel.arm.tolist() == [-1] * len(explore)
+    assert sel.scores.tolist() == score_matrix(model, X)[sel.positions].tolist()
+    assert 0.0 <= recall_at_k(sel.positions, labels) <= 1.0
 
 
 class TestUpdateArm:

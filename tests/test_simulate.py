@@ -59,9 +59,11 @@ class TestRunReplay:
     def test_label_hiding(self):
         cohort = generate_cohort(small_params())
         trace = run_replay(cohort, None, uniform_policy(50, 0.5), seed=1)
-        assert trace.revealed_count() == trace.selected_count()
+        assert trace.revealed_count() == 50 * len(trace.periods)
         for p in trace.periods:
-            assert set(p.revealed) == set(p.selection.all_ids)
+            rows = p.selection.positions
+            assert np.array_equal(p.record_ids, cohort.week_ids(p.period)[rows])
+            assert np.array_equal(p.labels, cohort.week_labels(p.period)[rows])
 
     def test_no_leakage_in_lineage(self):
         cohort = generate_cohort(small_params())
@@ -156,12 +158,13 @@ class TestRunReplay:
                               sampler=Sampler.THOMPSON, arms=arms)
         trace = run_replay(cohort, None, policy, retrain_every=0, seed=9)
         first = trace.periods[0].arm_posteriors
-        # counts folded in: alpha+beta grew by the arm's assignment count
-        assigned = trace.periods[0].selection.arm_assignments
-        for name in ("contacts", "others"):
-            n_assigned = sum(1 for a in assigned.values() if a == name)
-            alpha, beta = first[name]
-            assert alpha + beta == pytest.approx(2.0 + n_assigned)
+        # counts folded in: alpha grew by the arm's revealed positives and
+        # beta by its negatives
+        p = trace.periods[0]
+        for i, name in enumerate(("contacts", "others")):
+            labels = p.labels[p.selection.n_exploit:][p.selection.arm == i]
+            assert first[name] == (1.0 + labels.sum(), 1.0 + len(labels) - labels.sum())
+        assert sum(sum(first[name]) for name in first) == 4.0 + 40
 
     def test_restricted_weeks(self):
         cohort = generate_cohort(small_params())
@@ -205,13 +208,13 @@ class TestRunReplay:
         assert list(first["arm_posteriors"]) == ["contacts", "others"]
 
 
-@given(st.dictionaries(st.integers(-2**63, 2**63 - 1) | st.integers(-200, 200), st.integers(0, 1),
+@given(st.dictionaries(st.integers(-2**63, 2**63 - 1) | st.integers(-200, 200), st.booleans(),
                        max_size=40))
-@example({10: 0, 1: 1, 100: 0, -20: 1, -2: 0, 0: 1})  # keys that pad to equal digits
+@example({10: False, 1: True, 100: False, -20: True, -2: False, 0: True})  # equal padded digits
 def test_text_keyed_sorts_int64_keys_as_text(mapping):
-    keyed = _text_keyed(mapping, bool)
+    keyed = _text_keyed(np.fromiter(mapping, np.int64, len(mapping)), list(mapping.values()))
     assert list(keyed) == sorted(map(str, mapping))
-    assert keyed == {str(k): bool(v) for k, v in mapping.items()}
+    assert keyed == {str(k): v for k, v in mapping.items()}
 
 
 class TestSweepExploration:
