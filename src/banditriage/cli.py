@@ -217,23 +217,34 @@ _regularization = _checked("regularization", float, lambda x: 0 < x < math.inf,
 _replicates = _checked("replicate count", int, lambda n: n >= 2, ">= 2")
 _level = _checked("confidence level", float, lambda x: 0 < x < 1, "in (0, 1)")
 _delimiter = _checked("delimiter", str, lambda d: len(d) == 1, "one character")
+_date = _checked("date", date.fromisoformat, lambda d: True, "an ISO date (YYYY-MM-DD)")
+
+
+def _model_entries(text: str) -> dict[str, str]:
+    """argparse type of --models: its entries by table name (file stem or
+    rule_based), which must be distinct; blank entries are skipped."""
+    entries: dict[str, str] = {}
+    for entry in filter(None, (e.strip() for e in text.split(","))):
+        name = "rule_based" if entry == "rule_based" else Path(entry).stem
+        if name in entries:
+            raise argparse.ArgumentTypeError(
+                f"entries {entries[name]!r} and {entry!r} share the name {name!r} and would "
+                "make one row; rename one file")
+        entries[name] = entry
+    if not entries:
+        raise argparse.ArgumentTypeError(f"model list must be non-empty, got {text!r}")
+    return entries
 
 
 def _parse_study_window(args) -> tuple[date, date] | None:
-    if not (args.window_start or args.window_end):
+    start, end = args.window_start, args.window_end
+    if not (start or end):
         return None
-    if not (args.window_start and args.window_end):
+    if not (start and end):
         raise UsageError("--window-start and --window-end go together")
-    window = []
-    for flag, text in (("--window-start", args.window_start), ("--window-end", args.window_end)):
-        try:
-            window.append(date.fromisoformat(text))
-        except ValueError as exc:
-            raise UsageError(f"bad {flag} date {text!r} ({exc})") from None
-    if window[0] > window[1]:
-        raise UsageError(f"--window-start {args.window_start} is after "
-                         f"--window-end {args.window_end}")
-    return window[0], window[1]
+    if start > end:
+        raise UsageError(f"--window-start {start} is after --window-end {end}")
+    return start, end
 
 
 def _load_cohort_arg(args, manifest: Manifest):
@@ -398,18 +409,6 @@ def cmd_bootstrap(args, manifest: Manifest) -> None:
           f"{args.level * 100:g}% CI ({result.lo:.3f}, {result.hi:.3f})")
 
 
-def _model_entries(text: str) -> dict[str, str]:
-    """--models entries by table name (file stem or rule_based), which must be distinct."""
-    entries: dict[str, str] = {}
-    for entry in (e.strip() for e in text.split(",")):
-        name = "rule_based" if entry == "rule_based" else Path(entry).stem
-        if name in entries:
-            raise UsageError(f"--models entries {entries[name]!r} and {entry!r} share the "
-                             f"name {name!r} and would make one row; rename one file")
-        entries[name] = entry
-    return entries
-
-
 def cmd_report(args, manifest: Manifest) -> None:
     if not (args.trace or args.cohort):
         raise UsageError("report needs --trace and/or --cohort")
@@ -420,7 +419,6 @@ def cmd_report(args, manifest: Manifest) -> None:
         raise UsageError("--recall-table needs --model")
     if args.crossover and not (args.weeks_a and args.weeks_b and args.weeks):
         raise UsageError("--crossover needs --weeks-a, --weeks-b and --weeks (evaluation)")
-    model_entries = _model_entries(args.models) if args.models else {}
 
     # Every input is read and every table computed before the first write, so
     # a data error leaves no artifact behind.
@@ -470,7 +468,7 @@ def cmd_report(args, manifest: Manifest) -> None:
 
         if args.models:
             named = {}
-            for name, entry in model_entries.items():
+            for name, entry in args.models.items():
                 named[name] = rule_based_model() if entry == "rule_based" else load_model(entry)
                 manifest.note_input(None if entry == "rule_based" else entry)
             rows_m = model_comparison_table(cohort, named, ks, weeks=args.weeks)
@@ -530,8 +528,9 @@ def build_parser() -> _Parser:
                    help="retain result='other' rows as negatives instead of excluding them")
     p.add_argument("--null-policy", choices=["as_absent", "drop"], default="as_absent",
                    help="treat unknown symptoms as absent, or drop such rows")
-    p.add_argument("--window-start", default=None, help="study window start date (ISO)")
-    p.add_argument("--window-end", default=None, help="study window end date (ISO)")
+    p.add_argument("--window-start", type=_date, default=None,
+                   help="study window start date (ISO)")
+    p.add_argument("--window-end", type=_date, default=None, help="study window end date (ISO)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort from a scenario file")
@@ -620,7 +619,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default=None, help="model file (for --recall-table)")
     p.add_argument("--recall-table", action="store_true",
                    help="with --cohort and --model: per-week recall at each capacity")
-    p.add_argument("--models", default=None,
+    p.add_argument("--models", type=_model_entries, default=None,
                    help="with --cohort: comma list of model files (or rule_based) for a "
                         "per-model mean recall/F1 comparison table")
     p.add_argument("--crossover", action="store_true",

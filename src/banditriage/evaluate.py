@@ -273,7 +273,8 @@ def bootstrap_ci(
     not depend on the pool size. Replicates are seeded by replicate index,
     so a parallel run would reproduce the serial result. A week whose draw
     holds no positives reads 0.0; a replicate with no positives in any week
-    is skipped and counted.
+    is skipped and counted, and one warning gives the count. Weeks with no
+    positive at all raise :class:`MetricError` before any draw.
     """
     if replicates < 2:
         raise MetricError("need at least 2 bootstrap replicates")
@@ -287,13 +288,16 @@ def bootstrap_ci(
 
     # Scores per record are fixed by the model: group each week once. Only
     # the non-empty cells (each group's positive, then negative) are drawn.
-    per_week = []
+    per_week, n_positive = [], 0
     for week in weeks:
         y = cohort.week_labels(week)
         rows, positives = score_cells(score_matrix(model, cohort.week_patterns(week)), y)
         cells = np.column_stack([positives, rows - positives]).ravel()
         nonempty = np.flatnonzero(cells)
         per_week.append((len(y), len(cells), nonempty, cells[nonempty] / len(y)))
+        n_positive += int(positives.sum())
+    if not n_positive:
+        raise MetricError("no positives in the evaluated weeks, so recall is undefined")
 
     means: list[float] = []
     skipped = 0
@@ -309,12 +313,14 @@ def bootstrap_ci(
             any_positive |= drawn[:, :, 0].any(axis=1)
             recalls[:, w] = _expected_recall(drawn.sum(axis=2), drawn[:, :, 0],
                                              np.full(len(block), min(k, n)))[0]
-        for r, used, mean in zip(block, any_positive, recalls.mean(axis=1).tolist()):
+        for used, mean in zip(any_positive, recalls.mean(axis=1).tolist()):
             if used:
                 means.append(mean)
             else:
                 skipped += 1
-                log.warning("bootstrap replicate %d skipped: no positives in any week", r)
+    if skipped:
+        log.warning("%d of %d bootstrap replicates skipped: no positives in any week",
+                    skipped, replicates)
 
     if len(means) < 2:
         raise MetricError("fewer than 2 usable bootstrap replicates")

@@ -195,16 +195,16 @@ def rank_candidates(scores: np.ndarray, seed: int) -> np.ndarray:
 def thompson_allocate(
     arms: Sequence[ArmSpec],
     k: int,
-    ids: np.ndarray | Sequence[int],
     patterns: np.ndarray,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Assign up to k exploration slots across a pool's records (ids and
+    """Assign up to k exploration slots across a pool's records (their
     pattern codes) by Thompson sampling.
 
     Every draw comes first: one ``rng.permutation`` per arm, in arm order,
-    of its members in ascending record_id order; then one ``rng.beta`` block
-    of ``min(k, covered)`` rows, a theta ~ Beta(alpha, beta) per arm in each.
+    of its members in pool order (ascending record id in every pool that
+    :func:`select` builds); then one ``rng.beta`` block of ``min(k, covered)``
+    rows, a theta ~ Beta(alpha, beta) per arm in each.
     Slot t goes to the first argmax arm of row t, whose cursor walks its
     shuffled members past those already taken. An arm whose cursor runs off
     the end has no untested members: its column is dropped from rows t on
@@ -212,7 +212,7 @@ def thompson_allocate(
     slot goes to the argmax of independent draws over the live arms and the
     pick is uniform over the winner's remaining members. Skipping costs at
     most k per arm, O(1) a slot amortised. Returns the picks in slot order
-    as their positions in ``ids`` and the index of the arm that drew each,
+    as their positions in the pool and the index of the arm that drew each,
     and the shortfall. A positive shortfall means the covered pool ran out
     before k slots were filled.
     """
@@ -220,25 +220,20 @@ def thompson_allocate(
         raise PolicyError("k must be >= 0")
     if not arms:
         raise PolicyError("need at least one arm")
-    ids = np.asarray(ids, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
-        raise PolicyError("pool record ids must be unique")
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
 
-    sorted_patterns = np.asarray(patterns)[order]
+    patterns = np.asarray(patterns)
     masks = [arm.predicate.mask(PATTERN_FEATURES) for arm in arms]
-    rows = min(k, int(np.count_nonzero(np.logical_or.reduce(masks)[sorted_patterns])))
+    rows = min(k, int(np.count_nonzero(np.logical_or.reduce(masks)[patterns])))
     # A cursor passes only taken records, and fewer than `rows` are taken
     # while a slot is open, so no cursor reads past the first `rows` members.
-    queues = [rng.permutation(np.flatnonzero(mask[sorted_patterns]))[:rows].tolist()
+    queues = [rng.permutation(np.flatnonzero(mask[patterns]))[:rows].tolist()
               for mask in masks]
     theta = rng.beta([arm.alpha for arm in arms], [arm.beta for arm in arms],
                      size=(rows, len(arms)))
     winners = theta.argmax(axis=1).tolist()
     cursors = [0] * len(arms)
-    taken = bytearray(len(ids))
+    taken = bytearray(len(patterns))
     positions: list[int] = []
     t = 0
     while t < rows:  # some arm stays live while a covered record is untaken
@@ -258,7 +253,7 @@ def thompson_allocate(
     if shortfall:
         log.warning("thompson allocation truncated: %d uncovered slots", shortfall)
     # winners[t] was last set while slot t was open, so it names the arm that filled it
-    return order[np.array(positions, dtype=np.intp)], np.array(winners, dtype=np.intp), shortfall
+    return np.array(positions, dtype=np.intp), np.array(winners, dtype=np.intp), shortfall
 
 
 def select(
@@ -276,7 +271,8 @@ def select(
     The exploit set is the top of the ranking; the explore set is drawn
     without replacement from the rest by the configured sampler. A pool no
     larger than the capacity is selected in full. Pure function of
-    (pool, model, config/arm_states, seed).
+    (pool, model, config/arm_states, seed); ``ids`` only name the records of
+    a strict-coverage error.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if len(ids) == 0:
@@ -319,5 +315,5 @@ def select(
             raise UncoveredCandidateError(
                 f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
             )
-    chosen, arm, shortfall = thompson_allocate(arms, k_explore, ids[rest], rest_patterns, seed)
+    chosen, arm, shortfall = thompson_allocate(arms, k_explore, rest_patterns, seed)
     return picked(exploit, rest[chosen], arm, shortfall)

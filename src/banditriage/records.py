@@ -5,15 +5,15 @@ Input is a delimited text file with one row per performed test (the public
 :func:`load_cohort` works once per distinct value: it parses each distinct
 line once, validates and codes each required column's distinct cells once,
 and gathers the codes of the accepted rows into a :class:`Cohort`, a frozen
-set of equal-length numpy columns holding the row's id, date and categorical
-codes. Scorers consume the nine binary features (:data:`FEATURE_NAMES`) the
-cohort derives from those codes, as one pattern code per record
-(:data:`PATTERN_FEATURES`). Records are pooled by ISO-8601 week number, the
-time frame used everywhere downstream (selection, retraining, metrics); a
-cohort therefore lies within one ISO year, which its first and last dates
-fix. A cohort is built in passes over small integer columns: weeks by
-arithmetic from the Monday of that year's week 1, pattern codes directly in
-uint16.
+set of equal-length numpy columns holding the row's date and categorical
+codes; a record's id is its 0-based row in the cohort. Scorers consume the
+nine binary features (:data:`FEATURE_NAMES`) the cohort derives from those
+codes, as one pattern code per record (:data:`PATTERN_FEATURES`). Records
+are pooled by ISO-8601 week number, the time frame used everywhere
+downstream (selection, retraining, metrics); a cohort therefore lies within
+one ISO year, which its first and last dates fix. A cohort is built in
+passes over small integer columns: weeks by arithmetic from the Monday of
+that year's week 1, pattern codes directly in uint16.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ REQUIRED_COLUMNS: tuple[str, ...] = (
 
 #: Layout of the row tuples :meth:`Cohort.from_records` takes.
 ROW_FIELDS: tuple[str, ...] = (
-    ("record_id", "test_date") + SYMPTOM_FIELDS + ("indication", "gender", "result")
+    ("test_date",) + SYMPTOM_FIELDS + ("indication", "gender", "result")
 )
 
 
@@ -279,12 +279,11 @@ class ValueMapping:
 
 # ---------------------------------------------------------------------------
 # Cohort: equal-length columns, one entry per record in record order, with
-# the numeric views (ids / pattern codes / labels per week) derived once so it
+# the numeric views (rows / pattern codes / labels per week) derived once so it
 # is cheap and safe to share across threads.
 # ---------------------------------------------------------------------------
 
 _COLUMN_DTYPES = {
-    "record_id": np.int64,
     "test_date": "datetime64[D]",
     "symptoms": np.int8,
     "indication": np.int8,
@@ -301,8 +300,9 @@ def _iso_year(day) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """Columns of one cohort, one entry per record in record order. Arrays
-    already of their column's dtype are kept, not copied.
+    """Columns of one cohort, one entry per record in record order; a
+    record's id is its 0-based row. Arrays already of their column's dtype
+    are kept, not copied.
 
     ``symptoms`` holds the :class:`TriState` codes in :data:`SYMPTOM_FIELDS`
     order; unknown symptoms encode as absent, so rows with uncollected
@@ -313,10 +313,10 @@ class Cohort:
 
     Weeks are numbered within one ISO year: the years of the first and last
     dates must agree (the ISO year never falls as the date rises), else a
-    :class:`DataError` lists the years present. Ids must be distinct.
+    :class:`DataError` lists the years present. A week's views list its
+    records in row order.
     """
 
-    record_id: np.ndarray  # int64
     test_date: np.ndarray  # datetime64[D]
     symptoms: np.ndarray  # int8, shape (n, 5): TriState codes
     indication: np.ndarray  # int8 Indication codes
@@ -326,17 +326,11 @@ class Cohort:
     def __post_init__(self):
         for name, dtype in _COLUMN_DTYPES.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        n = len(self.record_id)
+        n = len(self.test_date)
         if self.symptoms.shape != (n, len(SYMPTOM_FIELDS)) or any(
             len(getattr(self, f.name)) != n for f in fields(self)
         ):
             raise ValueError("cohort columns differ in length")
-        # Ids as built by load_cohort and generate_cohort ascend: one pass
-        # shows they are distinct, and only other orders pay for a sort.
-        if n > 1 and not (self.record_id[1:] > self.record_id[:-1]).all():
-            ids, counts = np.unique(self.record_id, return_counts=True)
-            if (counts > 1).any():
-                raise ValueError(f"duplicate record_id {ids[counts > 1][0]}")
 
         # The ISO year never falls as the date rises, so the first and last
         # dates fix it; weeks then count from the Monday of its week 1.
@@ -359,13 +353,13 @@ class Cohort:
         pattern |= np.right_shift(np.uint16(8), self.indication.view(np.uint8))
         pattern |= self.gender == Gender.FEMALE
 
-        order = np.argsort(week, kind="stable")  # a radix sort; keeps record order in a week
-        ids, pattern = self.record_id[order], pattern[order]
+        order = np.argsort(week, kind="stable")  # a radix sort; keeps row order in a week
+        pattern = pattern[order]
         y = self.result[order] == TestResult.POSITIVE
         counts = np.bincount(week)
         ends = np.cumsum(counts)
         bounds = zip((ends - counts).tolist(), ends.tolist())
-        views = {w: (ids[a:b], pattern[a:b], y[a:b])
+        views = {w: (order[a:b], pattern[a:b], y[a:b])
                  for w, (a, b) in enumerate(bounds) if a < b}
         object.__setattr__(self, "_week", week)
         object.__setattr__(self, "_views", views)
@@ -375,7 +369,6 @@ class Cohort:
         """Build a cohort from row tuples in :data:`ROW_FIELDS` order."""
         col = {name: [r[i] for r in records] for i, name in enumerate(ROW_FIELDS)}
         return cls(
-            record_id=col["record_id"],
             test_date=np.array([d.toordinal() - _EPOCH_ORDINAL for d in col["test_date"]]),
             symptoms=np.array([col[s] for s in SYMPTOM_FIELDS], dtype=np.int8).T.copy(),
             indication=col["indication"],
@@ -384,7 +377,7 @@ class Cohort:
         )
 
     def __len__(self) -> int:
-        return len(self.record_id)
+        return len(self.test_date)
 
     @property
     def weeks(self) -> tuple[int, ...]:
@@ -398,6 +391,7 @@ class Cohort:
             raise DataError(f"week {week} is not in the cohort (its weeks: {have})") from None
 
     def week_ids(self, week: int) -> np.ndarray:
+        """The rows of the week's records, ascending."""
         return self._view(week)[0]
 
     def week_patterns(self, week: int) -> np.ndarray:
@@ -558,8 +552,8 @@ def load_cohort(
     line is parsed, and each column's distinct cells validated on their
     stripped text, once. A rejected row is reported under its first failing
     column: date (or study window), the symptoms, result, indication.
-    Missing or empty symptom cells are UNKNOWN. record_id is assigned by
-    acceptance order, which equals row order.
+    Missing or empty symptom cells are UNKNOWN. A record's id is its row in
+    the cohort, so the accepted rows are numbered from 0 in file order.
     Records with result "other" are neither-label and are excluded by default;
     ``keep_other_results=True`` retains them (they count as negatives
     downstream). ``null_policy="drop"`` rejects rows with any unknown symptom
@@ -615,8 +609,7 @@ def load_cohort(
     # Cast the distinct rows' codes, then gather: no row gathers a rejected code.
     test_date, columns = coded[0].astype("datetime64[D]")[accepted], coded[1:].astype(np.int8)
     symptoms, (result, indication, gender) = columns[:-3].T[accepted], columns[-3:, accepted]
-    return Cohort(np.arange(report.n_accepted), test_date, np.ascontiguousarray(symptoms),
-                  indication, gender, result), report
+    return Cohort(test_date, np.ascontiguousarray(symptoms), indication, gender, result), report
 
 
 # Output spellings, indexed by code.

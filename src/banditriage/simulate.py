@@ -150,13 +150,13 @@ _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
 
 def _text_keyed(ids: np.ndarray, values: list) -> dict[str, object]:
-    """``values`` keyed by the distinct int64 ``ids`` as text, in text order.
-    Text order puts negative keys first ('-' < '0'), then orders the digits
-    padded with zeros to one width, the shorter first on a tie (1 < 10 < 2)."""
-    size = np.abs(ids).astype(np.uint64)  # |int64 min| wraps to 2**63 here
+    """``values`` keyed by the distinct ``ids`` (row numbers, so >= 0) as
+    text, in text order: the digits padded with zeros to one width, the
+    shorter first on a tie (1 < 10 < 2)."""
+    size = ids.astype(np.uint64)
     digits = np.searchsorted(_POWERS_OF_TEN[1:], size, side="right")  # one less than its digits
     padded = size * _POWERS_OF_TEN[digits.max(initial=0) - digits]
-    order = np.lexsort((digits, padded, ids >= 0))
+    order = np.lexsort((digits, padded))
     return dict(zip(map(str, ids[order].tolist()), map(values.__getitem__, order.tolist())))
 
 
@@ -184,7 +184,6 @@ def run_replay(
     *,
     retrain_every: int = 1,
     retrain_kind: ModelKind = ModelKind.POLY2,
-    train_config: TrainConfig | None = None,
     weeks: Sequence[int] | None = None,
     seed: int = 0,
 ) -> SimulationTrace:
@@ -192,11 +191,13 @@ def run_replay(
 
     ``model0`` is the cold-start scorer (the fixed rule when omitted).
     ``retrain_every`` is the cadence in periods; 0 never retrains (static
-    model). Labels enter the labeled store per ``policy.retrain_on``: both
-    channels, or the exploration channel only. Retraining failure on a
-    single-class store keeps the current model and logs an event; a
-    surveillance loop must not halt on a degenerate week. Per-period metrics
-    are computed against the period pool's full ground truth.
+    model); each retrain fits ``retrain_kind`` under the default
+    :class:`TrainConfig`. Labels enter the labeled store per
+    ``policy.retrain_on``: both channels, or the exploration channel only.
+    Retraining failure on a single-class store keeps the current model and
+    logs an event; a surveillance loop must not halt on a degenerate week.
+    Per-period metrics are computed against the period pool's full ground
+    truth.
     """
     if retrain_every < 0:
         raise ValueError(f"retrain_every must be >= 0, got {retrain_every}")
@@ -282,8 +283,7 @@ def run_replay(
         if retrain_every and step % retrain_every == 0 and not is_last and labeled_patterns:
             y_train = np.concatenate(labeled_y)
             try:
-                model = train(np.concatenate(labeled_patterns), y_train, retrain_kind,
-                              train_config)
+                model = train(np.concatenate(labeled_patterns), y_train, retrain_kind)
             except DegenerateTrainingError:
                 trace.periods[-1].events.append(
                     "retrain skipped: labeled store is single-class; model carried over"
@@ -369,11 +369,8 @@ def train_eval_split_experiment(
     train_weeks_b: Sequence[int],
     eval_weeks: Sequence[int],
     capacities: Sequence[int],
-    *,
-    kind: ModelKind = ModelKind.POLY2,
-    train_config: TrainConfig | None = None,
 ) -> list[dict]:
-    """Train one model per time frame, compare recall@k on later weeks.
+    """Train one poly2 model per time frame, compare recall@k on later weeks.
 
     Rows: {"k", "recall_a", "recall_b"} with recall averaged over the
     evaluation weeks. Evaluation weeks may not intersect either training
@@ -386,8 +383,8 @@ def train_eval_split_experiment(
     if overlap:
         raise OverlapError(f"evaluation weeks overlap a training range: {sorted(overlap)}")
 
-    model_a, _ = train_on_weeks(cohort, a, kind, train_config)
-    model_b, _ = train_on_weeks(cohort, b, kind, train_config)
+    model_a, _ = train_on_weeks(cohort, a, ModelKind.POLY2)
+    model_b, _ = train_on_weeks(cohort, b, ModelKind.POLY2)
     recall_a, _ = ranked_recall(cohort, model_a, capacities, weeks=ev)
     recall_b, _ = ranked_recall(cohort, model_b, capacities, weeks=ev)
     return [{"k": int(k), "recall_a": float(np.mean(ra)), "recall_b": float(np.mean(rb))}

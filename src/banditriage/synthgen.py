@@ -165,7 +165,6 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
         result.append(np.where(positive, TestResult.POSITIVE, TestResult.NEGATIVE))
 
     return Cohort(
-        record_id=np.arange(params.n_per_week * len(dates)),
         test_date=np.concatenate(dates),
         symptoms=np.concatenate(symptoms),
         indication=np.concatenate(indication),

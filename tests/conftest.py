@@ -19,7 +19,6 @@ from banditriage.synthgen import GeneratorParams, RiskCoefficients
 
 
 def make_record(
-    record_id=0,
     test_date=date(2020, 3, 11),
     result=TestResult.NEGATIVE,
     gender=Gender.MALE,
@@ -29,7 +28,6 @@ def make_record(
     """One row tuple in ``records.ROW_FIELDS`` order; symptoms default to absent."""
     assert set(symptoms) <= set(SYMPTOM_FIELDS), symptoms
     return (
-        record_id,
         test_date,
         *(symptoms.get(name, TriState.ABSENT) for name in SYMPTOM_FIELDS),
         indication,
@@ -103,7 +101,6 @@ def toy_cohort() -> Cohort:
     for i, (d, pos, contact, cough) in enumerate(specs):
         recs.append(
             make_record(
-                record_id=i,
                 test_date=d,
                 result=TestResult.POSITIVE if pos else TestResult.NEGATIVE,
                 indication=Indication.CONTACT_WITH_CONFIRMED if contact else Indication.OTHER,

@@ -130,8 +130,8 @@ class TestIngest:
                     "--window-end", "2020-12-31", "--out-dir", str(workdir), "--quiet"])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:")
-        assert "--window-start" in err and "2020-13-01" in err
+        assert "error: usage: argument --window-start:" in err and "Traceback" not in err
+        assert "2020-13-01" in err
         assert not (workdir / "cohort.csv").exists()
 
     def test_reversed_window_is_usage_error_before_reading(self, workdir, capsys):
@@ -395,6 +395,57 @@ class TestFlagValues:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(cfg) in err
+
+
+class TestWindowAndModelFlags:
+    """--window-start, --window-end and --models are checked by their argparse
+    types, before any input is read: a bad value is a usage error on the
+    command line and a data error naming the file and key in --config."""
+
+    CASES = [
+        (["ingest", "--input"], "window_start", "2020-13-01",
+         "date must be an ISO date (YYYY-MM-DD), got '2020-13-01'"),
+        (["ingest", "--input"], "window_end", "2020-12-32",
+         "date must be an ISO date (YYYY-MM-DD), got '2020-12-32'"),
+        (["report", "--cohort"], "models", "m.txt,sub/m.txt",
+         "entries 'm.txt' and 'sub/m.txt' share the name 'm'"),
+        (["report", "--cohort"], "models", ", ,", "model list must be non-empty"),
+    ]
+    IDS = ["window-start", "window-end", "models-clash", "models-blank"]
+
+    @pytest.mark.parametrize("argv, key, value, message", CASES, ids=IDS)
+    def test_bad_value_is_usage_error_before_reading(self, workdir, capsys, argv, key, value,
+                                                     message):
+        # The input does not exist: the flag is rejected before it is opened.
+        flag = "--" + key.replace("_", "-")
+        code = run(argv + [str(workdir / "missing.csv"), f"{flag}={value}",
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: usage: argument {flag}: {message}" in err and "Traceback" not in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("argv, key, value, message", CASES, ids=IDS)
+    def test_bad_config_entry_is_data_error_before_reading(self, workdir, capsys, argv, key,
+                                                           value, message):
+        cfg = workdir / "run.config"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code = run(argv + [str(workdir / "missing.csv"), "--config", str(cfg),
+                           "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {cfg}: {key}: {message}")
+        assert not (workdir / "out").exists()
+
+    def test_blank_models_entries_are_skipped(self, workdir, small_cohort_csv, small_model):
+        tables = []
+        for models in ("rule_based,model.txt", " rule_based,, model.txt ,"):
+            out = workdir / str(len(tables))
+            assert run(["report", "--cohort", str(small_cohort_csv), "--models", models,
+                        "--k-list", "100", "--out-dir", str(out), "--quiet"]) == EXIT_OK
+            tables.append((out / "model_comparison.csv").read_text().splitlines()[1:])
+        assert tables[0] == tables[1]
+        assert [line.split(",")[0] for line in tables[0][1:]] == ["rule_based", "model"]
 
 
 class TestMalformedFiles:
@@ -942,6 +993,38 @@ class TestGoldenArtifacts:
                 for artifact in digests} == digests
 
 
+class TestRecordIds:
+    def test_ids_are_data_rows_of_the_cohort_file(self, workdir, small_cohort_csv):
+        # A record's id is its 0-based data row: comment and blank lines
+        # between the rows number nothing.
+        lines = small_cohort_csv.read_text(encoding="utf-8").splitlines()
+        header, rows = lines[1], lines[2:]
+        with_gaps = ["# a comment", header]
+        for i, line in enumerate(rows):
+            with_gaps.append(line)
+            if i % 5 == 0:
+                with_gaps.append("# between rows" if i % 2 else "")
+        cohort = workdir / "gaps.csv"
+        cohort.write_text("\n".join(with_gaps) + "\n", encoding="utf-8")
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 60\nexploration_fraction = 0.5\n"
+                          "sampler = thompson\n[arm contacts]\n"
+                          "predicate = contact_with_confirmed=1\n[arm others]\n"
+                          "predicate = contact_with_confirmed=0\n", encoding="utf-8")
+        assert run(["simulate", "--cohort", str(cohort), "--rule-based", "--policy", str(policy),
+                    "--weeks", "2-5", "--out-dir", str(workdir / "out"), "--seed", "3",
+                    "--quiet"]) == EXIT_OK
+
+        result = header.split(",").index("corona_result")
+        positive = [row.split(",")[result] == "positive" for row in rows]
+        periods = [json.loads(line) for line in (workdir / "out" / "trace.jsonl").open()][1:]
+        revealed = {int(i): label for p in periods for i, label in p["revealed"].items()}
+        assert len(revealed) == 4 * 60 and any(revealed.values())
+        assert all(label == positive[i] for i, label in revealed.items())
+        selections = (workdir / "out" / "selections.csv").read_text().splitlines()[2:]
+        assert sorted(int(line.split(",")[0]) for line in selections) == sorted(revealed)
+
+
 class TestMissingWeeks:
     @pytest.fixture
     def default_cohort(self, workdir):
@@ -983,6 +1066,22 @@ class TestEmptyCohort:
         code = run([*argv, "--cohort", "empty.csv", "--out-dir", str(workdir / "out")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: data: no weeks to evaluate\n"
+        assert not (workdir / "out").exists()
+
+
+class TestBootstrapWithoutPositives:
+    def test_one_error_line_before_any_draw(self, workdir, capsys):
+        # Every replicate of an all-negative cohort would be skipped.
+        lines = [",".join(REQUIRED_COLUMNS)]
+        lines += [f"2020-03-{9 + 7 * (i % 2):02d},1,0,0,0,0,negative,male,Other"
+                  for i in range(40)]
+        (workdir / "negative.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run(["bootstrap", "--cohort", "negative.csv", "--rule-based", "--k", "5",
+                    "--out-dir", str(workdir / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: data: no positives in the evaluated weeks, so recall is undefined\n")
         assert not (workdir / "out").exists()
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from datetime import date
 from fractions import Fraction
@@ -229,14 +230,34 @@ class TestBootstrap:
         from banditriage.records import Cohort, TestResult
         from datetime import date
 
-        recs = [make_record(record_id=i, test_date=date(2020, 3, 9)) for i in range(5)]
-        recs[0] = make_record(record_id=0, test_date=date(2020, 3, 9),
+        recs = [make_record(test_date=date(2020, 3, 9)) for i in range(5)]
+        recs[0] = make_record(test_date=date(2020, 3, 9),
                               result=TestResult.POSITIVE)
         cohort = Cohort.from_records(recs)
         model = planted_model(small_params())
         res = bootstrap_ci(cohort, model, k=2, replicates=50, seed=1)
         assert res.skipped_replicates > 0
         assert len(res.replicate_means) + res.skipped_replicates == 50
+
+    def test_skipped_replicates_logged_once(self, caplog):
+        from conftest import make_record
+        from banditriage.records import Cohort, TestResult
+
+        recs = [make_record(result=TestResult.POSITIVE)] + [make_record()] * 4
+        cohort = Cohort.from_records(recs)
+        with caplog.at_level(logging.WARNING, logger="banditriage.evaluate"):
+            res = bootstrap_ci(cohort, planted_model(small_params()), k=2, replicates=50, seed=1)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{res.skipped_replicates} of 50 bootstrap replicates skipped: "
+            "no positives in any week"]
+
+    def test_weeks_without_positives_raise_before_drawing(self):
+        from conftest import make_record
+        from banditriage.records import Cohort
+
+        cohort = Cohort.from_records([make_record()] * 5)
+        with pytest.raises(MetricError, match="no positives in the evaluated weeks"):
+            bootstrap_ci(cohort, planted_model(small_params()), k=2, replicates=50, seed=1)
 
     def test_parameter_validation(self):
         cohort = generate_cohort(small_params(weeks=(1, 1), n_per_week=50))
@@ -290,7 +311,7 @@ class TestBootstrap:
         from conftest import make_record
         from banditriage.records import Cohort, TestResult
 
-        recs = [make_record(record_id=i, test_date=date(2020, 3, 9 + 7 * (i // 50)),
+        recs = [make_record(test_date=date(2020, 3, 9 + 7 * (i // 50)),
                             result=TestResult.POSITIVE if i % 5 == 0 else TestResult.NEGATIVE)
                 for i in range(100)]
         cohort = Cohort.from_records(recs)

@@ -33,12 +33,12 @@ from banditriage.records import (
     write_cohort_csv,
 )
 
-COLUMNS = ("record_id", "test_date", "symptoms", "indication", "gender", "result")
+COLUMNS = ("test_date", "symptoms", "indication", "gender", "result")
 
 
 @st.composite
 def one_iso_year_rows(draw) -> list[tuple]:
-    """Row tuples dated within one ISO year, mixing every code, ids in order."""
+    """Row tuples dated within one ISO year, mixing every code."""
     year = draw(st.integers(1990, 2040))
     last_week = date(year, 12, 28).isocalendar()[1]
     day = st.dates(date.fromisocalendar(year, 1, 1), date.fromisocalendar(year, last_week, 7))
@@ -49,15 +49,16 @@ def one_iso_year_rows(draw) -> list[tuple]:
         st.sampled_from(Gender),
         st.sampled_from(TestResult),
     )
-    return [(i, *r) for i, r in enumerate(draw(st.lists(row, max_size=40)))]
+    return draw(st.lists(row, max_size=40))
 
 
 def reference_views(rows) -> dict[int, tuple[list, list, list]]:
     """The per-record loop the columnar cohort replaced: group by ISO week in
     record order and encode each record on its own, as its feature vector:
-    present symptoms, one-hot indication, female gender."""
+    present symptoms, one-hot indication, female gender. A record's id is
+    its row."""
     views: dict[int, tuple[list, list, list]] = {}
-    for record_id, day, *symptoms, indication, gender, result in rows:
+    for record_id, (day, *symptoms, indication, gender, result) in enumerate(rows):
         v = [1.0 if s is TriState.PRESENT else 0.0 for s in symptoms] + [0.0] * 4
         v[5 + [Indication.CONTACT_WITH_CONFIRMED, Indication.ABROAD,
                Indication.OTHER].index(indication)] = 1.0
@@ -70,20 +71,15 @@ def reference_views(rows) -> dict[int, tuple[list, list, list]]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(one_iso_year_rows(), st.data())
-def test_week_views_equal_the_per_record_encoding(rows, data):
-    # Once with ids ascending, once shuffled: a cohort whose ids do not
-    # ascend takes the sorting check that they are distinct.
-    ascending = [row[0] for row in rows]
-    for record_ids in (ascending, data.draw(st.permutations(ascending))):
-        relabelled = [(i, *row[1:]) for i, row in zip(record_ids, rows)]
-        cohort = Cohort.from_records(relabelled)
-        expected = reference_views(relabelled)
-        assert cohort.weeks == tuple(sorted(expected))
-        for week, (ids, X, y) in expected.items():
-            assert cohort.week_ids(week).tolist() == ids
-            assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
-            assert cohort.week_labels(week).tolist() == y
+@given(one_iso_year_rows())
+def test_week_views_equal_the_per_record_encoding(rows):
+    cohort = Cohort.from_records(rows)
+    expected = reference_views(rows)
+    assert cohort.weeks == tuple(sorted(expected))
+    for week, (ids, X, y) in expected.items():
+        assert cohort.week_ids(week).tolist() == ids
+        assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
+        assert cohort.week_labels(week).tolist() == y
 
 
 @settings(max_examples=80, deadline=None)
@@ -121,23 +117,23 @@ def test_cohort_csv_round_trip_is_exact(cohort):
 def repeating_cohorts(draw) -> Cohort:
     """Cohorts of 1-80 records, each a copy of one of a few base rows with at
     most one cell redrawn, so rows repeat or differ in a single column."""
-    base = [row[1:] for row in draw(one_iso_year_rows().filter(bool))]
+    base = draw(one_iso_year_rows().filter(bool))
     cells = [st.sampled_from([row[0] for row in base]),
              *[st.sampled_from(TriState)] * len(SYMPTOM_FIELDS),
              st.sampled_from(Indication), st.sampled_from(Gender), st.sampled_from(TestResult)]
     rows = []
-    for i in range(draw(st.integers(1, 80))):
+    for _ in range(draw(st.integers(1, 80))):
         row = list(draw(st.sampled_from(base)))
         j = draw(st.integers(0, len(row)))  # len(row): no cell redrawn
         if j < len(row):
             row[j] = draw(cells[j])
-        rows.append((i, *row))
+        rows.append(tuple(row))
     return Cohort.from_records(rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(repeating_cohorts(), st.sampled_from([None, "manifest: x.json"]))
-@example(Cohort.from_records([(0, date(2020, 3, 9), *[TriState.UNKNOWN] * len(SYMPTOM_FIELDS),
+@example(Cohort.from_records([(date(2020, 3, 9), *[TriState.UNKNOWN] * len(SYMPTOM_FIELDS),
                                Indication.ABROAD, Gender.UNKNOWN, TestResult.POSITIVE)]), None)
 def test_cohort_csv_is_the_csv_writer_over_its_rows(cohort, comment):
     buf = io.StringIO()
@@ -276,7 +272,6 @@ def test_fuzzed_rows_load_as_the_per_row_rule_says(export, keep_other, null_poli
     loaded = zip(cohort.test_date.astype(object), cohort.symptoms.tolist(), cohort.indication,
                  cohort.gender, cohort.result)
     assert [(d, *s, i, g, r) for d, s, i, g, r in loaded] == accepted
-    assert cohort.record_id.tolist() == list(range(len(accepted)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -54,12 +54,11 @@ def picked_ids(sel, ids):
     return picks[:sel.n_exploit], picks[sel.n_exploit:]
 
 
-def allocate(arms, k, ids, patterns, seed):
-    """thompson_allocate's picks as (record_id, arm name) pairs, and its shortfall."""
-    chosen, arm, shortfall = thompson_allocate(arms, k, ids, patterns, seed)
+def allocate(arms, k, patterns, seed):
+    """thompson_allocate's picks as (pool position, arm name) pairs, and its shortfall."""
+    chosen, arm, shortfall = thompson_allocate(arms, k, patterns, seed)
     assert len(chosen) == len(arm)
-    names = [arms[i].name for i in arm.tolist()]
-    return list(zip(np.asarray(ids)[chosen].tolist(), names)), shortfall
+    return list(zip(chosen.tolist(), [arms[i].name for i in arm.tolist()])), shortfall
 
 
 class TestSplitBudget:
@@ -246,70 +245,69 @@ class TestThompson:
         return pool_of(vecs)
 
     def test_single_arm_takes_all_slots(self):
-        ids, X = self.two_arm_pool()
+        _, X = self.two_arm_pool()
         arms = [ArmSpec("all", ArmPredicate.from_text("female=0"))]
-        picks, shortfall = allocate(arms, 10, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 10, X, seed=0)
         assert len(picks) == 10 and shortfall == 0
         assert all(arm == "all" for _, arm in picks)
 
     def test_zero_slots(self):
-        ids, X = self.two_arm_pool()
+        _, X = self.two_arm_pool()
         arms = [ArmSpec("c", CONTACT)]
-        picks, shortfall = allocate(arms, 0, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 0, X, seed=0)
         assert picks == [] and shortfall == 0
 
     def test_confident_posterior_dominates(self):
         # Beta(100,1) vs Beta(1,100): the first arm wins at least 95% of 1000
         # slots (Monte Carlo oracle on the Beta draws).
-        ids, X = self.two_arm_pool(n_contact=1200, n_other=1200)
+        _, X = self.two_arm_pool(n_contact=1200, n_other=1200)
         arms = [
             ArmSpec("hot", CONTACT, alpha=100.0, beta=1.0),
             ArmSpec("cold", NO_CONTACT, alpha=1.0, beta=100.0),
         ]
-        picks, shortfall = allocate(arms, 1000, ids, X, seed=11)
+        picks, shortfall = allocate(arms, 1000, X, seed=11)
         assert shortfall == 0
         hot = sum(1 for _, arm in picks if arm == "hot")
         assert hot >= 950
 
     def test_truncation_reported(self):
-        ids, X = self.two_arm_pool(n_contact=3, n_other=100)
+        _, X = self.two_arm_pool(n_contact=3, n_other=100)
         arms = [ArmSpec("c", CONTACT)]
-        picks, shortfall = allocate(arms, 10, ids, X, seed=0)
+        picks, shortfall = allocate(arms, 10, X, seed=0)
         assert len(picks) == 3 and shortfall == 7
 
     def test_deterministic(self):
-        ids, X = self.two_arm_pool()
+        _, X = self.two_arm_pool()
         arms = [
             ArmSpec("c", CONTACT),
             ArmSpec("n", NO_CONTACT),
         ]
-        a = allocate(arms, 20, ids, X, seed=8)
-        b = allocate(arms, 20, ids, X, seed=8)
+        a = allocate(arms, 20, X, seed=8)
+        b = allocate(arms, 20, X, seed=8)
         assert a == b
 
     def test_overlapping_arms_share_members(self):
-        ids, X = self.two_arm_pool(n_contact=5, n_other=0)
+        _, X = self.two_arm_pool(n_contact=5, n_other=0)
         arms = [
             ArmSpec("a", CONTACT),
             ArmSpec("b", ArmPredicate.from_text("female=0")),
         ]
-        picks, shortfall = allocate(arms, 5, ids, X, seed=2)
+        picks, shortfall = allocate(arms, 5, X, seed=2)
         assert {pid for pid, _ in picks} == set(range(5))
         assert shortfall == 0
 
     def test_exact_allocation_law(self):
-        # Pool {1: A only, 2: A and B, 3: B only}, both arms Beta(1, 1), two
+        # Pool {0: A only, 1: A and B, 2: B only}, both arms Beta(1, 1), two
         # slots. Each slot goes to a live arm with probability 1/live and the
         # pick is uniform over that arm's untaken members; the frequency of
         # every ordered pair of picks over 4000 seeds lies within 4 s.d. of
         # that law. One shuffle shared by the arms would give the pair
-        # ((3, B), (1, A)) 1/12 in place of 1/16, 5.4 s.d. off.
-        members = {"A": {1, 2}, "B": {2, 3}}
+        # ((2, B), (0, A)) 1/12 in place of 1/16, 5.4 s.d. off.
+        members = {"A": {0, 1}, "B": {1, 2}}
         arms = [ArmSpec("A", CONTACT), ArmSpec("B", FEVER)]
         _, X = pool_of([feature_array(contact_with_confirmed=1),
                         feature_array(contact_with_confirmed=1, fever=1),
                         feature_array(fever=1)])
-        ids = np.array([1, 2, 3])
 
         def law(taken: frozenset, slots: int) -> dict:
             if not slots:
@@ -326,7 +324,7 @@ class TestThompson:
         exact = law(frozenset(), 2)
         assert sum(exact.values()) == 1 and len(exact) == 10
         trials = 4000
-        counts = Counter(tuple(allocate(arms, 2, ids, X, seed)[0])
+        counts = Counter(tuple(allocate(arms, 2, X, seed)[0])
                          for seed in range(trials))
         assert set(counts) <= set(exact)
         for pair, p in exact.items():
@@ -340,25 +338,16 @@ class TestThompson:
         # pool is taken exactly once and the rest of k is the shortfall.
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, len(PATTERN_FEATURES), 300)
-        ids = 7 + rng.permutation(1000)[:300]
         arms = [ArmSpec("both", ArmPredicate.from_text("contact_with_confirmed=1 & fever=1"),
                         alpha=50.0, beta=1.0),
                 ArmSpec("contact", CONTACT), ArmSpec("fever", FEVER, alpha=1.0, beta=5.0)]
         masks = {arm.name: arm.predicate.mask(PATTERN_FEATURES)[patterns] for arm in arms}
-        covered = set(ids[np.logical_or.reduce(list(masks.values()))].tolist())
+        covered = np.flatnonzero(np.logical_or.reduce(list(masks.values()))).tolist()
         k = len(covered) + 40
-        picks, shortfall = allocate(arms, k, ids, patterns, seed)
-        picked = [rid for rid, _ in picks]
-        assert sorted(picked) == sorted(covered)
+        picks, shortfall = allocate(arms, k, patterns, seed)
+        assert sorted(position for position, _ in picks) == covered
         assert shortfall == k - len(covered)
-        member_ids = {name: set(ids[m].tolist()) for name, m in masks.items()}
-        assert all(rid in member_ids[name] for rid, name in picks)
-
-    def test_repeated_record_id_rejected(self):
-        ids, X = self.two_arm_pool(n_contact=3, n_other=0)
-        arms = [ArmSpec("c", CONTACT)]
-        with pytest.raises(PolicyError, match="unique"):
-            thompson_allocate(arms, 1, np.array([4, 9, 4]), X, seed=0)
+        assert all(masks[name][position] for position, name in picks)
 
     def test_strict_coverage_error(self):
         ids, X = self.two_arm_pool(n_contact=5, n_other=5)
@@ -382,23 +371,22 @@ class TestThompson:
         assert sel.arm.tolist() == [0] * 5
 
 
-def reference_thompson_allocate(arms, k, ids, X, seed):
-    """The allocation contract over sets, the oracle for the allocator's
-    picks, over the pool's 0/1 feature rows X. Same rng calls in the same
-    order: one permutation of each arm's members in ascending record_id
-    order, then one Beta block of min(k, covered) rows. Each row's slot goes
-    to the first argmax among the arms that still have members, and the pick
-    is the first of the winner's shuffled members still untaken."""
-    ids = np.asarray(ids, dtype=np.int64)
+def reference_thompson_allocate(arms, k, X, seed):
+    """The allocation contract over sets of pool positions, the oracle for
+    the allocator's picks, over the pool's 0/1 feature rows X. Same rng calls
+    in the same order: one permutation of each arm's members in pool order,
+    then one Beta block of min(k, covered) rows. Each row's slot goes to the
+    first argmax among the arms that still have members, and the pick is the
+    first of the winner's shuffled members still untaken."""
     rng = np.random.default_rng(derive_seed(seed, "thompson"))
-    members = [set(ids[arm.predicate.mask(X)].tolist()) for arm in arms]
+    members = [set(np.flatnonzero(arm.predicate.mask(X)).tolist()) for arm in arms]
     queues = [rng.permutation(sorted(m)).tolist() for m in members]
     draws = rng.beta([arm.alpha for arm in arms], [arm.beta for arm in arms],
                      size=(min(k, len(set().union(*members))), len(arms)))
     picks = []
     for row in draws.tolist():
         winner = max((i for i, m in enumerate(members) if m), key=row.__getitem__)
-        chosen = next(rid for rid in queues[winner] if rid in members[winner])
+        chosen = next(p for p in queues[winner] if p in members[winner])
         picks.append((chosen, arms[winner].name))
         for remaining in members:
             remaining.discard(chosen)
@@ -433,10 +421,10 @@ def arm_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(pools(), arm_sets(), st.data(), st.integers(0, 2**32 - 1))
 def test_thompson_allocate_matches_reference(pool, arms, data, seed):
-    ids, X = pool
-    k = data.draw(st.integers(0, len(ids) + 5), label="k")  # up to past the covered pool
-    assert allocate(arms, k, ids, X, seed) == reference_thompson_allocate(
-        arms, k, ids, PATTERN_FEATURES[X], seed)
+    _, X = pool
+    k = data.draw(st.integers(0, len(X) + 5), label="k")  # up to past the covered pool
+    assert allocate(arms, k, X, seed) == reference_thompson_allocate(
+        arms, k, PATTERN_FEATURES[X], seed)
 
 
 @settings(max_examples=150, deadline=None)
