@@ -27,6 +27,7 @@ import sys
 import uuid
 from dataclasses import replace
 from datetime import date, datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +140,14 @@ class Manifest:
             yield tmp
         self.artifacts.append(str(path))
 
-    def write_csv(self, name: str, header: list | None, rows: list) -> Path:
-        """Write a CSV artifact that names this manifest. Without a header the
+    def write_csv(self, name: str, header: list | None, rows: list, **layout) -> Path:
+        """Write a CSV artifact that names this manifest; ``layout`` passes
+        ``order`` and ``ids`` to :func:`records.write_csv`. Without a header the
         rows are dicts sharing their keys, and the first row's keys head it."""
         if header is None:
             header, rows = list(rows[0]), [list(r.values()) for r in rows]
         with self.artifact(name) as tmp:
-            write_csv(tmp, header, rows, comment=f"manifest: {self.name}")
+            write_csv(tmp, header, rows, comment=f"manifest: {self.name}", **layout)
         return self.out_dir / name
 
     def write(self) -> None:
@@ -355,20 +357,25 @@ def cmd_simulate(args, manifest: Manifest) -> None:
         periods = trace.to_jsonl(tmp, manifest=manifest.name)
     manifest.write_csv(args.out_summary, None, [summary_row(p) for p in periods])
 
-    arm_names = ["", *(arm.name for arm in policy.arms)]  # at arm index + 1, so -1 reads ""
-    sel_rows = []
+    arm_names = ["", "", *(arm.name for arm in policy.arms)]  # at arm index + 2
+    suffixes, order = [], []
     for p in trace.periods:
         sel = p.selection
-        # scores come from a few hundred patterns: format each distinct one
-        # once, keyed by its bits so that -0.0 keeps its sign
-        bits, which = np.unique(sel.scores.view(np.int64), return_inverse=True)
-        text = [repr(score) for score in bits.view(np.float64).tolist()]
-        channel = ["exploit"] * sel.n_exploit + ["explore"] * len(sel.arm)
-        arm = [""] * sel.n_exploit + list(map(arm_names.__getitem__, (sel.arm + 1).tolist()))
-        sel_rows += zip(p.record_ids.tolist(), [p.period] * len(channel), channel, arm,
-                        map(text.__getitem__, which.tolist()))
+        # Scores come from a few hundred patterns, so a period's picks share
+        # few (channel, arm, score) suffixes: each distinct one is formatted
+        # once, keyed by the score's bits so that -0.0 keeps its sign. Arm
+        # index -2 marks an exploit pick.
+        arm = np.concatenate([np.full(sel.n_exploit, -2), sel.arm]) + 2
+        _, score = np.unique(sel.scores.view(np.int64), return_inverse=True)
+        _, first, which = np.unique(score * len(arm_names) + arm, return_index=True,
+                                    return_inverse=True)
+        order.append(which + len(suffixes))
+        suffixes += zip(repeat(p.period), np.where(arm[first], "explore", "exploit").tolist(),
+                        map(arm_names.__getitem__, arm[first].tolist()),
+                        map(repr, sel.scores[first].tolist()))
     manifest.write_csv(args.out_selections, ["record_id", "period", "channel", "arm", "score"],
-                       sel_rows)
+                       suffixes, order=np.concatenate(order),
+                       ids=np.concatenate([p.record_ids for p in trace.periods]))
 
     mean_recall = float(np.mean([p.recall for p in trace.periods]))
     print(

@@ -40,7 +40,14 @@ class PolicyError(Exception):
 
 
 class UncoveredCandidateError(PolicyError):
-    """Strict arm coverage: a pool member matches no arm predicate."""
+    """Strict arm coverage: pool members match no arm predicate. The error
+    names the first few of ``candidates``, which are pool positions or
+    record ids, in pool order."""
+
+    def __init__(self, candidates: np.ndarray):
+        super().__init__(f"{len(candidates)} pool candidates match no arm "
+                         f"(first: {candidates[:5].tolist()})")
+        self.candidates = candidates
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,6 @@ def thompson_allocate(
 
 
 def select(
-    ids: np.ndarray | Sequence[int],
     patterns: np.ndarray,
     model: RiskModel,
     config: PolicyConfig,
@@ -265,17 +271,16 @@ def select(
     *,
     seed: int,
 ) -> Selection:
-    """One period's selection from the pool (record ids, pattern codes)
+    """One period's selection from the pool (its records' pattern codes)
     under the policy, its picks named by their positions in the pool.
 
     The exploit set is the top of the ranking; the explore set is drawn
     without replacement from the rest by the configured sampler. A pool no
     larger than the capacity is selected in full. Pure function of
-    (pool, model, config/arm_states, seed); ``ids`` only name the records of
-    a strict-coverage error.
+    (pool, model, config/arm_states, seed). A strict-coverage error names
+    the uncovered members by their pool positions.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 0:
+    if len(patterns) == 0:
         raise PolicyError("cannot select from an empty pool")
     k_exploit, k_explore = split_budget(config.capacity, config.exploration_fraction)
     scores = score_matrix(model, patterns)
@@ -288,11 +293,11 @@ def select(
                          arm=np.full(len(explore), -1, dtype=np.intp) if arm is None else arm,
                          explore_shortfall=shortfall)
 
-    if len(ids) <= config.capacity:
+    if len(patterns) <= config.capacity:
         return picked(ranked[:k_exploit], ranked[k_exploit:])
 
     exploit = ranked[:k_exploit]
-    rest_mask = np.ones(len(ids), dtype=bool)
+    rest_mask = np.ones(len(patterns), dtype=bool)
     rest_mask[exploit] = False
     rest = np.flatnonzero(rest_mask)
 
@@ -311,9 +316,6 @@ def select(
         covered = np.logical_or.reduce(
             [arm.predicate.mask(PATTERN_FEATURES) for arm in arms])[rest_patterns]
         if not covered.all():
-            missing = ids[rest[~covered]]  # in pool order
-            raise UncoveredCandidateError(
-                f"{len(missing)} pool candidates match no arm (first: {missing[:5].tolist()})"
-            )
+            raise UncoveredCandidateError(rest[~covered])
     chosen, arm, shortfall = thompson_allocate(arms, k_explore, rest_patterns, seed)
     return picked(exploit, rest[chosen], arm, shortfall)

@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from enum import IntEnum
-from itertools import chain, compress, count, repeat
+from itertools import count, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -347,9 +347,13 @@ class Cohort:
             week = ((day - monday) // 7 + 1).astype(np.uint8)
 
         # Pattern codes: symptoms are bits 8 to 4, indication i bit 3 - i, female
-        # bit 0. packbits puts the first of the five present-flags in bit 7.
-        pattern = np.packbits(self.symptoms == TriState.PRESENT, axis=1).ravel().astype(np.uint16)
-        pattern <<= 1
+        # bit 0. The present-flags shift in one column at a time, the first
+        # symptom first, so that it ends up the most significant.
+        pattern = np.zeros(n, np.uint16)
+        for column in self.symptoms.T:
+            pattern <<= 1
+            pattern |= column == TriState.PRESENT
+        pattern <<= 4
         pattern |= np.right_shift(np.uint16(8), self.indication.view(np.uint8))
         pattern |= self.gender == Gender.FEMALE
 
@@ -427,7 +431,7 @@ class LoadReport:
 
 
 #: Code of a cell its column rejects; no column codes to it.
-_REJECTED = np.iinfo(np.int64).min
+_REJECTED = np.iinfo(np.int32).min
 
 
 def _column_coders(mapping: ValueMapping, study_window: tuple[date, date] | None) -> list:
@@ -462,18 +466,23 @@ def _column_coders(mapping: ValueMapping, study_window: tuple[date, date] | None
     ]
 
 
+_PARSE_SLICE = 256  # distinct lines per csv pass in _read_rows, which bounds its memory
+
+
 def _read_rows(path: str | Path, delimiter: str,
                columns: Sequence[str]) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
     """The distinct cells of each of ``columns`` (required columns, found by
-    their stripped header names) in a delimited file; its distinct data rows,
-    row r holding the number of its cell in column i at ``[i, r]``; and each
-    data row's index into them, in row order.
+    their stripped header names) in a delimited file; for each distinct
+    data line j, the number of its cell in column i at ``[i, j]``; and each
+    data row's line j, in row order.
 
     One record per physical line. The header is the first line that is not
     a ``#`` comment; comment lines and blank lines are no rows, and a cell
-    missing from a short row is empty. Exports repeat lines, rows and cells,
-    so the lines are read once, each distinct line is parsed once, and each
-    column keeps one string per distinct cell. A quoted field still open at
+    missing from a short row is empty. Exports repeat lines and cells, so
+    the lines are read once and each distinct line is parsed once, 256 lines
+    at a time: only a slice's cells are held as strings, each column keeps
+    one string per distinct cell, and a line keeps int32 cell numbers. Lines
+    are not deduplicated again by their cells. A quoted field still open at
     a line break would run into the next line: it is a
     :class:`CohortFormatError` naming the line.
     """
@@ -487,6 +496,7 @@ def _read_rows(path: str | Path, delimiter: str,
     except UnicodeDecodeError as exc:
         raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
     lines = list(first_line)
+    del first_line  # lines holds its keys; keeping it would cost ~60 bytes a line
     comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, len(lines))
     data_lines = line_of[~comment[line_of]]  # as distinct-line indices, in file order
     if not len(data_lines):
@@ -510,28 +520,29 @@ def _read_rows(path: str | Path, delimiter: str,
             if column not in position:
                 raise CohortFormatError(f"{path}: header is missing column {column!r}")
         pad = [""] * (max(position[column] for column in columns) + 1)
-        cells = map(itemgetter(*(position[column] for column in columns)),
-                    map(add, csv.reader(compress(lines, ~comment), delimiter=delimiter),
-                        repeat(pad)))
-        # A row is keyed by its cells' numbers, each column numbering its own.
-        number = [defaultdict(count().__next__) for _ in columns]
-        keys = map(tuple, map(map, repeat(defaultdict.__getitem__), repeat(number), cells))
-        first_row = defaultdict(count().__next__)
-        row_of_parsed = np.fromiter(map(first_row.__getitem__, keys), np.int32)
-        # An open line takes in the next, so the row count falls short; the
-        # last line has no next one and is checked on its own.
-        if len(row_of_parsed) < len(parsed) or is_open(lines[parsed[-1]]):
-            raise spanning(next(j for j in parsed.tolist() if is_open(lines[j])))
+        cell_of = [itemgetter(position[column]) for column in columns]
+        number = [defaultdict(count().__next__) for _ in columns]  # each column numbers its own
+        numbers = np.empty((len(columns), len(parsed)), np.int32)
+        for start in range(0, len(parsed), _PARSE_SLICE):
+            batch = list(map(lines.__getitem__, parsed[start:start + _PARSE_SLICE].tolist()))
+            chunk = list(map(add, csv.reader(batch, delimiter=delimiter), repeat(pad)))
+            # An open line takes in the next, so the chunk falls short; the
+            # slice's last line has no next one and is checked on its own.
+            if len(chunk) < len(batch) or is_open(batch[-1]):
+                raise spanning(parsed[start + next(i for i, line in enumerate(batch)
+                                                   if is_open(line))])
+            for i, cell in enumerate(cell_of):
+                numbers[i, start:start + len(chunk)] = np.fromiter(
+                    map(number[i].__getitem__, map(cell, chunk)), np.int32, len(chunk))
     except csv.Error as exc:
         raise CohortFormatError(f"{path}: unreadable as delimited text: {exc}") from exc
 
-    row_of_line = np.full(len(lines), -1, np.int32)  # -1: a comment or blank line, no row
-    row_of_line[parsed] = row_of_parsed
-    # blank: the lines the csv module reads as no cells at all
-    row_of_line[np.fromiter(map(("\n", "\r", "\r\n").__contains__, lines), bool, len(lines))] = -1
-    row_of = row_of_line[data_lines[1:]]
-    rows = np.fromiter(chain.from_iterable(first_row), np.int32).reshape(-1, len(columns)).T
-    return list(map(list, number)), rows, row_of[row_of >= 0]
+    parsed_of_line = np.cumsum(~comment, dtype=np.int32) - 1
+    # blank: the lines the csv module reads as no cells at all, which are no rows
+    parsed_of_line[np.fromiter(map(("\n", "\r", "\r\n").__contains__, lines), bool,
+                               len(lines))] = -1
+    row_of = parsed_of_line[data_lines[1:]]
+    return list(map(list, number)), numbers, row_of[row_of >= 0]
 
 
 def load_cohort(
@@ -564,20 +575,20 @@ def load_cohort(
     coders = _column_coders(mapping or ValueMapping.default(), study_window)
     symptom_rows = slice(1, 1 + len(SYMPTOM_FIELDS))
     result_row = 1 + len(SYMPTOM_FIELDS)
-    cells, rows, row_of = _read_rows(path, delimiter, [column for column, _ in coders])
+    cells, numbers, row_of = _read_rows(path, delimiter, [column for column, _ in coders])
 
-    # Code the distinct rows: column by column, each distinct cell once.
-    coded = np.empty(rows.shape, np.int64)
+    # Code the distinct lines: column by column, each distinct cell once.
+    coded = np.empty(numbers.shape, np.int32)
     reasons = []  # per column: cell number -> rejection reason
     for i, (column, coder) in enumerate(coders):
-        table, why = np.empty(len(cells[i]), np.int64), {}
+        table, why = np.empty(len(cells[i]), np.int32), {}
         for c, raw in enumerate(cells[i]):
             try:
                 table[c] = coder(raw.strip())
             except ValueError as exc:
                 table[c] = _REJECTED
                 why[c] = f"{column}={raw.strip()!r}: {exc}"
-        coded[i] = table[rows[i]]
+        coded[i] = table[numbers[i]]
         reasons.append(why)
 
     bad = coded == _REJECTED
@@ -591,7 +602,7 @@ def load_cohort(
     for j in np.flatnonzero(rejected).tolist():
         if failed[j]:
             i = first_bad[j]
-            reason_of[j] = reasons[i][rows[i, j]]
+            reason_of[j] = reasons[i][numbers[i, j]]
         elif other[j]:
             reason_of[j] = "result 'other' excluded (keep_other_results retains)"
         else:
@@ -606,7 +617,7 @@ def load_cohort(
     if report.n_rejected:
         log.info("loaded %d records, rejected %d of %d rows",
                  report.n_accepted, report.n_rejected, report.n_rows)
-    # Cast the distinct rows' codes, then gather: no row gathers a rejected code.
+    # Cast the distinct lines' codes, then gather: no row gathers a rejected code.
     test_date, columns = coded[0].astype("datetime64[D]")[accepted], coded[1:].astype(np.int8)
     symptoms, (result, indication, gender) = columns[:-3].T[accepted], columns[-3:, accepted]
     return Cohort(test_date, np.ascontiguousarray(symptoms), indication, gender, result), report
@@ -639,10 +650,13 @@ _WRITE_SLICE = 1 << 13  # lines per write in write_csv, which bounds its memory
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
-              comment: str | None = None, order: np.ndarray | None = None) -> None:
+              comment: str | None = None, order: np.ndarray | None = None,
+              ids: np.ndarray | None = None) -> None:
     """Write a CSV file, lines ending in LF: a ``# comment`` line when given,
     the header, then the rows, or ``rows[i]`` for each i in ``order`` when
-    it is given. Each row is formatted once, however often it is written."""
+    it is given. Each row is formatted once, however often it is written.
+    With ``ids``, line k of the body starts with ``ids[k]`` (non-negative
+    ints, which the csv module never quotes) as its first field."""
     lines = _Lines()
     writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(header)
@@ -654,7 +668,10 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence], *,
         body = np.array(lines[1:], dtype=object)
         order = np.arange(len(body)) if order is None else order
         for start in range(0, len(order), _WRITE_SLICE):
-            fh.write("".join(body[order[start:start + _WRITE_SLICE]].tolist()))
+            part = body[order[start:start + _WRITE_SLICE]].tolist()
+            if ids is not None:
+                part = map("{},{}".format, ids[start:start + _WRITE_SLICE].tolist(), part)
+            fh.write("".join(part))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path, *, header_comment: str | None = None) -> None:

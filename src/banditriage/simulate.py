@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import f1_at_k, precision_at_k, ranked_recall, recall_at_k
-from .policy import PolicyConfig, Sampler, Selection, select, update_arm
+from .policy import PolicyConfig, Sampler, Selection, UncoveredCandidateError, select, update_arm
 from .records import Cohort
 from .scoring import (
     DegenerateTrainingError,
@@ -197,7 +197,8 @@ def run_replay(
     Retraining failure on a single-class store keeps the current model and
     logs an event; a surveillance loop must not halt on a degenerate week.
     Per-period metrics are computed against the period pool's full ground
-    truth.
+    truth. A strict-coverage :class:`UncoveredCandidateError` names the
+    uncovered records by their ids.
     """
     if retrain_every < 0:
         raise ValueError(f"retrain_every must be >= 0, got {retrain_every}")
@@ -230,9 +231,11 @@ def run_replay(
         y = cohort.week_labels(period)
         events: list[str] = []
 
-        selection = select(
-            ids, patterns, model, policy, arm_states=arm_states, seed=derive_seed(seed, "period", period)
-        )
+        try:
+            selection = select(patterns, model, policy, arm_states=arm_states,
+                               seed=derive_seed(seed, "period", period))
+        except UncoveredCandidateError as exc:  # name the records, not their pool positions
+            raise UncoveredCandidateError(ids[exc.candidates]) from None
         if selection.explore_shortfall:
             events.append(f"explore shortfall {selection.explore_shortfall}")
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,9 +13,12 @@ import numpy as np
 import pytest
 
 import banditriage
+import banditriage.policy as policy_module
 from banditriage.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _atomic, build_parser, main
-from banditriage.records import REQUIRED_COLUMNS
+from banditriage.policy import PolicyConfig
+from banditriage.records import REQUIRED_COLUMNS, load_cohort
 from banditriage.scoring import load_model
+from banditriage.simulate import run_replay
 from banditriage.synthgen import builtin_scenario_path
 
 
@@ -993,6 +998,46 @@ class TestGoldenArtifacts:
                 for artifact in digests} == digests
 
 
+class TestSelectionsCsv:
+    def test_selections_are_the_csv_writer_over_the_picks(self, workdir, small_cohort_csv,
+                                                          monkeypatch):
+        # Arm names that need quoting, and zero scores of both signs: the
+        # zero scores of female patterns read -0.0, which keeps its sign.
+        score_matrix = policy_module.score_matrix
+
+        def signed_zeros(model, X):
+            scores = score_matrix(model, X)
+            return np.where((scores == 0) & (X % 2 == 1), -0.0, scores)
+
+        monkeypatch.setattr(policy_module, "score_matrix", signed_zeros)
+        path = workdir / "p.policy"
+        path.write_text("[policy]\ncapacity = 150\nexploration_fraction = 0.5\n"
+                        "sampler = thompson\n[arm a,b]\npredicate = contact_with_confirmed=1\n"
+                        '[arm say "hi"]\npredicate = contact_with_confirmed=0\n', encoding="utf-8")
+        assert run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(path), "--weeks", "2-5", "--retrain-every", "0",
+                    "--seed", "6", "--out-dir", str(workdir / "out"), "--quiet"]) == EXIT_OK
+
+        policy = PolicyConfig.from_file(path)
+        trace = run_replay(load_cohort(small_cohort_csv)[0], None, policy, retrain_every=0,
+                           weeks=[2, 3, 4, 5], seed=6)
+        expected = io.StringIO()
+        expected.write("# manifest: simulate.manifest.json\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["record_id", "period", "channel", "arm", "score"])
+        for p in trace.periods:
+            sel = p.selection
+            arms = [""] * sel.n_exploit + [policy.arms[a].name if a >= 0 else ""
+                                           for a in sel.arm.tolist()]
+            for j, (record, score) in enumerate(zip(p.record_ids.tolist(), sel.scores.tolist())):
+                writer.writerow([record, p.period, "exploit" if j < sel.n_exploit else "explore",
+                                 arms[j], repr(score)])
+        written = (workdir / "out" / "selections.csv").read_text(encoding="utf-8")
+        assert written == expected.getvalue()
+        assert '"a,b"' in written and '"say ""hi"""' in written
+        assert {"0.0", "-0.0"} <= {line.rsplit(",", 1)[1] for line in written.splitlines()[2:]}
+
+
 class TestRecordIds:
     def test_ids_are_data_rows_of_the_cohort_file(self, workdir, small_cohort_csv):
         # A record's id is its 0-based data row: comment and blank lines
@@ -1017,12 +1062,31 @@ class TestRecordIds:
 
         result = header.split(",").index("corona_result")
         positive = [row.split(",")[result] == "positive" for row in rows]
-        periods = [json.loads(line) for line in (workdir / "out" / "trace.jsonl").open()][1:]
+        trace = (workdir / "out" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        periods = [json.loads(line) for line in trace[1:]]
         revealed = {int(i): label for p in periods for i, label in p["revealed"].items()}
         assert len(revealed) == 4 * 60 and any(revealed.values())
         assert all(label == positive[i] for i, label in revealed.items())
         selections = (workdir / "out" / "selections.csv").read_text().splitlines()[2:]
         assert sorted(int(line.split(",")[0]) for line in selections) == sorted(revealed)
+
+    def test_uncovered_candidates_are_named_by_record_id(self, workdir, capsys):
+        # Week 12's rows come first, so week 11's pool positions are not its ids.
+        rows = [("2020-03-16", "Other"), ("2020-03-17", "Abroad"),
+                ("2020-03-09", "Contact with confirmed"), ("2020-03-10", "Other"),
+                ("2020-03-11", "Abroad"), ("2020-03-12", "Contact with confirmed")]
+        cohort = workdir / "c.csv"
+        cohort.write_text("\n".join([",".join(REQUIRED_COLUMNS)] + [
+            f"{day},0,0,0,0,0,negative,male,{indication}" for day, indication in rows]) + "\n",
+            encoding="utf-8")
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 2\nexploration_fraction = 1\n"
+                          "sampler = thompson\nstrict_arm_coverage = true\n[arm contacts]\n"
+                          "predicate = contact_with_confirmed=1\n", encoding="utf-8")
+        assert run(["simulate", "--cohort", str(cohort), "--rule-based", "--policy", str(policy),
+                    "--weeks", "11", "--out-dir", str(workdir / "out"), "--quiet"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: data: 2 pool candidates match no arm (first: [3, 4])\n")
 
 
 class TestMissingWeeks:

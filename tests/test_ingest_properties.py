@@ -12,6 +12,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from banditriage.records import (
     REQUIRED_COLUMNS,
     SYMPTOM_FIELDS,
     Cohort,
+    CohortFormatError,
     DataError,
     Gender,
     Indication,
@@ -245,18 +247,33 @@ def reference_record(cell: dict[str, str], keep_other, null_policy, window):
             m.gender.get(cell["gender"].lower(), Gender.UNKNOWN), result)
 
 
+def reference_load(text: str, keep_other=False, null_policy="as_absent", window=None) -> list:
+    """Each data row's record or rejection reason by :func:`reference_record`,
+    the rows read from the whole export text by the csv module at once."""
+    lines = [line for line in io.StringIO(text.removeprefix("\ufeff"), newline="")
+             if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    position = {name.strip(): i for i, name in enumerate(header)}
+    return [reference_record({c: (cells[i] if i < len(cells) else "").strip()
+                              for c, i in position.items()}, keep_other, null_policy, window)
+            for cells in rows if cells]
+
+
+def assert_loads_as(cohort, report, expected: list) -> None:
+    """The rejections and the accepted records are those of ``expected``."""
+    assert report.rejections == [(n, r) for n, r in enumerate(expected, 1) if isinstance(r, str)]
+    loaded = zip(cohort.test_date.astype(object), cohort.symptoms.tolist(), cohort.indication,
+                 cohort.gender, cohort.result)
+    assert [(d, *s, i, g, r) for d, s, i, g, r in loaded] == [
+        r for r in expected if isinstance(r, tuple)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(fuzzed_exports(), st.booleans(), st.sampled_from(["as_absent", "drop"]),
        st.sampled_from([None, (date(2020, 3, 10), date(2020, 12, 31))]))
 def test_fuzzed_rows_load_as_the_per_row_rule_says(export, keep_other, null_policy, window):
     text, _ = export
-    lines = [line for line in io.StringIO(text.removeprefix("\ufeff"), newline="")
-             if not line.startswith("#")]
-    header, *rows = csv.reader(lines)
-    position = {name.strip(): i for i, name in enumerate(header)}
-    expected = [reference_record({c: (cells[i] if i < len(cells) else "").strip()
-                                  for c, i in position.items()}, keep_other, null_policy, window)
-                for cells in rows if cells]
+    expected = reference_load(text, keep_other, null_policy, window)
     accepted = [r for r in expected if isinstance(r, tuple)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.csv"
@@ -268,10 +285,56 @@ def test_fuzzed_rows_load_as_the_per_row_rule_says(export, keep_other, null_poli
             assert "ISO years" in str(exc)
             assert len({r[0].isocalendar()[0] for r in accepted}) > 1
             return
-    assert report.rejections == [(n, r) for n, r in enumerate(expected, 1) if isinstance(r, str)]
-    loaded = zip(cohort.test_date.astype(object), cohort.symptoms.tolist(), cohort.indication,
-                 cohort.gender, cohort.result)
-    assert [(d, *s, i, g, r) for d, s, i, g, r in loaded] == accepted
+    assert_loads_as(cohort, report, expected)
+
+
+def sliced_export(open_quote_at: int | None = None) -> tuple[str, int | None]:
+    """CRLF export text whose distinct data lines span four 256-line parse
+    slices: rows cut short, lines repeated across slices, comment and blank
+    lines between them. With ``open_quote_at``, a line whose last field
+    opens a quote is placed as that distinct parsed line (the header is
+    line 0); the second value is its 1-based line in the file."""
+    rng = np.random.default_rng(11)
+    choices = [["2020-03-09", "2020-03-10", "2020-03-17", "2020-04-30", "2020-02-30"],
+               *[["1", "0", "", "NULL", "2"]] * len(SYMPTOM_FIELDS),
+               ["positive", "negative", "other", "?"], ["female", "male", "", "x"],
+               ["Contact with confirmed", "abroad", "Other", "??"]]
+    header = ",".join(REQUIRED_COLUMNS) + "\r\n"
+    lines, seen, open_line = ["# exported\r\n", header], {header}, None
+    while len(seen) < 900:
+        if len(seen) == open_quote_at and open_line is None:
+            line = '2020-03-10,0,0,0,0,0,negative,male,"Abroad\r\n'
+            open_line = len(lines) + 1
+        elif rng.random() < 0.2:  # a line already seen, maybe slices ago
+            line = rng.choice(lines[1:])
+        elif rng.random() < 0.1:
+            line = rng.choice(["# note\r\n", "\r\n"])
+        else:
+            cells = [str(rng.choice(c)) for c in choices]
+            cut = len(cells) if rng.random() < 0.8 else int(rng.integers(1, len(cells)))
+            line = ",".join(cells[:cut]) + "\r\n"
+        lines.append(line)
+        if not line.startswith("#"):
+            seen.add(line)
+    return "".join(lines), open_line
+
+
+def test_rows_spanning_parse_slices_load_as_the_per_row_rule_says(tmp_path):
+    text, _ = sliced_export()
+    path = tmp_path / "export.csv"
+    path.write_bytes(text.encode())
+    cohort, report = load_cohort(path, study_window=(date(2020, 3, 9), date(2020, 4, 30)))
+    expected = reference_load(text, window=(date(2020, 3, 9), date(2020, 4, 30)))
+    assert report.n_rows == len(expected) > 900
+    assert_loads_as(cohort, report, expected)
+
+
+def test_open_quote_in_the_third_parse_slice_names_its_line(tmp_path):
+    text, line = sliced_export(open_quote_at=600)  # slice 3 holds parsed lines 512-767
+    path = tmp_path / "export.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(CohortFormatError, match=f"line {line}: a quoted field runs past"):
+        load_cohort(path)
 
 
 @settings(max_examples=100, deadline=None)

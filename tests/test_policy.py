@@ -136,7 +136,7 @@ class TestRankCandidates:
             assert sorted(full.tolist()) == list(range(100))
             assert np.all(np.diff(score_matrix(model, X)[full]) <= 0)
             for k in (1, 30, 100, 150):
-                sel = select(ids, X, model, uniform_config(k, 0.0), seed=seed)
+                sel = select(X, model, uniform_config(k, 0.0), seed=seed)
                 assert picked_ids(sel, ids) == (full[:k].tolist(), [])
 
 
@@ -163,13 +163,13 @@ class TestSelect:
     def test_pure_exploitation_is_top_k(self):
         ids, X = self.make_pool()
         config = uniform_config(20, 0.0)
-        sel = select(ids, X, rule_based_model(), config, seed=5)
+        sel = select(X, rule_based_model(), config, seed=5)
         ranked = ranked_ids(rule_based_model(), ids, X, seed=5)
         assert picked_ids(sel, ids) == (ranked[:20].tolist(), [])
 
     def test_pure_exploration_is_uniform_sample(self):
         ids, X = self.make_pool()
-        sel = select(ids, X, rule_based_model(), uniform_config(20, 1.0), seed=5)
+        sel = select(X, rule_based_model(), uniform_config(20, 1.0), seed=5)
         exploit, explore = picked_ids(sel, ids)
         assert exploit == []
         assert len(explore) == 20
@@ -178,13 +178,13 @@ class TestSelect:
 
     def test_small_pool_selected_in_full(self):
         ids, X = self.make_pool(n=50)
-        sel = select(ids, X, rule_based_model(), uniform_config(100, 0.3), seed=5)
+        sel = select(X, rule_based_model(), uniform_config(100, 0.3), seed=5)
         assert sorted(ids[sel.positions].tolist()) == list(range(50))
 
     def test_disjoint_and_within_capacity(self):
         ids, X = self.make_pool(n=200)
         for rho in (0.0, 0.25, 0.5, 1.0):
-            sel = select(ids, X, rule_based_model(), uniform_config(60, rho), seed=9)
+            sel = select(X, rule_based_model(), uniform_config(60, rho), seed=9)
             exploit, explore = picked_ids(sel, ids)
             assert len(exploit + explore) == 60
             assert set(exploit).isdisjoint(explore)
@@ -193,8 +193,8 @@ class TestSelect:
     def test_pure_function_of_inputs(self):
         ids, X = self.make_pool()
         config = uniform_config(30, 0.4)
-        a = select(ids, X, rule_based_model(), config, seed=3)
-        b = select(ids, X, rule_based_model(), config, seed=3)
+        a = select(X, rule_based_model(), config, seed=3)
+        b = select(X, rule_based_model(), config, seed=3)
         for name in ("positions", "scores", "arm"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert (a.n_exploit, a.explore_shortfall) == (b.n_exploit, b.explore_shortfall)
@@ -207,7 +207,7 @@ class TestSelect:
         counts = np.zeros(10)
         trials = 10_000
         for s in range(trials):
-            sel = select(ids, X, rule_based_model(), config, seed=s)
+            sel = select(X, rule_based_model(), config, seed=s)
             counts[picked_ids(sel, ids)[1][0]] += 1
         freq = counts / trials
         sigma = np.sqrt(0.1 * 0.9 / trials)
@@ -224,7 +224,7 @@ class TestSelect:
             arms=(ArmSpec("c", CONTACT), ArmSpec("n", NO_CONTACT)),
         )
         for config in (uniform_config(40, 0.5), uniform_config(500, 0.3), thompson):
-            sel = select(ids, X, model, config, seed=4)
+            sel = select(X, model, config, seed=4)
             assert sel.scores.tolist() == [score_of[i] for i in ids[sel.positions].tolist()]
 
     def test_selection_rejects_overlap(self):
@@ -350,21 +350,23 @@ class TestThompson:
         assert all(masks[name][position] for position, name in picks)
 
     def test_strict_coverage_error(self):
-        ids, X = self.two_arm_pool(n_contact=5, n_other=5)
+        _, X = self.two_arm_pool(n_contact=5, n_other=5)
         config = PolicyConfig(
             capacity=6, exploration_fraction=1.0, sampler=Sampler.THOMPSON,
             arms=(ArmSpec("c", CONTACT),), strict_arm_coverage=True,
         )
-        with pytest.raises(UncoveredCandidateError):
-            select(ids, X, rule_based_model(), config, seed=0)
+        # the uncovered members are named by their pool positions
+        with pytest.raises(UncoveredCandidateError,
+                           match=r"^5 pool candidates match no arm \(first: \[5, 6, 7, 8, 9\]\)$"):
+            select(X, rule_based_model(), config, seed=0)
 
     def test_lenient_coverage_truncates(self):
-        ids, X = self.two_arm_pool(n_contact=5, n_other=5)
+        _, X = self.two_arm_pool(n_contact=5, n_other=5)
         config = PolicyConfig(
             capacity=8, exploration_fraction=1.0, sampler=Sampler.THOMPSON,
             arms=(ArmSpec("c", CONTACT),),
         )
-        sel = select(ids, X, rule_based_model(), config, seed=0)
+        sel = select(X, rule_based_model(), config, seed=0)
         assert sel.n_exploit == 0
         assert len(sel.positions) == 5  # only covered candidates reachable
         assert sel.explore_shortfall == 3
@@ -440,7 +442,7 @@ def test_selection_invariants(pool, arms, capacity, rho, sampler, seed, data):
                                 label="labels"), dtype=bool)
     config = PolicyConfig(capacity=capacity, exploration_fraction=rho, sampler=sampler,
                           arms=tuple(replace(arm, alpha=1.0, beta=1.0) for arm in arms))
-    sel = select(ids, X, model, config, arm_states=arms, seed=seed)
+    sel = select(X, model, config, arm_states=arms, seed=seed)
     k_exploit, k_explore = split_budget(capacity, rho)
     exploit, explore = picked_ids(sel, ids)
 
