@@ -387,7 +387,7 @@ def cmd_simulate(args, manifest: Manifest) -> None:
 def cmd_sweep(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     model = _load_model_arg(args, manifest)
-    rows = sweep_exploration(cohort, model, args.rho_list, args.k_list, seed=args.seed)
+    rows = sweep_exploration(cohort, model, args.rho_list, args.k_list)
     manifest.write_csv(
         args.out, ["exploration_fraction", "capacity", "mean_recall"],
         [[r["exploration_fraction"], r["capacity"], repr(r["mean_recall"])] for r in rows])

@@ -4,7 +4,7 @@ Each week: score the pool, select per policy, reveal labels only for the
 selected records, fold the revealed labels into the labeled store, and
 retrain at period boundaries per the cadence. The model active in period t
 was trained only on labels revealed before t; traces carry enough lineage
-to assert that.
+to assert that. The exploration sweep is the exact mean of static replays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import f1_at_k, precision_at_k, ranked_recall, recall_at_k
-from .policy import PolicyConfig, Sampler, Selection, UncoveredCandidateError, select, update_arm
+from .policy import (PolicyConfig, Selection, UncoveredCandidateError, select, split_budget,
+                     update_arm)
 from .records import Cohort
 from .scoring import (
     DegenerateTrainingError,
@@ -317,36 +318,34 @@ def sweep_exploration(
     capacities: Sequence[int],
     *,
     weeks: Sequence[int] | None = None,
-    seed: int = 0,
 ) -> list[dict]:
-    """Mean per-period recall for each (exploration fraction, capacity) pair.
+    """Expected mean weekly recall for each (exploration fraction, capacity)
+    pair when :func:`~banditriage.policy.select` tests each week's pool under
+    the fixed model with uniform exploration, as a static replay would.
 
-    The model stays fixed across the grid; exploration is uniform random.
-    Rows: {"exploration_fraction", "capacity", "mean_recall"}.
+    A cell splits its capacity into k_x exploit and k_e explore slots
+    (:func:`~banditriage.policy.split_budget`). The exploit recall r_x is the
+    tie-order mean of :func:`~banditriage.evaluate.ranked_recall` at k_x. The
+    explore picks are a uniform sample of the n - k_x rows left, a count no
+    tie order changes, so each finds a share 1/(n - k_x) of the positives
+    left: recall is r_x + k_e·(1 - r_x)/(n - k_x). A pool of at most the
+    capacity is tested in full and reads 1.0; a week without positives reads
+    0.0. Each week is scored once for the whole grid; no random number is
+    drawn. Rows: {"exploration_fraction", "capacity", "mean_recall"}.
     """
+    weeks = tuple(weeks) if weeks is not None else cohort.weeks
+    cells = [(float(rho), int(capacity), *split_budget(int(capacity), float(rho)))
+             for rho in rhos for capacity in capacities]
+    exploit, _ = ranked_recall(cohort, model, [k_x for _, _, k_x, _ in cells], weeks=weeks)
+    # In floats, as a capacity may pass int64.
+    n = np.array([len(cohort.week_labels(w)) for w in weeks], dtype=float)
+    positive = np.array([cohort.week_labels(w).any() for w in weeks])
     rows = []
-    for rho in rhos:
-        for capacity in capacities:
-            policy = PolicyConfig(
-                capacity=int(capacity),
-                exploration_fraction=float(rho),
-                sampler=Sampler.UNIFORM_RANDOM,
-            )
-            trace = run_replay(
-                cohort,
-                model,
-                policy,
-                retrain_every=0,
-                weeks=weeks,
-                seed=derive_seed(seed, "sweep", repr(float(rho)), int(capacity)),
-            )
-            rows.append(
-                {
-                    "exploration_fraction": float(rho),
-                    "capacity": int(capacity),
-                    "mean_recall": float(np.mean([p.recall for p in trace.periods])),
-                }
-            )
+    for (rho, capacity, k_x, k_e), r_x in zip(cells, exploit):
+        # n - k_x >= 1 wherever the pool exceeds the capacity; elsewhere it is masked.
+        recall = np.where(n <= capacity, 1.0, r_x + k_e * (1.0 - r_x) / np.maximum(n - k_x, 1))
+        rows.append({"exploration_fraction": rho, "capacity": capacity,
+                     "mean_recall": float(np.mean(np.where(positive, recall, 0.0)))})
     return rows
 
 

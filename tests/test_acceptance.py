@@ -418,7 +418,7 @@ def test_criterion_10_exploration_sweep_monotone():
     per_rho = {rho: [] for rho in rhos}
     for seed in range(20):
         cohort = generate_cohort(replace(base, seed=derive_seed(10, "cohort", seed)))
-        rows = sweep_exploration(cohort, model, rhos, [capacity], seed=seed)
+        rows = sweep_exploration(cohort, model, rhos, [capacity])
         assert [r["exploration_fraction"] for r in rows] == rhos  # the table
         for r in rows:
             per_rho[r["exploration_fraction"]].append(r["mean_recall"])

@@ -663,6 +663,21 @@ class TestSweepBootstrapReport:
         assert lines[1] == "exploration_fraction,capacity,mean_recall"
         assert len(lines) == 2 + 4
 
+    def test_sweep_without_exploration_is_the_model_comparison(self, workdir, small_cohort_csv,
+                                                               small_model):
+        # At rho = 0 no slot explores, so each cell is the exploit recall the
+        # model comparison reports; 2000 covers every pool of 1000.
+        ks = ["50", "100", "2000"]
+        common = ["--cohort", str(small_cohort_csv), "--k-list", ",".join(ks),
+                  "--out-dir", str(workdir), "--quiet"]
+        assert run(["sweep", "--model", str(small_model), "--rho-list", "0,0.5",
+                    *common]) == EXIT_OK
+        assert run(["report", "--models", str(small_model), *common]) == EXIT_OK
+        sweep = list(csv.reader((workdir / "sweep.csv").read_text().splitlines()[2:]))
+        header, row = csv.reader((workdir / "model_comparison.csv").read_text().splitlines()[1:])
+        assert [(k, recall) for rho, k, recall in sweep if rho == "0.0"] == [
+            (k, row[header.index(f"recall@{k}")]) for k in ks]
+
     def test_bootstrap_outputs(self, workdir, small_cohort_csv, small_model, capsys):
         code = run(["bootstrap", "--cohort", str(small_cohort_csv),
                     "--model", str(small_model), "--k", "100",
@@ -933,6 +948,21 @@ class TestDeterminism:
             tmp_path,
         )
 
+    def test_sweep_does_not_depend_on_the_seed(self, workdir, small_cohort_csv, small_model,
+                                               capsys):
+        # The sweep is an exact expectation, so no random number is drawn and
+        # --seed changes no byte of its table or of what it prints.
+        written = []
+        for seed in ("1", "2"):
+            out = workdir / f"seed{seed}"
+            capsys.readouterr()
+            assert run(["sweep", "--cohort", str(small_cohort_csv), "--model", str(small_model),
+                        "--rho-list", "0,0.3,0.7,1", "--k-list", "50,100,2000",
+                        "--out-dir", str(out), "--seed", seed, "--quiet"]) == EXIT_OK
+            written.append(((out / "sweep.csv").read_bytes(), capsys.readouterr().out))
+        assert written[0] == written[1]
+        assert written[0][1].count("mean_recall=") == 12
+
     def test_report_tables_do_not_depend_on_the_seed(self, workdir):
         # Every recall table is an exact expectation over tie orders, so no
         # random number is drawn and --seed changes no byte of it.
@@ -1122,6 +1152,7 @@ class TestEmptyCohort:
         ["report", "--recall-table", "--model", "model.txt"],
         ["report", "--models", "rule_based"],
         ["bootstrap", "--rule-based", "--k", "10"],
+        ["sweep", "--rule-based"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_no_weeks_to_evaluate_is_data_error(self, workdir, small_model, capsys, argv):
         # A header-only file loads as a cohort without weeks.

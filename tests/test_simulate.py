@@ -215,20 +215,26 @@ class TestSweepExploration:
         params = small_params(n_per_week=300)
         cohort = generate_cohort(params)
         model = planted_model(params)
-        rows = sweep_exploration(cohort, model, [0.3, 0.7], [50, 100], seed=3)
+        rows = sweep_exploration(cohort, model, [0.3, 0.7], [50, 100])
         assert [(r["exploration_fraction"], r["capacity"]) for r in rows] == [
             (0.3, 50), (0.3, 100), (0.7, 50), (0.7, 100)
         ]
-        again = sweep_exploration(cohort, model, [0.3, 0.7], [50, 100], seed=3)
-        assert rows == again
+        assert rows == sweep_exploration(cohort, model, [0.3, 0.7], [50, 100])
 
     def test_more_exploration_does_not_help_good_model(self):
         params = small_params(n_per_week=600)
         cohort = generate_cohort(params)
         model = planted_model(params)
-        rows = sweep_exploration(cohort, model, [0.0, 0.5, 1.0], [60], seed=8)
+        rows = sweep_exploration(cohort, model, [0.0, 0.5, 1.0], [60])
         recalls = [r["mean_recall"] for r in rows]
         assert recalls[0] > recalls[2]  # pure exploit beats pure explore
+
+    def test_capacity_past_int64_tests_every_pool(self):
+        params = small_params(n_per_week=50)
+        cohort = generate_cohort(params)
+        assert all(cohort.positives_by_week().values())
+        rows = sweep_exploration(cohort, planted_model(params), [0.0, 0.3], [2**64, 10**30])
+        assert [r["mean_recall"] for r in rows] == [1.0] * 4
 
 
 class TestTrainEvalSplit:
