@@ -1,8 +1,10 @@
-"""Metrics and statistics: recall/precision/F1 at capacity, per-week Pearson
-feature correlations, and bootstrap confidence intervals on mean weekly recall.
+"""Metrics and statistics: recall and F1 at capacity, per-week feature
+correlations, and bootstrap confidence intervals on mean weekly recall.
 
-Recall and F1 at capacity k are exact means over the order of tied scores,
-read off a pool's (score group, label) cell counts; no tie-break is drawn.
+Every metric is a ratio of integer counts, divided once. Recall and F1 at
+capacity k are exact means over the order of tied scores, read off a pool's
+(score group, label) cell counts; no tie-break is drawn. A feature's weekly
+correlation with the label is the phi coefficient of their 2×2 counts.
 
 The bootstrap resamples each week's pool with replacement to its original
 size (per-record, stratified by week), draws the resample as counts of the
@@ -16,13 +18,12 @@ training variance.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .records import FEATURE_NAMES, N_FEATURES, Cohort
+from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, Cohort
 from .scoring import RiskModel, score_matrix
 from .seeds import derive_seed
 
@@ -31,64 +32,6 @@ log = logging.getLogger(__name__)
 
 class MetricError(Exception):
     """A metric is undefined for the given inputs."""
-
-
-def _hits(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> int:
-    """Positives among the selected pool positions; positions must be distinct."""
-    selected = np.asarray(selected, dtype=np.int64)
-    outside = selected[(selected < 0) | (selected >= len(labels))]
-    if len(outside):
-        raise MetricError(f"selected positions outside the pool: {sorted(outside.tolist())[:5]}")
-    return int(np.count_nonzero(labels[selected]))
-
-
-def recall_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of the pool's positives captured by the selection.
-
-    ``labels`` is the pool's boolean ground truth and ``selected`` holds
-    distinct positions in it. A pool without positives yields 0.0 (logged):
-    dropping such periods silently would bias means upward.
-    """
-    labels = np.asarray(labels, dtype=bool)
-    hits = _hits(selected, labels)
-    positives = int(np.count_nonzero(labels))
-    if not positives:
-        log.warning("recall undefined: pool has no positives; reporting 0.0")
-        return 0.0
-    return hits / positives
-
-
-def precision_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of the selection that is positive. Empty selection is undefined."""
-    if len(selected) == 0:
-        raise MetricError("precision undefined for an empty selection")
-    return _hits(selected, np.asarray(labels, dtype=bool)) / len(selected)
-
-
-def f1_at_k(selected: Sequence[int] | np.ndarray, labels: np.ndarray) -> float:
-    """Harmonic mean 2PR/(P+R); 0.0 when P + R == 0."""
-    p = precision_at_k(selected, labels)
-    r = recall_at_k(selected, labels)
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
-
-
-def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Sample Pearson correlation; constant inputs are an error, not a 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise MetricError(f"need equal-length 1-D sequences, got {x.shape} and {y.shape}")
-    if len(x) < 2:
-        raise MetricError("need at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise MetricError("correlation undefined for a constant sequence")
-    return float((xc @ yc) / math.sqrt(sx * sy))
 
 
 @dataclass
@@ -121,19 +64,33 @@ class CorrelationTable:
                 for week, values in table]
 
 
+#: Row c holds the features of pattern code c, as integers.
+_PATTERN_BITS = PATTERN_FEATURES.astype(np.int64)
+
+
 def weekly_correlations(cohort: Cohort) -> CorrelationTable:
-    """Correlate every feature with the positive label, week by week:
-    feature j of a record is bit 8 - j of its pattern code."""
+    """Correlate every feature with the positive label, week by week.
+
+    Both columns are 0/1, so Pearson's r is the phi coefficient of the
+    feature's 2×2 table with the label (Yule, 1912). A week of n records and
+    P positives, n1 of them showing the feature and n11 of those positive,
+    reads r = (n·n11 - n1·P) / (√(n1(n - n1))·√(P(n - P))), with every count
+    read off one bincount of the week's (pattern code, label) pairs. The
+    counts and products are exact integers; the two roots are taken apart,
+    as their product passes int64 in a week of 2**17 records. A cell whose
+    denominator is 0, where the feature or the label is constant in the
+    week, is NaN.
+    """
     weeks = cohort.weeks
     values = np.full((len(weeks), N_FEATURES), np.nan)
     for i, week in enumerate(weeks):
-        patterns = cohort.week_patterns(week)
-        y = cohort.week_labels(week).astype(float)
-        for j in range(N_FEATURES):
-            try:
-                values[i, j] = pearson((patterns >> (N_FEATURES - 1 - j)) & 1, y)
-            except MetricError:
-                pass  # constant cell: stays NaN, excluded from the median
+        y = cohort.week_labels(week)
+        counts = np.bincount(2 * cohort.week_patterns(week) + y,
+                             minlength=2 * len(_PATTERN_BITS)).reshape(-1, 2)
+        n, p = len(y), int(counts[:, 1].sum())
+        n1, n11 = counts.sum(axis=1) @ _PATTERN_BITS, counts[:, 1] @ _PATTERN_BITS
+        denominator = np.sqrt(n1 * (n - n1)) * np.sqrt(p * (n - p))
+        np.divide(n * n11 - n1 * p, denominator, out=values[i], where=denominator > 0)
     return CorrelationTable(weeks=weeks, features=FEATURE_NAMES, values=values)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -134,8 +135,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.capacity <= 0:
             raise PolicyError("capacity must be a positive integer")
-        if not 0.0 <= self.exploration_fraction <= 1.0:
-            raise PolicyError("exploration_fraction must lie in [0, 1]")
+        split_budget(self.capacity, self.exploration_fraction)  # the budget's own checks
         if self.retrain_on not in ("all_labeled", "exploration_only"):
             raise PolicyError(f"unknown retrain_on {self.retrain_on!r}")
         if self.sampler is Sampler.THOMPSON and not self.arms:
@@ -175,9 +175,12 @@ class Selection:
 
 
 def split_budget(capacity: int, exploration_fraction: float) -> tuple[int, int]:
-    """(k_exploit, k_explore) with k_explore = floor(rho * capacity)."""
+    """(k_exploit, k_explore) with k_explore = floor(rho * capacity), for a
+    capacity from 0 up to the largest float."""
     if capacity < 0:
         raise PolicyError("capacity must be >= 0")
+    if capacity > sys.float_info.max:
+        raise PolicyError(f"capacity must not exceed {sys.float_info.max:g}")
     if not 0.0 <= exploration_fraction <= 1.0:
         raise PolicyError("exploration_fraction must lie in [0, 1]")
     k_explore = math.floor(exploration_fraction * capacity)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import f1_at_k, precision_at_k, ranked_recall, recall_at_k
+from .evaluate import ranked_recall
 from .policy import (PolicyConfig, Selection, UncoveredCandidateError, select, split_budget,
                      update_arm)
 from .records import Cohort
@@ -198,8 +198,11 @@ def run_replay(
     Retraining failure on a single-class store keeps the current model and
     logs an event; a surveillance loop must not halt on a degenerate week.
     Per-period metrics are computed against the period pool's full ground
-    truth. A strict-coverage :class:`UncoveredCandidateError` names the
-    uncovered records by their ids.
+    truth, each a single division of the period's hits h, picks k and pool
+    positives P: recall h/P, precision h/k and F1 2h/(k + P), the rule of
+    the recall tables. A pool without positives reads recall 0.0 (logged),
+    and an empty selection has no precision or F1 (None). A strict-coverage
+    :class:`UncoveredCandidateError` names the uncovered records by their ids.
     """
     if retrain_every < 0:
         raise ValueError(f"retrain_every must be >= 0, got {retrain_every}")
@@ -242,13 +245,9 @@ def run_replay(
 
         rows = selection.positions
         labels = y[rows]
-        rec = recall_at_k(rows, y)
-        if len(rows):
-            prec = precision_at_k(rows, y)
-            f1 = f1_at_k(rows, y)
-        else:
-            prec = None
-            f1 = None
+        hits, k, positives = int(labels.sum()), len(rows), int(y.sum())
+        if not positives:
+            log.warning("recall undefined: week %s has no positives; reporting 0.0", period)
 
         # Period-end bookkeeping: arm posteriors, labeled store, retraining.
         drawn = selection.arm >= 0
@@ -270,13 +269,13 @@ def run_replay(
             PeriodRecord(
                 period=period,
                 pool_size=len(ids),
-                pool_positives=int(y.sum()),
+                pool_positives=positives,
                 selection=selection,
                 record_ids=ids[selection.positions],
                 labels=labels,
-                recall=rec,
-                precision=prec,
-                f1=f1,
+                recall=hits / positives if positives else 0.0,
+                precision=hits / k if k else None,
+                f1=2 * hits / (k + positives) if k else None,
                 model_version=version,
                 arm_posteriors={s.name: (s.alpha, s.beta) for s in arm_states},
                 events=events,

@@ -72,7 +72,8 @@ MORE_VALID = {
 }
 
 NUMBERS = ["", "-1", "0", "nan", "-inf", "0.5", "1e308", "3,-1"]
-HUGE = [str(2**64), "9" * 30]
+#: The last is past the float range, so a capacity of it cannot be split in floats.
+HUGE = [str(2**64), "9" * 30, "1" + "0" * 400]
 WEEK_RANGES = ["", "5-3", "1-", "-2", "a-b", ",", "3,,x", "0-4", "54", "1-99999999999",
                "8,4", "5,5"]
 TEXT = ["", "-1", "nan", ",,", "5-3", "\\t"]

@@ -297,6 +297,20 @@ class TestCapacityFlags:
         assert code == EXIT_DATA
         assert "capacity must be >= 1" in capsys.readouterr().err
 
+    def test_capacity_past_float_range_is_data_error(self, workdir, small_cohort_csv, capsys):
+        # floor(rho * capacity) cannot be formed in floats; it used to end in exit 3.
+        huge = "1" + "0" * 400
+        policy = workdir / "huge.policy"
+        policy.write_text(f"[policy]\ncapacity = {huge}\nexploration_fraction = 0.3\n",
+                          encoding="utf-8")
+        for argv, named in ((["sweep", "--rule-based", "--k-list", f"300,{huge}"], ""),
+                            (["simulate", "--rule-based", "--policy", str(policy)], str(policy))):
+            code = run(argv + ["--cohort", str(small_cohort_csv),
+                               "--out-dir", str(workdir / "out"), "--quiet"])
+            err = capsys.readouterr().err
+            assert code == EXIT_DATA, err
+            assert err.startswith(f"error: data: {named}") and "capacity must not exceed" in err
+
     @pytest.mark.parametrize("argv", [
         ["report", "--recall-table", "--model", "model.txt", "--k-list", "300,300"],
         ["report", "--crossover", "--weeks-a", "1", "--weeks-b", "2", "--weeks", "3",
@@ -1000,17 +1014,17 @@ class TestGoldenArtifacts:
         "uniform": ("[policy]\ncapacity = 120\nexploration_fraction = 0.4\n",
                     ["--retrain-every", "1", "--seed", "9"], {
                         "trace.jsonl":
-                            "9437a02cff996cd1e3e7713f5899e4e8788841676773807ea9bebeac71d6670f",
+                            "91ec7299902d7664fae81bae1c9cb99f719b9a98de4535772b7955ae45a241b1",
                         "summary.csv":
-                            "facffa56346b0ca3464366c753679f33385f48c016e0f9d29542bd6418aa97eb",
+                            "a96a5fd78d8d683cc7aa7018f578fb44ae4520196fe6815cefe8cb1c707e80dc",
                         "selections.csv":
                             "377c25ea14bdc8b41fc284194338d50491adcd18ef5180127cea875f1a670604",
                     }),
         "thompson": (THOMPSON_POLICY, ["--retrain-every", "2", "--weeks", "2-6", "--seed", "4"], {
                         "trace.jsonl":
-                            "8205aad45d893d3fa309034dbd211116d09526f95cb42fb1e84097515e3e6b39",
+                            "b4873dbd7fc8ae38e4a4c7828a6960b86615626cdd03e6e9f9095ed45355f38a",
                         "summary.csv":
-                            "43593b9f22308f21f6a79fd886f1eecdd21f5ae542024884cf73ac8127283573",
+                            "849980b1e9d6c7e6fb6a4040cdcf4a919e059be3c501df613317afb5d97dee57",
                         "selections.csv":
                             "be6cb79b6ebf525e7db473cecbdc70acec7cfc6b3d53e5622d9099a795a41b5d",
                     }),

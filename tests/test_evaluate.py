@@ -8,94 +8,183 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditriage.evaluate import (
     MetricError,
     _expected_recall,
     bootstrap_ci,
-    f1_at_k,
     mean_weekly_recall,
-    pearson,
-    precision_at_k,
     ranked_recall,
-    recall_at_k,
     score_cells,
     weekly_correlations,
     weekly_recall_at_k,
     weekly_recall_table,
 )
-from banditriage.policy import rank_candidates
-from banditriage.records import FEATURE_NAMES
+from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler, rank_candidates
+from banditriage.records import FEATURE_NAMES, Cohort, Indication, TestResult
 from banditriage.scoring import rule_based_model, score_matrix
 from banditriage.seeds import derive_seed
+from banditriage.simulate import PeriodRecord, run_replay
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
 from conftest import small_params
 
 
+#: The Monday of ISO week 10 of 2020.
+MONDAY = date(2020, 3, 2)
+#: Largest |cell - np.corrcoef| measured over 3,000 random cohorts of 1 to 400
+#: records a week, and over 60 weeks of 2 to 2**17 records with 1 or n - 1
+#: positives or feature holders among them, was 4.7e-15.
+CORRELATION_TOL = 1e-14
+
+
+def cohort_of_weeks(weeks: list[tuple[np.ndarray, ...]]) -> tuple[Cohort, list]:
+    """A cohort with one ISO week per entry of ``weeks``, each the columns of
+    its records (five 0/1 symptom columns, indication, female, positive), and
+    each week's (0/1 feature matrix in FEATURE_NAMES order, labels)."""
+    symptoms, indication, female, positive = (np.concatenate(c) for c in zip(*weeks))
+    week = np.repeat(np.arange(len(weeks)), [len(w[-1]) for w in weeks])
+    cohort = Cohort(
+        test_date=np.datetime64(MONDAY) + 7 * week,
+        symptoms=symptoms, indication=indication, gender=female,
+        result=np.where(positive, TestResult.POSITIVE, TestResult.NEGATIVE))
+    return cohort, [(np.column_stack([s, *(i == v for v in Indication), f]).astype(float),
+                     p.astype(float)) for s, i, f, p in weeks]
+
+
+def assert_cells_match_corrcoef(cohort: Cohort, weeks: list) -> None:
+    """Each cell is numpy's Pearson r within CORRELATION_TOL, and NaN exactly
+    where the feature or the label is constant in the week."""
+    values = weekly_correlations(cohort).values
+    assert values.shape == (len(weeks), len(FEATURE_NAMES))
+    for cells, (X, y) in zip(values, weeks):
+        for cell, x in zip(cells, X.T):
+            if x.min() == x.max() or y.min() == y.max():
+                assert np.isnan(cell)
+            else:
+                assert abs(cell - np.corrcoef(x, y)[0, 1]) <= CORRELATION_TOL
+
+
+records_st = st.tuples(st.integers(0, 31), st.sampled_from(list(Indication)), st.booleans(),
+                       st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(records_st, min_size=1, max_size=40), min_size=1, max_size=3))
+@example([[(0b10100, Indication.ABROAD, True, True)]])  # a one-record week
+def test_correlations_are_numpy_pearson(weeks):
+    columns = [(np.array([[(bits >> (4 - j)) & 1 for j in range(5)] for bits, *_ in week]),
+                np.array([indication for _, indication, _, _ in week]),
+                np.array([female for *_, female, _ in week]),
+                np.array([positive for *_, positive in week])) for week in weeks]
+    assert_cells_match_corrcoef(*cohort_of_weeks(columns))
+
+
+def test_correlations_of_a_balanced_week_past_int64():
+    # n1(n - n1)P(n - P) passes 2**63 for every symptom, so a denominator
+    # formed as that product in int64 wraps.
+    n = 2**17
+    rng = np.random.default_rng(17)
+    positive = rng.permutation(n) < n // 2
+    symptoms = rng.random((n, 5)) < 0.5
+    symptoms[:, 0] = positive ^ (rng.random(n) < 0.3)  # cough goes with the label
+    week = (symptoms, rng.integers(0, 3, n), rng.random(n) < 0.5, positive)
+    for x in symptoms.T:
+        n1 = int(x.sum())
+        assert n1 * (n - n1) * (n // 2) ** 2 > 2**63
+    cohort, weeks = cohort_of_weeks([week])
+    assert_cells_match_corrcoef(cohort, weeks)
+    assert weekly_correlations(cohort).values[0, 0] > 0.3
+
+
 # Pool labels by position: positions 0-3 positive, 4-7 negative.
 POOL = np.array([True, True, True, True, False, False, False, False])
+#: An arm that no record matches: the indications are one-hot.
+NOBODY = ArmSpec("nobody", ArmPredicate.from_text("contact_with_confirmed=1 & abroad=1"))
+
+
+def replay_period(positive, picked) -> PeriodRecord:
+    """The one period of a replay of a single week's pool, labelled by
+    ``positive``, in which exactly the pool positions ``picked`` are tested:
+    the rule-based model scores them 2 (a contact each) and the rest 0. No
+    pick is a Thompson draw over an arm that matches nobody."""
+    positive = np.asarray(positive, dtype=bool)
+    indication = np.full(len(positive), Indication.OTHER)
+    indication[list(picked)] = Indication.CONTACT_WITH_CONFIRMED
+    cohort, _ = cohort_of_weeks([(np.zeros((len(positive), 5)), indication,
+                                  np.zeros(len(positive)), positive)])
+    policy = (PolicyConfig(capacity=len(picked)) if len(picked) else
+              PolicyConfig(capacity=1, exploration_fraction=1.0, sampler=Sampler.THOMPSON,
+                           arms=(NOBODY,)))
+    (period,) = run_replay(cohort, None, policy, retrain_every=0, seed=1).periods
+    assert sorted(period.selection.positions.tolist()) == sorted(picked)
+    return period
+
+
+def week_correlations(symptoms, positive) -> np.ndarray:
+    """The symptoms' cells of a one-week cohort with these symptom columns
+    and labels; its other features are constant."""
+    n = len(positive)
+    cohort, _ = cohort_of_weeks([(np.asarray(symptoms), np.full(n, Indication.OTHER),
+                                  np.zeros(n), np.asarray(positive, dtype=bool))])
+    return weekly_correlations(cohort).values[0, :5]
 
 
 class TestRecall:
+    """A replay period's recall: its hits over the pool's positives."""
+
     def test_three_of_four_positives(self):
-        assert recall_at_k([0, 1, 2, 4], POOL) == 0.75
+        assert replay_period(POOL, [0, 1, 2, 4]).recall == 0.75
 
     def test_empty_selection(self):
-        assert recall_at_k([], POOL) == 0.0
+        assert replay_period(POOL, []).recall == 0.0
 
     def test_no_positives_logs_zero(self, caplog):
         with caplog.at_level("WARNING"):
-            value = recall_at_k([0], np.array([False, False]))
+            value = replay_period([False, False], [0]).recall
         assert value == 0.0
         assert "no positives" in caplog.text
 
-    def test_selected_outside_pool(self):
-        with pytest.raises(MetricError):
-            recall_at_k([99], POOL)
-        with pytest.raises(MetricError):
-            recall_at_k([-1], POOL)
-
     def test_monotone_under_superset_growth(self):
-        rng = np.random.default_rng(0)
-        prev = 0.0
-        chosen: list[int] = []
-        for i in rng.permutation(len(POOL)):
-            chosen.append(int(i))
-            now = recall_at_k(chosen, POOL)
-            assert now >= prev
-            prev = now
+        order = np.random.default_rng(0).permutation(len(POOL)).tolist()
+        recalls = [replay_period(POOL, order[:i]).recall for i in range(len(POOL) + 1)]
+        assert recalls == sorted(recalls)
 
 
 class TestPrecisionF1:
+    """A replay period's precision h/k and F1 2h/(k + P), from its hits h,
+    picks k and pool positives P."""
+
     def test_perfect(self):
-        assert precision_at_k([0, 1, 2, 3], POOL) == 1.0
-        assert f1_at_k([0, 1, 2, 3], POOL) == 1.0
+        period = replay_period(POOL, [0, 1, 2, 3])
+        assert period.precision == period.f1 == 1.0
 
     def test_zero_precision_gives_zero_f1(self):
-        assert precision_at_k([4, 5], POOL) == 0.0
-        assert f1_at_k([4, 5], POOL) == 0.0
+        period = replay_period(POOL, [4, 5])
+        assert period.precision == period.f1 == 0.0
 
     def test_empty_selection_undefined(self):
-        with pytest.raises(MetricError):
-            precision_at_k([], POOL)
+        period = replay_period(POOL, [])
+        assert period.precision is None and period.f1 is None
 
     def test_published_operating_point(self):
-        # precision 0.672 with recall 0.344 must combine to F1 ~ 0.455
-        # (the capacity-1000 operating point reported for the pairwise model).
-        p, r = 0.672, 0.344
-        assert 2 * p * r / (p + r) == pytest.approx(0.455, abs=1e-3)
+        # Precision 0.672 with recall 0.344 must combine to F1 ~ 0.455 (the
+        # capacity-1000 operating point reported for the pairwise model):
+        # 3,612 hits among 5,375 picks, with 10,500 positives in the pool.
+        positive = np.arange(13_000) < 10_500
+        period = replay_period(positive, [*range(3_612), *range(10_500, 12_263)])
+        assert (period.precision, period.recall) == (0.672, 0.344)
+        assert period.f1 == pytest.approx(0.455, abs=1e-3)
 
     def test_f1_identity_against_independent_recomputation(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             take = rng.integers(1, len(POOL) + 1)
             selected = rng.choice(len(POOL), size=take, replace=False).tolist()
-            p = precision_at_k(selected, POOL)
-            r = recall_at_k(selected, POOL)
-            f1 = f1_at_k(selected, POOL)
+            period = replay_period(POOL, selected)
+            p, r, f1 = period.precision, period.recall, period.f1
             # independent recomputation from raw counts
             tp = len(set(selected) & {0, 1, 2, 3})
             expect = 0.0 if tp == 0 else 2 * (tp / len(selected)) * (tp / 4) / (
@@ -107,34 +196,39 @@ class TestPrecisionF1:
 
 
 class TestPearson:
+    """A weekly correlation cell is the Pearson r of two 0/1 columns."""
+
+    LABELS = np.array([True, False, True, True, False, False, True, False, False])
+
     def test_identical_sequences(self):
-        x = np.array([1.0, 2.0, 5.0, 3.0])
-        assert pearson(x, x) == pytest.approx(1.0, abs=1e-12)
+        symptoms = np.column_stack([self.LABELS, ~self.LABELS, *np.eye(3, 9, dtype=bool)])
+        assert week_correlations(symptoms, self.LABELS)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_sequences(self):
-        x = np.array([1.0, 2.0, 5.0, 3.0])
-        assert pearson(x, -x) == pytest.approx(-1.0, abs=1e-12)
+        symptoms = np.column_stack([self.LABELS, ~self.LABELS, *np.eye(3, 9, dtype=bool)])
+        assert week_correlations(symptoms, self.LABELS)[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_is_an_error(self):
-        with pytest.raises(MetricError):
-            pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-        with pytest.raises(MetricError):
-            pearson([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+        # An undefined cell is NaN, not 0: a constant feature, or a constant label.
+        symptoms = np.column_stack([np.ones(9), np.zeros(9), *np.eye(3, 9)])
+        assert np.isnan(week_correlations(symptoms, self.LABELS)[:2]).all()
+        assert np.isnan(week_correlations(np.eye(9, 5), np.ones(9, dtype=bool))).all()
 
     def test_symmetry_and_affine_invariance(self):
+        # For 0/1 columns the affine maps are the flips x -> 1 - x: flipping
+        # the feature or the label negates r, and flipping both keeps it.
         rng = np.random.default_rng(7)
-        x = rng.random(200)
-        y = 0.4 * x + rng.random(200)
-        base = pearson(x, y)
-        assert pearson(y, x) == pytest.approx(base, abs=1e-12)
-        assert pearson(3.0 * x + 2.0, y) == pytest.approx(base, abs=1e-12)
-        assert pearson(x, 0.5 * y - 9.0) == pytest.approx(base, abs=1e-12)
+        symptoms = rng.random((200, 5)) < 0.4
+        labels = symptoms[:, 0] ^ (rng.random(200) < 0.3)
+        base = week_correlations(symptoms, labels)
+        for flipped, want in (((~symptoms, labels), -base), ((symptoms, ~labels), -base),
+                              ((~symptoms, ~labels), base)):
+            np.testing.assert_allclose(week_correlations(*flipped), want, rtol=0,
+                                       atol=CORRELATION_TOL)
 
     def test_length_checks(self):
-        with pytest.raises(MetricError):
-            pearson([1.0], [2.0])
-        with pytest.raises(MetricError):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+        # One record cannot vary: every cell of a one-record week is undefined.
+        assert np.isnan(week_correlations([[1, 0, 1, 0, 1]], [True])).all()
 
 
 class TestWeeklyCorrelations:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
-from banditriage.records import Cohort
+from banditriage.records import Cohort, TestResult
 from banditriage.scoring import ModelKind
 from banditriage.simulate import (
     OverlapError,
@@ -45,6 +46,39 @@ class TestRunReplay:
             for p in trace.periods:
                 expected = min(capacity, positives[p.period]) / positives[p.period]
                 assert p.recall == expected
+
+    def test_period_metrics_are_ratios_of_counts(self, caplog):
+        # Week 2 loses its positives. The Thompson arm matches nobody (the
+        # indications are one-hot), so at rho = 1 its selections are empty.
+        cohort = generate_cohort(small_params(n_per_week=300, weeks=(1, 4), seed=8))
+        week_2 = np.zeros(len(cohort), dtype=bool)
+        week_2[cohort.week_ids(2)] = True
+        cohort = replace(cohort, result=np.where(week_2, TestResult.NEGATIVE, cohort.result))
+        nobody = ArmSpec("nobody", ArmPredicate.from_text(
+            "contact_with_confirmed=1 & abroad=1"))
+        policies = [uniform_policy(60, 0.3), uniform_policy(300),
+                    PolicyConfig(capacity=50, exploration_fraction=1.0,
+                                 sampler=Sampler.THOMPSON, arms=(nobody,))]
+        seen = set()
+        with caplog.at_level("WARNING"):
+            for policy in policies:
+                for p in run_replay(cohort, None, policy, retrain_every=1, seed=3).periods:
+                    h, k, P = int(p.labels.sum()), len(p.labels), p.pool_positives
+                    assert P == cohort.week_labels(p.period).sum()
+                    assert p.recall == (float(Fraction(h, P)) if P else 0.0)
+                    if k:
+                        assert p.precision == float(Fraction(h, k))
+                        assert p.f1 == float(Fraction(2 * h, k + P))
+                        if h:  # the harmonic mean of precision and recall
+                            assert p.f1 == pytest.approx(2 * p.precision * p.recall
+                                                         / (p.precision + p.recall), abs=1e-12)
+                    else:
+                        assert p.precision is None and p.f1 is None
+                    seen.add((bool(h), bool(k), bool(P), k == p.pool_size))
+        # hits, a full pool, no positive in the pool, an empty selection
+        assert {(True, True, True, False), (True, True, True, True), (False, True, False, False),
+                (False, False, True, False), (False, False, False, False)} <= seen
+        assert "recall undefined: week 2 has no positives; reporting 0.0" in caplog.text
 
     def test_identical_runs_identical_traces(self, tmp_path):
         cohort = generate_cohort(small_params())
