@@ -55,7 +55,6 @@ from .scoring import (
     ModelKind,
     TrainConfig,
     load_model,
-    model_metadata,
     rule_based_model,
     save_model,
 )
@@ -320,9 +319,9 @@ def cmd_train(args, manifest: Manifest) -> None:
     config = TrainConfig(regularization=args.regularization, epochs=args.epochs)
     model, labels = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind),
                                    config)
-    weeks, y = list(labels), np.concatenate(list(labels.values()))
+    weeks, y = model.trained_weeks, np.concatenate(list(labels.values()))
     with manifest.artifact(args.out) as tmp:
-        save_model(model, tmp, manifest=manifest.name, trained_weeks=",".join(map(str, weeks)))
+        save_model(model, tmp, manifest=manifest.name)
     print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
           f"weeks {weeks[0]}-{weeks[-1]}) -> {manifest.out_dir / args.out}")
 
@@ -332,17 +331,11 @@ def cmd_simulate(args, manifest: Manifest) -> None:
     model = _load_model_arg(args, manifest)
     manifest.note_input(args.policy)
     policy = PolicyConfig.from_file(args.policy)
-    if args.model and not args.allow_overlap:
-        trained = model_metadata(args.model).get("trained_weeks", "-")
-        if trained not in ("-", ""):
-            trained_set = {int(w) for w in trained.split(",")}
-            replay_set = set(args.weeks or cohort.weeks)
-            overlap = sorted(trained_set & replay_set)
-            if overlap:
-                raise OverlapError(
-                    f"model was trained on weeks {trained} which overlap the replay "
-                    f"weeks ({overlap}); restrict --weeks or pass --allow-overlap"
-                )
+    overlap = sorted(set(model.trained_weeks) & set(args.weeks or cohort.weeks))
+    if overlap and not args.allow_overlap:
+        raise OverlapError(
+            f"model was trained on weeks {','.join(map(str, model.trained_weeks))} which "
+            f"overlap the replay weeks ({overlap}); restrict --weeks or pass --allow-overlap")
     trace = run_replay(
         cohort,
         model,

@@ -5,7 +5,9 @@ L2-regularized logistic loss.
 A trained model's score is its margin w.x + b, an estimate of the log-odds
 of a positive result. Any monotone calibration of a margin induces the same
 ranking, and ranking is the only downstream use, so no calibration step
-exists here. Records enter as pattern codes (:data:`PATTERN_FEATURES`).
+exists here. Records enter as pattern codes (:data:`PATTERN_FEATURES`), and
+each model kind reads its features of a code from one table
+(:data:`KIND_FEATURES`).
 """
 
 from __future__ import annotations
@@ -39,29 +41,32 @@ RULE_WEIGHTS = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
 @dataclass(frozen=True)
 class RiskModel:
-    """A scorer over the canonical base feature space (:data:`FEATURE_NAMES`).
+    """A scorer over the canonical base feature space (:data:`FEATURE_NAMES`):
+    the margin ``features @ weights + bias``, the features being the kind's
+    columns of :data:`KIND_FEATURES`. ``trained_weeks`` are the weeks the
+    model was fitted on, as :func:`banditriage.simulate.train_on_weeks`
+    stamps them and a model file carries them; empty when none are known.
 
-    ``weights`` live in the model's own feature space: base features for
-    RULE_BASED/LINEAR, base plus pairwise products for POLY2.
+    A weight count other than the kind's, or a bias or weight that is not
+    finite, is a ValueError.
     """
 
     kind: ModelKind
     weights: np.ndarray
     bias: float
+    trained_weeks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        expected = poly2_dim(N_FEATURES) if self.kind is ModelKind.POLY2 else N_FEATURES
+        expected = KIND_FEATURES[self.kind].shape[1]
         if len(self.weights) != expected:
             raise ValueError(
                 f"{self.kind.value} model needs {expected} weights, got {len(self.weights)}")
+        if not np.isfinite(np.append(self.weights, self.bias)).all():
+            raise ValueError("bias and weights must be finite numbers")
 
 
 def rule_based_model() -> RiskModel:
     return RiskModel(kind=ModelKind.RULE_BASED, weights=RULE_WEIGHTS.copy(), bias=0.0)
-
-
-def poly2_dim(d: int) -> int:
-    return d + d * (d - 1) // 2
 
 
 def pair_order(d: int) -> list[tuple[int, int]]:
@@ -80,6 +85,14 @@ def expand_poly2(X: np.ndarray) -> np.ndarray:
     left = X[:, [i for i, _ in pairs]]
     right = X[:, [j for _, j in pairs]]
     return np.hstack([X, left * right])
+
+
+#: Each model kind's features of the 512 pattern codes (read-only), one row a
+#: code: the base features, and for POLY2 also their pairwise products. A
+#: model holds one weight per column; training and scoring read rows here.
+KIND_FEATURES = {kind: PATTERN_FEATURES for kind in ModelKind} | {
+    ModelKind.POLY2: expand_poly2(PATTERN_FEATURES)}
+KIND_FEATURES[ModelKind.POLY2].flags.writeable = False
 
 
 def _pattern_codes(X) -> np.ndarray:
@@ -120,8 +133,8 @@ def train(
     ``X`` holds one pattern code per record, so the records fall into at
     most 2 * 192 groups of equal (pattern, label), taken in ascending
     ``code * 2 + label``. The loss, gradient and Hessian are sums over the
-    groups weighted by their record counts; only the groups' features are
-    expanded, never the records'.
+    groups weighted by their record counts; each group's features are its
+    code's row of :data:`KIND_FEATURES`.
 
     Damping: a Newton step n that moves some group's margin by at most
     delta = max_g |x_g.n| is scaled by log(1 + delta)/delta. The log-loss
@@ -149,9 +162,7 @@ def train(
     groups, group_of_row = np.unique(codes * 2 + positive, return_inverse=True)
     lam = config.regularization
 
-    x = PATTERN_FEATURES[groups >> 1]
-    if kind is ModelKind.POLY2:
-        x = expand_poly2(x)
+    x = KIND_FEATURES[kind][groups >> 1]
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
     sign = np.where(groups & 1, 1.0, -1.0)
     share = np.bincount(group_of_row, minlength=len(groups)) / len(codes)
@@ -179,11 +190,10 @@ def train(
 
 def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
     """Risk score of every record of ``X``, an array of pattern codes, under
-    the model: the rows of :data:`PATTERN_FEATURES` are scored once and the
-    scores gathered by code."""
+    the model: the rows of the kind's :data:`KIND_FEATURES` table are scored
+    once and the scores gathered by code."""
     codes = _pattern_codes(X)
-    table = expand_poly2(PATTERN_FEATURES) if model.kind is ModelKind.POLY2 else PATTERN_FEATURES
-    return (table @ model.weights + model.bias)[codes]
+    return (KIND_FEATURES[model.kind] @ model.weights + model.bias)[codes]
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +207,11 @@ def feature_order_hash() -> str:
     return hashlib.sha256(",".join(FEATURE_NAMES).encode()).hexdigest()[:16]
 
 
-def save_model(
-    model: RiskModel,
-    path: str | Path,
-    *,
-    manifest: str = "-",
-    trained_weeks: str = "-",
-) -> None:
+def save_model(model: RiskModel, path: str | Path, *, manifest: str = "-") -> None:
     lines = [
         _FORMAT_TAG,
         f"manifest {manifest}",
-        f"trained_weeks {trained_weeks}",
+        f"trained_weeks {','.join(map(str, model.trained_weeks)) or '-'}",
         f"kind {model.kind.value}",
         f"base_dim {N_FEATURES}",
         f"feature_hash {feature_order_hash()}",
@@ -218,30 +222,21 @@ def save_model(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_model_file(path: str | Path) -> tuple[dict[str, str], list[str]]:
-    """Header fields of a saved model (up to and including ``weights``) and
-    the lines that follow the header."""
+def load_model(path: str | Path) -> RiskModel:
+    """The model a :func:`save_model` file holds. A malformed file, one for
+    another encoding, or a model :class:`RiskModel` refuses is a ValueError
+    naming the file. A file without a ``trained_weeks`` line, or with ``-``
+    there, holds a model of no training weeks."""
     lines = read_text(path, ValueError, "model file").splitlines()
     if not lines or lines[0] != _FORMAT_TAG:
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
-    fields = {}
+    fields, rest = {}, []
     for i, line in enumerate(lines[1:], start=1):
         key, _, value = line.partition(" ")
         fields[key] = value
         if key == "weights":
-            return fields, lines[i + 1 :]
-    return fields, []
-
-
-def model_metadata(path: str | Path) -> dict[str, str]:
-    """Header fields of a saved model (kind, trained_weeks, manifest, ...)."""
-    return _read_model_file(path)[0]
-
-
-def load_model(path: str | Path) -> RiskModel:
-    """The model a :func:`save_model` file holds; a malformed file, one for
-    another encoding, or a bias or weight that is not finite is a ValueError."""
-    fields, rest = _read_model_file(path)
+            rest = lines[i + 1 :]
+            break
     for required in ("kind", "base_dim", "feature_hash", "bias", "weights"):
         if required not in fields:
             raise ValueError(f"{path}: missing field {required!r}")
@@ -249,15 +244,13 @@ def load_model(path: str | Path) -> RiskModel:
         raise ValueError(f"{path}: feature order hash mismatch; model is for a different encoding")
     if fields["base_dim"] != str(N_FEATURES):
         raise ValueError(f"{path}: base_dim must be {N_FEATURES}, got {fields['base_dim']!r}")
+    weeks = fields.get("trained_weeks", "-")
     try:
         n_weights = int(fields["weights"])
         weights = np.array([float(line) for line in rest[:n_weights]])
-        bias = float(fields["bias"])
-        kind = ModelKind(fields["kind"])
+        if len(weights) != n_weights:
+            raise ValueError(f"expected {n_weights} weight lines")
+        trained = () if weeks in ("-", "") else tuple(map(int, weeks.split(",")))
+        return RiskModel(ModelKind(fields["kind"]), weights, float(fields["bias"]), trained)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if len(weights) != n_weights:
-        raise ValueError(f"{path}: expected {n_weights} weight lines")
-    if not np.isfinite(np.append(weights, bias)).all():
-        raise ValueError(f"{path}: bias and weights must be finite numbers")
-    return RiskModel(kind=kind, weights=weights, bias=bias)

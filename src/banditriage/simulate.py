@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -351,7 +351,8 @@ def sweep_exploration(
 def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
                    config: TrainConfig | None = None) -> tuple[RiskModel, dict[int, np.ndarray]]:
     """A model fitted on the cohort's records of ``weeks``, and the labels of
-    those records by week, for the weeks of the cohort among ``weeks``.
+    those records by week, for the weeks of the cohort among ``weeks``; the
+    model's ``trained_weeks`` are those weeks.
 
     Raises ValueError if none of the weeks holds a record.
     """
@@ -361,7 +362,8 @@ def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
         raise ValueError(f"no records in training weeks {list(weeks)}")
     patterns = np.concatenate([cohort.week_patterns(w) for w in trained])
     labels = {w: cohort.week_labels(w) for w in trained}
-    return train(patterns, np.concatenate(list(labels.values())), kind, config), labels
+    model = train(patterns, np.concatenate(list(labels.values())), kind, config)
+    return replace(model, trained_weeks=tuple(trained)), labels
 
 
 def train_eval_split_experiment(

@@ -45,22 +45,6 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclass(frozen=True)
-class RiskCoefficients:
-    """Planted log-odds weights over the canonical feature order, plus intercept."""
-
-    weights: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (N_FEATURES,):
-            raise ValueError(f"need {N_FEATURES} coefficients, got shape {w.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(self.intercept)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
 class GeneratorParams:
     """Inputs for one synthetic cohort.
 
@@ -68,14 +52,16 @@ class GeneratorParams:
     indication entries form a categorical distribution (normalized to sum 1);
     the symptom and female entries are independent Bernoulli rates.
     ``unknown_rate`` masks each symptom value to unknown after the label was
-    drawn from the true value, mimicking uncollected fields.
+    drawn from the true value, mimicking uncollected fields. The planted
+    ``coefficients`` (and the ``regime_shift`` alternative) are linear
+    models over the base features.
     """
 
     n_per_week: int
     weeks: tuple[int, int]  # inclusive range
     feature_prevalence: np.ndarray
-    coefficients: RiskCoefficients
-    regime_shift: tuple[int, RiskCoefficients] | None = None
+    coefficients: RiskModel
+    regime_shift: tuple[int, RiskModel] | None = None
     unknown_rate: float = 0.0
     seed: int = 0
     year: int = 2020
@@ -93,8 +79,8 @@ class GeneratorParams:
         if self.n_per_week < 0:
             raise ValueError("n_per_week must be >= 0")
         lo, hi = self.weeks
-        if lo > hi or lo < 1 or hi > 52:
-            raise ValueError(f"weeks range {self.weeks} is empty or outside 1..52")
+        if lo > hi or lo < 1 or hi > 53:
+            raise ValueError(f"weeks range {self.weeks} is empty or outside 1..53")
         if not 0.0 <= self.unknown_rate <= 1.0:
             raise ValueError("unknown_rate must lie in [0, 1]")
         if not 0 <= self.seed < 2**64:
@@ -107,19 +93,15 @@ class GeneratorParams:
     def week_list(self) -> list[int]:
         return list(range(self.weeks[0], self.weeks[1] + 1))
 
-    def coefficients_for_week(self, week: int) -> RiskCoefficients:
-        if self.regime_shift is not None and week >= self.regime_shift[0]:
-            return self.regime_shift[1]
-        return self.coefficients
-
 
 def planted_model(params: GeneratorParams, week: int | None = None) -> RiskModel:
     """The generating linear predictor as a scorer (the ranking reference).
 
     ``week`` selects the regime; default is the base (pre-shift) regime.
     """
-    coeffs = params.coefficients if week is None else params.coefficients_for_week(week)
-    return RiskModel(kind=ModelKind.LINEAR, weights=coeffs.weights.copy(), bias=coeffs.intercept)
+    if week is not None and params.regime_shift is not None and week >= params.regime_shift[0]:
+        return params.regime_shift[1]
+    return params.coefficients
 
 
 def generate_cohort(params: GeneratorParams) -> Cohort:
@@ -137,7 +119,7 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
     dates, symptoms, indication, gender, result = [], [], [], [], []
     for week in params.week_list():
         n = params.n_per_week
-        coeffs = params.coefficients_for_week(week)
+        model = planted_model(params, week)
         symptom_u = rng.random((n, 5))
         indication_u = rng.random(n)
         female_u = rng.random(n)
@@ -151,7 +133,7 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
         X[np.arange(n), 5 + ind_choice] = 1.0
         X[:, _FEMALE_IDX] = female_u < prev[_FEMALE_IDX]
 
-        p = sigmoid(X @ coeffs.weights + coeffs.intercept)
+        p = sigmoid(X @ model.weights + model.bias)
         positive = label_u < p
         masked = mask_u < params.unknown_rate
 
@@ -200,9 +182,9 @@ _LAYOUT = {
 }
 
 
-def _coefficients(values: dict[str, float]) -> RiskCoefficients:
-    return RiskCoefficients(weights=np.array([values[f] for f in FEATURE_NAMES]),
-                            intercept=values["intercept"])
+def _coefficients(values: dict[str, float]) -> RiskModel:
+    return RiskModel(ModelKind.LINEAR, np.array([values[f] for f in FEATURE_NAMES]),
+                     values["intercept"])
 
 
 def load_scenario(path: str | Path) -> GeneratorParams:

@@ -15,7 +15,7 @@ from banditriage.records import (
     TriState,
 )
 from banditriage.scoring import ModelKind, RiskModel, expand_poly2
-from banditriage.synthgen import GeneratorParams, RiskCoefficients
+from banditriage.synthgen import GeneratorParams
 
 
 def make_record(
@@ -72,10 +72,11 @@ def small_params(**overrides) -> GeneratorParams:
             head_ache=0.2, contact_with_confirmed=0.1, abroad=0.05,
             other_indication=0.85, female=0.5,
         ),
-        coefficients=RiskCoefficients(
+        coefficients=RiskModel(
+            kind=ModelKind.LINEAR,
             weights=feature_array(cough=0.8, fever=0.9, head_ache=1.3,
                                   contact_with_confirmed=2.2),
-            intercept=-2.5,
+            bias=-2.5,
         ),
         seed=11,
     )

@@ -28,7 +28,7 @@ from banditriage.evaluate import (
 )
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
 from banditriage.records import ValueMapping, load_cohort
-from banditriage.scoring import ModelKind, TrainConfig, rule_based_model, train
+from banditriage.scoring import ModelKind, RiskModel, TrainConfig, rule_based_model, train
 from banditriage.seeds import derive_seed
 from banditriage.simulate import (
     run_replay,
@@ -37,7 +37,6 @@ from banditriage.simulate import (
 )
 from banditriage.synthgen import (
     GeneratorParams,
-    RiskCoefficients,
     generate_cohort,
     planted_model,
     resolve_scenario,
@@ -156,12 +155,13 @@ def saturated_params(seed: int, n: int, contact_prev: float) -> GeneratorParams:
         head_ache=0.2, contact_with_confirmed=contact_prev, abroad=0.1,
         other_indication=max(0.9 - contact_prev, 0.05), female=0.5,
     )
-    coeffs = RiskCoefficients(
+    coeffs = RiskModel(
+        kind=ModelKind.LINEAR,
         weights=feature_array(
             cough=300, fever=250, sore_throat=150, shortness_of_breath=100,
             head_ache=50, contact_with_confirmed=3000, female=50,
         ),
-        intercept=-2000.0,
+        bias=-2000.0,
     )
     return GeneratorParams(n_per_week=n, weeks=(1, 5), feature_prevalence=prev,
                            coefficients=coeffs, seed=seed)
@@ -303,9 +303,10 @@ def test_criterion_8_thompson_concentration():
         head_ache=0.3, contact_with_confirmed=0.5, abroad=0.0,
         other_indication=0.5, female=0.5,
     )
-    coeffs = RiskCoefficients(
+    coeffs = RiskModel(
+        kind=ModelKind.LINEAR,
         weights=feature_array(contact_with_confirmed=logit(0.5) - logit(0.05)),
-        intercept=logit(0.05),
+        bias=logit(0.05),
     )  # true positivity: 0.5 in the contact arm, 0.05 outside it
     arms = (
         ArmSpec("high", ArmPredicate.from_text("contact_with_confirmed=1")),

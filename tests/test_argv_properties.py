@@ -199,6 +199,28 @@ def test_hostile_flag_values_exit_usage_or_data_error(inputs, data):
         assert err.getvalue().startswith(f"error: data: {cfg}: "), err.getvalue()
 
 
+#: Every (subcommand, typed flag, huge value) triple: the property above
+#: draws one triple an example, so it can miss a single failing one.
+HUGE_CASES = [(subcommand, flag, value) for subcommand in sorted(VALID)
+              for flag, pool in _flags(subcommand, [])[0].items() if set(HUGE) <= set(pool)
+              for value in HUGE]
+
+
+@pytest.mark.parametrize("subcommand, flag, value", HUGE_CASES,
+                         ids=[f"{s}{f}={len(v)}-digits" for s, f, v in HUGE_CASES])
+def test_huge_value_of_each_typed_flag_exits_usage_or_data_error(inputs, subcommand, flag,
+                                                                  value):
+    argv = {f: str(inputs / v[1:]) if v.startswith("@") else v
+            for f, v in VALID[subcommand].items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv |= {"--out-dir": tmp, flag: value}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([subcommand, *(f"{f}={v}" for f, v in argv.items())])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), err.getvalue()
+    assert "error: internal" not in err.getvalue()
+
+
 def _artifacts(out: Path) -> dict[str, bytes | dict]:
     """Every file in ``out`` by name; a manifest without its timestamps and
     config path, and with artifact names for paths."""

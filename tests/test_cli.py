@@ -601,6 +601,38 @@ class TestMalformedFiles:
         assert err.startswith(f"error: data: {bad}: ") and repr(value) in err
         assert "Traceback" not in err and not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bootstrap", "report"])
+    @pytest.mark.parametrize("case, message", [
+        ("trained-weeks-1,x", "invalid literal for int() with base 10: 'x'"),
+        ("linear-45-weights", "linear model needs 9 weights, got 45"),
+    ], ids=["trained-weeks-1,x", "linear-45-weights"])
+    def test_bad_model_header_is_data_error_naming_it(self, workdir, small_cohort_csv,
+                                                      small_model, capsys, command, case,
+                                                      message):
+        # Every command that reads a model file reads its header the same way.
+        text = small_model.read_text(encoding="utf-8")
+        if case == "linear-45-weights":
+            assert "\nkind linear\n" in text and "\nweights 9\n" in text
+            text = text.replace("\nweights 9\n", "\nweights 45\n") + "0.0\n" * 36
+        else:
+            assert "\ntrained_weeks 1,2\n" in text
+            text = text.replace("\ntrained_weeks 1,2\n", "\ntrained_weeks 1,x\n")
+        bad = workdir / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        (workdir / "p.policy").write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
+        argv = {
+            "simulate": ["--model", str(bad), "--policy", "p.policy", "--weeks", "3-4"],
+            "sweep": ["--model", str(bad)],
+            "bootstrap": ["--model", str(bad), "--k", "10"],
+            "report": ["--models", f"rule_based,{bad}", "--k-list", "100"],
+        }[command]
+        code = run([command, "--cohort", str(small_cohort_csv), *argv,
+                    "--out-dir", str(workdir / "out"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {bad}: ") and message in err
+        assert "Traceback" not in err and not (workdir / "out").exists()
+
 
 class TestWithoutScipy:
     def test_bootstrap_runs_with_scipy_blocked(self, workdir, small_cohort_csv):
@@ -628,6 +660,23 @@ class TestLeakageGuard:
                     "--weeks", "2-4", "--allow-overlap",
                     "--out-dir", str(workdir), "--quiet"])
         assert code == EXIT_OK
+
+    def test_training_weeks_travel_in_the_model_file(self, workdir, small_cohort_csv, capsys):
+        code = run(["train", "--cohort", str(small_cohort_csv), "--weeks", "1,3",
+                    "--kind", "linear", "--out", "m13.txt", "--out-dir", str(workdir),
+                    "--quiet"])
+        assert code == EXIT_OK
+        assert "\ntrained_weeks 1,3\n" in (workdir / "m13.txt").read_text(encoding="utf-8")
+        (workdir / "p.policy").write_text("[policy]\ncapacity = 50\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run(["simulate", "--cohort", str(small_cohort_csv), "--model", "m13.txt",
+                    "--policy", "p.policy", "--weeks", "3-4", "--out-dir", str(workdir / "out"),
+                    "--quiet"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: data: model was trained on weeks 1,3 which overlap the replay weeks ([3]); "
+            "restrict --weeks or pass --allow-overlap\n")
+        assert not (workdir / "out").exists()
 
     def test_rule_based_start_needs_no_guard(self, workdir, small_cohort_csv):
         policy = workdir / "p.policy"

@@ -15,20 +15,20 @@ from banditriage.evaluate import mean_weekly_recall
 from banditriage.records import N_FEATURES, PATTERN_FEATURES
 from banditriage.scoring import (
     DegenerateTrainingError,
+    KIND_FEATURES,
     ModelKind,
     RiskModel,
     TrainConfig,
     expand_poly2,
     load_model,
     pair_order,
-    poly2_dim,
     rule_based_model,
     save_model,
     score_matrix,
     train,
     RULE_WEIGHTS,
 )
-from banditriage.synthgen import RiskCoefficients, generate_cohort
+from banditriage.synthgen import generate_cohort
 
 from conftest import codes_of, feature_array, row_wise_scores, small_params
 
@@ -78,8 +78,8 @@ class TestExpandPoly2:
         assert np.array_equal(out, np.array([[1, 0, 1, 0, 1, 0.0]]))
 
     def test_base_nine_expands_to_45(self):
-        assert poly2_dim(9) == 45
         assert expand_poly2(np.zeros((1, 9))).shape == (1, 45)
+        assert KIND_FEATURES[ModelKind.POLY2].shape == (512, 45)
 
     def test_pair_order_is_lexicographic(self):
         assert pair_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -96,6 +96,17 @@ class TestExpandPoly2:
         out = expand_poly2(X)
         for i in range(5):
             assert np.array_equal(out[i], expand_poly2(X[i : i + 1])[0])
+
+    def test_kind_tables_are_read_only_and_row_exact(self):
+        # Products of 0/1 features are exact, so a gathered row is bitwise
+        # the row expanded on its own.
+        assert KIND_FEATURES[ModelKind.LINEAR] is PATTERN_FEATURES
+        assert KIND_FEATURES[ModelKind.RULE_BASED] is PATTERN_FEATURES
+        table = KIND_FEATURES[ModelKind.POLY2]
+        assert all(not t.flags.writeable for t in KIND_FEATURES.values())
+        for code in range(len(PATTERN_FEATURES)):
+            row = expand_poly2(PATTERN_FEATURES[code : code + 1])[0]
+            assert table[code].tobytes() == row.tobytes()
 
 
 def separable_dataset(n=200, seed=0):
@@ -354,7 +365,7 @@ def test_scores_equal_the_row_wise_product(data):
     if kind is ModelKind.RULE_BASED:
         model = rule_based_model()
     else:
-        dim = poly2_dim(N_FEATURES) if kind is ModelKind.POLY2 else N_FEATURES
+        dim = KIND_FEATURES[kind].shape[1]
         model = RiskModel(kind=kind, weights=data.draw(weight_vectors(dim)),
                           bias=data.draw(WEIGHT))
     # records drawn from a few of the 512 codes, so that patterns repeat
@@ -382,9 +393,10 @@ class TestRecallMarginGrowsWithSignal:
                 params = small_params(
                     seed=300 + seed,
                     n_per_week=600,
-                    coefficients=RiskCoefficients(
+                    coefficients=RiskModel(
+                        kind=ModelKind.LINEAR,
                         weights=small_params().coefficients.weights * scale,
-                        intercept=intercept,
+                        bias=intercept,
                     ),
                 )
                 cohort = generate_cohort(params)
@@ -418,7 +430,7 @@ class TestSerialization:
         # A numpy scalar bias must not be written as its repr "np.float64(...)".
         kind = data.draw(st.sampled_from(
             [ModelKind.LINEAR, ModelKind.POLY2, ModelKind.RULE_BASED]))
-        dim = poly2_dim(N_FEATURES) if kind is ModelKind.POLY2 else N_FEATURES
+        dim = KIND_FEATURES[kind].shape[1]
         finite = st.one_of(
             st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
             st.floats(allow_nan=False, allow_infinity=False),
@@ -459,6 +471,22 @@ class TestSerialization:
         path.write_text(text.replace("base_dim 9", f"base_dim {base_dim}"), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: base_dim")):
             load_model(path)
+
+    @pytest.mark.parametrize("weeks, line", [((1, 3), "trained_weeks 1,3"),
+                                             ((), "trained_weeks -")])
+    def test_trained_weeks_round_trip(self, tmp_path, weeks, line):
+        path = tmp_path / "m.txt"
+        save_model(RiskModel(ModelKind.LINEAR, np.zeros(9), 0.0, trained_weeks=weeks), path)
+        assert line in path.read_text(encoding="utf-8").splitlines()
+        assert load_model(path).trained_weeks == weeks
+
+    def test_file_without_trained_weeks_loads_with_none(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(RiskModel(ModelKind.LINEAR, np.zeros(9), 0.0, trained_weeks=(2,)), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(l for l in lines if not l.startswith("trained_weeks "))
+                        + "\n", encoding="utf-8")
+        assert load_model(path).trained_weeks == ()
 
     def test_model_dim_validation(self):
         with pytest.raises(ValueError):

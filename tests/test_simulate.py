@@ -290,6 +290,12 @@ class TestTrainEvalSplit:
             assert [row[column] for row in rows] == [
                 mean_weekly_recall(cohort, model, k, weeks=[4, 5, 6]) for k in ks]
 
+    def test_model_carries_the_weeks_it_was_trained_on(self):
+        # Asked weeks outside the cohort are not training weeks.
+        cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=200))
+        model, labels = train_on_weeks(cohort, [9, 3, 1], ModelKind.LINEAR)
+        assert model.trained_weeks == (1, 3) and list(labels) == [1, 3]
+
     def test_overlap_rejected(self):
         cohort = generate_cohort(small_params(weeks=(1, 6), n_per_week=200))
         with pytest.raises(OverlapError):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from banditriage.records import FEATURE_NAMES, PATTERN_FEATURES
-from banditriage.scoring import ModelKind
+from banditriage.scoring import ModelKind, RiskModel
 from banditriage.synthgen import (
     GeneratorParams,
-    RiskCoefficients,
     ScenarioError,
     builtin_scenario_path,
     generate_cohort,
@@ -47,7 +46,7 @@ class TestGenerateCohort:
         params = small_params(
             n_per_week=10_000,
             weeks=(1, 1),
-            coefficients=RiskCoefficients(weights=np.zeros(9), intercept=logit(0.1)),
+            coefficients=RiskModel(kind=ModelKind.LINEAR, weights=np.zeros(9), bias=logit(0.1)),
             seed=5,
         )
         positives = stack_labels(generate_cohort(params)).sum()
@@ -90,7 +89,7 @@ class TestGenerateCohort:
                 n_per_week=10_000,
                 weeks=(1, 1),
                 feature_prevalence=prevalence,
-                coefficients=RiskCoefficients(weights=weights, intercept=-3.0),
+                coefficients=RiskModel(kind=ModelKind.LINEAR, weights=weights, bias=-3.0),
                 seed=200 + seed,
             )
             cohort = generate_cohort(params)
@@ -105,11 +104,11 @@ class TestGenerateCohort:
         assert (cohort.symptoms == TriState.UNKNOWN).all()
 
     def test_regime_shift_changes_correlation(self):
-        base = RiskCoefficients(
-            weights=feature_array(contact_with_confirmed=3.0), intercept=-2.5
+        base = RiskModel(
+            kind=ModelKind.LINEAR, weights=feature_array(contact_with_confirmed=3.0), bias=-2.5
         )
-        alt = RiskCoefficients(
-            weights=feature_array(head_ache=3.0), intercept=-2.5
+        alt = RiskModel(
+            kind=ModelKind.LINEAR, weights=feature_array(head_ache=3.0), bias=-2.5
         )
         params = small_params(
             n_per_week=5000, weeks=(1, 2), coefficients=base, regime_shift=(2, alt)
@@ -151,7 +150,7 @@ class TestDefaultScenarioShape:
 
 class TestPlantedModel:
     def test_uses_active_regime(self):
-        alt = RiskCoefficients(weights=feature_array(fever=9.0), intercept=0.0)
+        alt = RiskModel(kind=ModelKind.LINEAR, weights=feature_array(fever=9.0), bias=0.0)
         params = small_params(regime_shift=(3, alt))
         pre = planted_model(params, week=2)
         post = planted_model(params, week=3)
@@ -163,7 +162,7 @@ class TestPlantedModel:
         params = small_params()
         m = planted_model(params)
         assert np.array_equal(m.weights, params.coefficients.weights)
-        assert m.bias == params.coefficients.intercept
+        assert m.bias == params.coefficients.bias
 
 
 class TestValidation:
@@ -188,12 +187,14 @@ class TestValidation:
         ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
         ({"year": 0}, "year 0, week 4"),
         ({"year": 9999, "weeks": (50, 52)}, "year 9999, week 52"),
+        ({"year": 2021, "weeks": (52, 53)}, "year 2021, week 53"),
+        ({"weeks": (52, 54)}, "outside 1..53"),
         ({"feature_prevalence": feature_array(cough=math.nan, other_indication=1.0)},
          "prevalence rates"),
         ({"feature_prevalence": feature_array(abroad=math.inf, other_indication=1.0)},
          "prevalence rates"),
-    ], ids=["seed-negative", "seed-2**64", "year-0", "year-9999-week-52", "prevalence-nan",
-            "indication-inf"])
+    ], ids=["seed-negative", "seed-2**64", "year-0", "year-9999-week-52", "year-2021-week-53",
+            "week-54", "prevalence-nan", "indication-inf"])
     def test_out_of_range_values(self, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             small_params(**overrides)
@@ -203,7 +204,7 @@ class TestValidation:
     ], ids=["weight-nan", "intercept-inf"])
     def test_coefficients_must_be_finite(self, weights, intercept):
         with pytest.raises(ValueError, match="finite"):
-            RiskCoefficients(weights=weights, intercept=intercept)
+            RiskModel(kind=ModelKind.LINEAR, weights=weights, bias=intercept)
 
 
 class TestSigmoid:
@@ -261,10 +262,20 @@ fever = 2.0
         assert params.coefficients.weights[0] == 1.0
         shift_week, alt = params.regime_shift
         assert shift_week == 3
-        assert alt.intercept == -4.0
+        assert alt.bias == -4.0
         assert alt.weights[0] == 0.0  # overridden
         assert alt.weights[1] == 2.0  # added
         generate_cohort(params)  # must be generable
+
+    def test_week_53_of_a_year_that_has_it(self, tmp_path):
+        # ISO 2020 has 53 weeks; its week 53 runs from 2020-12-28 to 2021-01-03.
+        text = builtin_scenario_path("oracle").read_text(encoding="utf-8")
+        path = tmp_path / "s.scenario"
+        path.write_text(re.sub(r"(?m)^weeks = .*$", "weeks = 52-53\nyear = 2020", text, count=1),
+                        encoding="utf-8")
+        cohort = generate_cohort(load_scenario(path))
+        assert cohort.weeks == (52, 53)
+        assert str(cohort.test_date.max()) == "2021-01-03"
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "s.scenario"
