@@ -317,12 +317,12 @@ def cmd_correlate(args, manifest: Manifest) -> None:
 def cmd_train(args, manifest: Manifest) -> None:
     cohort = _load_cohort_arg(args, manifest)
     config = TrainConfig(regularization=args.regularization, epochs=args.epochs)
-    model, labels = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind),
-                                   config)
-    weeks, y = model.trained_weeks, np.concatenate(list(labels.values()))
+    model = train_on_weeks(cohort, args.weeks or list(cohort.weeks), ModelKind(args.kind), config)
+    weeks = model.trained_weeks
+    counts = sum(cohort.week_counts(w) for w in weeks)
     with manifest.artifact(args.out) as tmp:
         save_model(model, tmp, manifest=manifest.name)
-    print(f"trained {args.kind} model on {len(y)} records ({int(y.sum())} positive, "
+    print(f"trained {args.kind} model on {counts.sum()} records ({counts[:, 1].sum()} positive, "
           f"weeks {weeks[0]}-{weeks[-1]}) -> {manifest.out_dir / args.out}")
 
 
@@ -451,10 +451,8 @@ def cmd_report(args, manifest: Manifest) -> None:
 
     if args.cohort:
         cohort = _load_cohort_arg(args, manifest)
-        counts = [
-            [w, int(len(cohort.week_ids(w))), int(cohort.week_labels(w).sum())]
-            for w in cohort.weeks
-        ]
+        by_week = {w: cohort.week_counts(w) for w in cohort.weeks}
+        counts = [[w, int(c.sum()), int(c[:, 1].sum())] for w, c in by_week.items()]
         out_counts = queue("weekly_counts.csv", ["week", "tests", "positives"], counts)
         out_corr = queue("weekly_correlations.csv", None, weekly_correlations(cohort).rows())
         messages.append(f"cohort report ({len(counts)} weeks) -> {out_counts}, {out_corr}")

@@ -1,10 +1,10 @@
 """Metrics and statistics: recall and F1 at capacity, per-week feature
 correlations, and bootstrap confidence intervals on mean weekly recall.
 
-Every metric is a ratio of integer counts, divided once. Recall and F1 at
-capacity k are exact means over the order of tied scores, read off a pool's
-(score group, label) cell counts; no tie-break is drawn. A feature's weekly
-correlation with the label is the phi coefficient of their 2×2 counts.
+Every metric reads a week as its pattern-count table, not its rows, and is a
+ratio of integer counts, divided once. Recall and F1 at capacity k are exact
+means over tie orders, read off the table's cells under the model's scores of
+the 512 codes; no tie-break is drawn. Weekly correlations are phi coefficients.
 
 The bootstrap resamples each week's pool with replacement to its original
 size (per-record, stratified by week), draws the resample as counts of the
@@ -66,6 +66,8 @@ class CorrelationTable:
 
 #: Row c holds the features of pattern code c, as integers.
 _PATTERN_BITS = PATTERN_FEATURES.astype(np.int64)
+#: Every pattern code: a model scores these once, and a week is grouped by them.
+_CODES = np.arange(len(PATTERN_FEATURES))
 
 
 def weekly_correlations(cohort: Cohort) -> CorrelationTable:
@@ -75,7 +77,7 @@ def weekly_correlations(cohort: Cohort) -> CorrelationTable:
     feature's 2×2 table with the label (Yule, 1912). A week of n records and
     P positives, n1 of them showing the feature and n11 of those positive,
     reads r = (n·n11 - n1·P) / (√(n1(n - n1))·√(P(n - P))), with every count
-    read off one bincount of the week's (pattern code, label) pairs. The
+    read off the week's (pattern code, label) count table. The
     counts and products are exact integers; the two roots are taken apart,
     as their product passes int64 in a week of 2**17 records. A cell whose
     denominator is 0, where the feature or the label is constant in the
@@ -84,10 +86,8 @@ def weekly_correlations(cohort: Cohort) -> CorrelationTable:
     weeks = cohort.weeks
     values = np.full((len(weeks), N_FEATURES), np.nan)
     for i, week in enumerate(weeks):
-        y = cohort.week_labels(week)
-        counts = np.bincount(2 * cohort.week_patterns(week) + y,
-                             minlength=2 * len(_PATTERN_BITS)).reshape(-1, 2)
-        n, p = len(y), int(counts[:, 1].sum())
+        counts = cohort.week_counts(week)
+        n, p = int(counts.sum()), int(counts[:, 1].sum())
         n1, n11 = counts.sum(axis=1) @ _PATTERN_BITS, counts[:, 1] @ _PATTERN_BITS
         denominator = np.sqrt(n1 * (n - n1)) * np.sqrt(p * (n - p))
         np.divide(n * n11 - n1 * p, denominator, out=values[i], where=denominator > 0)
@@ -99,26 +99,26 @@ def weekly_correlations(cohort: Cohort) -> CorrelationTable:
 # ---------------------------------------------------------------------------
 
 
-def score_cells(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pool's (score group, label) cell counts: the rows and the positives
-    of each group of equal scores, best group first. Equal scores (-0.0 and
-    0.0 included) share a group; NaN scores form the last group, as
+def score_cells(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A pool's (score group, label) cells: one [negatives, positives] row
+    per group of equal scores, best group first, where unit u of the pool (a
+    code of a count table, or a record) scores ``scores[u]`` and holds
+    ``counts[u]`` rows. Units with no rows make no group. Equal scores (-0.0
+    and 0.0 included) share a group; NaN scores form the last group, as
     :func:`banditriage.policy.rank_candidates` ranks them last."""
-    values, group = np.unique(scores, return_inverse=True)
-    rows = np.bincount(group, minlength=len(values))[::-1]
-    positives = np.bincount(group[np.asarray(labels, dtype=bool)], minlength=len(values))[::-1]
-    if len(values) and np.isnan(values[-1]):  # np.unique puts NaN last, as one value
-        rows, positives = np.roll(rows, -1), np.roll(positives, -1)
-    return rows, positives
+    present = counts.any(axis=1)
+    values, group = np.unique(-scores[present], return_inverse=True)  # NaN last, as one value
+    cells = np.zeros((len(values), 2), dtype=np.int64)
+    np.add.at(cells, group, counts[present])
+    return cells
 
 
-def _expected_recall(rows: np.ndarray, positives: np.ndarray,
-                     k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """recall@k and F1@k when the first k rows of a pool with these
-    :func:`score_cells` counts are tested, each the mean over every order of
-    its ties. Each row of ``rows`` and ``positives`` is a pool, cut at its
-    entry of ``k``; a single pool is cut at every entry. No k exceeds its
-    pool's size.
+def _expected_recall(cells: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """recall@k and F1@k when the first k rows of a pool with this
+    :func:`score_cells` table are tested, each the mean over every order of
+    its ties. ``cells`` is one table, cut at every entry of ``k``, or a
+    stack of tables, one a pool, each cut at its entry of ``k``. No k
+    exceeds its pool's size.
 
     Row k falls in group g, of n_g rows and p_g positives, and m of them are
     taken. Every tie order takes the positives of the groups above g, and
@@ -127,9 +127,9 @@ def _expected_recall(rows: np.ndarray, positives: np.ndarray,
     the hits. Both are single divisions of integers, so each is the exact
     value rounded once. Both read 0.0 for a pool without positives.
     """
-    rows, positives = np.atleast_2d(rows, positives)
-    taken = np.pad(rows.cumsum(axis=1), ((0, 0), (1, 0)))  # rows in the groups above each
-    found = np.pad(positives.cumsum(axis=1), ((0, 0), (1, 0)))
+    cells = cells.reshape(-1, *cells.shape[-2:])
+    taken = np.pad(cells.sum(axis=2).cumsum(axis=1), ((0, 0), (1, 0)))  # rows above each group
+    found = np.pad(cells[:, :, 1].cumsum(axis=1), ((0, 0), (1, 0)))
     pool = np.arange(len(taken))
     g = np.count_nonzero(taken[:, 1:] < k[:, None], axis=1)  # the first group reaching row k
     # An empty group (a bootstrap draw) is cut only at k = 0, where m = 0.
@@ -150,9 +150,9 @@ def ranked_recall(
     as two arrays indexed [capacity, week] over ``ks`` and ``weeks``.
 
     Each is the exact mean over every order of the pool's tied scores (see
-    :func:`_expected_recall`), read off the week's :func:`score_cells`, which
-    are built once whatever the capacities; no random number is drawn. Both
-    metrics of a week without positives are 0.0, which is logged once.
+    :func:`_expected_recall`), read off the week's :func:`score_cells` under
+    the model's 512 code scores, once whatever the capacities; no random
+    number is drawn. Both metrics of a week without positives are 0.0, logged once.
     """
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     if not weeks:
@@ -161,14 +161,14 @@ def ranked_recall(
         raise MetricError(f"k must be >= 0, got {min(ks)}")
     recall = np.zeros((len(ks), len(weeks)))
     f1 = np.zeros_like(recall)
+    scores = score_matrix(model, _CODES)
     for i, week in enumerate(weeks):
-        labels = cohort.week_labels(week)
-        if not labels.any():
+        counts = cohort.week_counts(week)
+        if not counts[:, 1].any():
             log.warning("recall undefined: week %s has no positives; reporting 0.0", week)
             continue
-        cells = score_cells(score_matrix(model, cohort.week_patterns(week)), labels)
-        capped = np.array([min(k, len(labels)) for k in ks], dtype=np.int64)
-        recall[:, i], f1[:, i] = _expected_recall(*cells, capped)
+        capped = np.array([min(k, int(counts.sum())) for k in ks], dtype=np.int64)
+        recall[:, i], f1[:, i] = _expected_recall(score_cells(scores, counts), capped)
     return recall, f1
 
 
@@ -243,16 +243,14 @@ def bootstrap_ci(
     if not weeks:
         raise MetricError("no weeks to evaluate")
 
-    # Scores per record are fixed by the model: group each week once. Only
-    # the non-empty cells (each group's positive, then negative) are drawn.
-    per_week, n_positive = [], 0
+    # Scores per code are fixed by the model: group each week's table once.
+    # Only the non-empty cells (each group's positive, then negative) are drawn.
+    scores, per_week, n_positive = score_matrix(model, _CODES), [], 0
     for week in weeks:
-        y = cohort.week_labels(week)
-        rows, positives = score_cells(score_matrix(model, cohort.week_patterns(week)), y)
-        cells = np.column_stack([positives, rows - positives]).ravel()
-        nonempty = np.flatnonzero(cells)
-        per_week.append((len(y), len(cells), nonempty, cells[nonempty] / len(y)))
-        n_positive += int(positives.sum())
+        cells = score_cells(scores, cohort.week_counts(week))[:, ::-1].ravel()
+        n, nonempty = int(cells.sum()), np.flatnonzero(cells)
+        per_week.append((n, len(cells), nonempty, cells[nonempty] / n))
+        n_positive += int(cells[::2].sum())
     if not n_positive:
         raise MetricError("no positives in the evaluated weeks, so recall is undefined")
 
@@ -268,8 +266,7 @@ def bootstrap_ci(
             drawn[:, nonempty] = [rng.multinomial(n, share) for rng in rngs]
             drawn = drawn.reshape(len(block), -1, 2)
             any_positive |= drawn[:, :, 0].any(axis=1)
-            recalls[:, w] = _expected_recall(drawn.sum(axis=2), drawn[:, :, 0],
-                                             np.full(len(block), min(k, n)))[0]
+            recalls[:, w] = _expected_recall(drawn[:, :, ::-1], np.full(len(block), min(k, n)))[0]
         for used, mean in zip(any_positive, recalls.mean(axis=1).tolist()):
             if used:
                 means.append(mean)
@@ -298,7 +295,7 @@ def weekly_recall_table(cohort: Cohort, model: RiskModel, ks: Sequence[int], *,
     """Rows keyed by week with one recall column per capacity."""
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     recall, _ = ranked_recall(cohort, model, ks, weeks=weeks)
-    return [{"week": week, "n_tests": int(len(cohort.week_ids(week))),
+    return [{"week": week, "n_tests": int(cohort.week_counts(week).sum()),
              **{f"recall@{k}": r for k, r in zip(ks, column)}}
             for week, column in zip(weeks, recall.T.tolist())]
 

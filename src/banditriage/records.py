@@ -96,6 +96,13 @@ PATTERN_FEATURES = ((np.arange(2**N_FEATURES)[:, None] >> np.arange(N_FEATURES -
                     & 1).astype(float)
 PATTERN_FEATURES.flags.writeable = False
 
+
+def pattern_counts(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The records' (512, 2) int64 count table: code c's negatives, positives in row c."""
+    return np.bincount(codes * 2 + np.asarray(labels, dtype=bool),
+                       minlength=2 * len(PATTERN_FEATURES)).reshape(-1, 2)
+
+
 REQUIRED_COLUMNS: tuple[str, ...] = (
     ("test_date",) + SYMPTOM_FIELDS + ("corona_result", "gender", "test_indication")
 )
@@ -279,8 +286,8 @@ class ValueMapping:
 
 # ---------------------------------------------------------------------------
 # Cohort: equal-length columns, one entry per record in record order, with
-# the numeric views (rows / pattern codes / labels per week) derived once so it
-# is cheap and safe to share across threads.
+# the numeric views (rows / pattern codes / labels / count table per week)
+# derived once so it is cheap and safe to share across threads.
 # ---------------------------------------------------------------------------
 
 _COLUMN_DTYPES = {
@@ -307,9 +314,10 @@ class Cohort:
     ``symptoms`` holds the :class:`TriState` codes in :data:`SYMPTOM_FIELDS`
     order; unknown symptoms encode as absent, so rows with uncollected
     symptoms are kept and read as "no indication of the symptom"
-    (``null_policy="drop"`` at load time is the strict alternative). The
-    week views hold each record's uint16 code in :data:`PATTERN_FEATURES`,
-    built in uint16 from the present-flags, the indication and the gender.
+    (``null_policy="drop"`` at load time is the strict alternative). A
+    week's views hold its records' codes in :data:`PATTERN_FEATURES`, built
+    in uint16 from the present-flags, the indication and the gender, and
+    their :func:`pattern_counts` table, all that a metric reads of a week.
 
     Weeks are numbered within one ISO year: the years of the first and last
     dates must agree (the ISO year never falls as the date rises), else a
@@ -363,7 +371,7 @@ class Cohort:
         counts = np.bincount(week)
         ends = np.cumsum(counts)
         bounds = zip((ends - counts).tolist(), ends.tolist())
-        views = {w: (order[a:b], pattern[a:b], y[a:b])
+        views = {w: (order[a:b], pattern[a:b], y[a:b], pattern_counts(pattern[a:b], y[a:b]))
                  for w, (a, b) in enumerate(bounds) if a < b}
         object.__setattr__(self, "_week", week)
         object.__setattr__(self, "_views", views)
@@ -387,7 +395,7 @@ class Cohort:
     def weeks(self) -> tuple[int, ...]:
         return tuple(self._views)
 
-    def _view(self, week: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _view(self, week: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         try:
             return self._views[week]
         except KeyError:
@@ -404,8 +412,12 @@ class Cohort:
     def week_labels(self, week: int) -> np.ndarray:
         return self._view(week)[2]
 
+    def week_counts(self, week: int) -> np.ndarray:
+        """The week's :func:`pattern_counts` table."""
+        return self._view(week)[3]
+
     def positives_by_week(self) -> dict[int, int]:
-        return {w: int(self._views[w][2].sum()) for w in self.weeks}
+        return {w: int(self._views[w][3][:, 1].sum()) for w in self.weeks}
 
     def subset_weeks(self, weeks: Iterable[int]) -> "Cohort":
         keep = np.isin(self._week, list(weeks))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, read_text
+from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, pattern_counts, read_text
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class DegenerateTrainingError(Exception):
 RULE_WEIGHTS = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskModel:
     """A scorer over the canonical base feature space (:data:`FEATURE_NAMES`):
     the margin ``features @ weights + bias``, the features being the kind's
@@ -97,11 +97,13 @@ KIND_FEATURES[ModelKind.POLY2].flags.writeable = False
 
 def _pattern_codes(X) -> np.ndarray:
     """``X`` as an array of pattern codes; raises ValueError unless it is a
-    1-D array of integers."""
+    1-D array of integers in 0..511."""
     codes = np.asarray(X)
     if codes.ndim != 1 or codes.dtype.kind not in "iu":
         raise ValueError(f"want a 1-D array of pattern codes, got {codes.dtype} of shape "
                          f"{codes.shape}")
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(PATTERN_FEATURES):
+        raise ValueError(f"pattern codes must lie in 0..{len(PATTERN_FEATURES) - 1}")
     return codes
 
 
@@ -131,10 +133,10 @@ def train(
     Nelder, *Generalized Linear Models*, 1989, ch. 4).
 
     ``X`` holds one pattern code per record, so the records fall into at
-    most 2 * 192 groups of equal (pattern, label), taken in ascending
-    ``code * 2 + label``. The loss, gradient and Hessian are sums over the
-    groups weighted by their record counts; each group's features are its
-    code's row of :data:`KIND_FEATURES`.
+    most 2 * 192 groups of equal (pattern, label), their nonzero cells of
+    :func:`~banditriage.records.pattern_counts` in ascending order. The loss,
+    gradient and Hessian are sums over the groups weighted by their record
+    counts; each group's features are its code's row of :data:`KIND_FEATURES`.
 
     Damping: a Newton step n that moves some group's margin by at most
     delta = max_g |x_g.n| is scaled by log(1 + delta)/delta. The log-loss
@@ -159,13 +161,14 @@ def train(
         raise ValueError("empty training set")
     if positive.all() or not positive.any():
         raise DegenerateTrainingError("training set contains a single class")
-    groups, group_of_row = np.unique(codes * 2 + positive, return_inverse=True)
+    counts = pattern_counts(codes, positive).ravel()
+    groups = np.flatnonzero(counts)
     lam = config.regularization
 
     x = KIND_FEATURES[kind][groups >> 1]
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
     sign = np.where(groups & 1, 1.0, -1.0)
-    share = np.bincount(group_of_row, minlength=len(groups)) / len(codes)
+    share = counts[groups] / len(codes)
 
     w = np.zeros(x.shape[1])
     for _ in range(config.epochs):

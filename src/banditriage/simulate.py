@@ -329,30 +329,29 @@ def sweep_exploration(
     tie order changes, so each finds a share 1/(n - k_x) of the positives
     left: recall is r_x + k_e·(1 - r_x)/(n - k_x). A pool of at most the
     capacity is tested in full and reads 1.0; a week without positives reads
-    0.0. Each week is scored once for the whole grid; no random number is
-    drawn. Rows: {"exploration_fraction", "capacity", "mean_recall"}.
+    0.0. Each week's count table is grouped once for the whole grid; no random
+    number is drawn. Rows: {"exploration_fraction", "capacity", "mean_recall"}.
     """
     weeks = tuple(weeks) if weeks is not None else cohort.weeks
     cells = [(float(rho), int(capacity), *split_budget(int(capacity), float(rho)))
              for rho in rhos for capacity in capacities]
     exploit, _ = ranked_recall(cohort, model, [k_x for _, _, k_x, _ in cells], weeks=weeks)
     # In floats, as a capacity may pass int64.
-    n = np.array([len(cohort.week_labels(w)) for w in weeks], dtype=float)
-    positive = np.array([cohort.week_labels(w).any() for w in weeks])
+    n, positives = np.array([[c.sum(), c[:, 1].sum()] for c in map(cohort.week_counts, weeks)],
+                            dtype=float).T
     rows = []
     for (rho, capacity, k_x, k_e), r_x in zip(cells, exploit):
         # n - k_x >= 1 wherever the pool exceeds the capacity; elsewhere it is masked.
         recall = np.where(n <= capacity, 1.0, r_x + k_e * (1.0 - r_x) / np.maximum(n - k_x, 1))
         rows.append({"exploration_fraction": rho, "capacity": capacity,
-                     "mean_recall": float(np.mean(np.where(positive, recall, 0.0)))})
+                     "mean_recall": float(np.mean(np.where(positives > 0, recall, 0.0)))})
     return rows
 
 
 def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
-                   config: TrainConfig | None = None) -> tuple[RiskModel, dict[int, np.ndarray]]:
-    """A model fitted on the cohort's records of ``weeks``, and the labels of
-    those records by week, for the weeks of the cohort among ``weeks``; the
-    model's ``trained_weeks`` are those weeks.
+                   config: TrainConfig | None = None) -> RiskModel:
+    """A model fitted on the cohort's records of those of ``weeks`` that the
+    cohort holds, which become the model's ``trained_weeks``.
 
     Raises ValueError if none of the weeks holds a record.
     """
@@ -360,10 +359,9 @@ def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
     trained = [w for w in cohort.weeks if w in wanted]
     if not trained:
         raise ValueError(f"no records in training weeks {list(weeks)}")
-    patterns = np.concatenate([cohort.week_patterns(w) for w in trained])
-    labels = {w: cohort.week_labels(w) for w in trained}
-    model = train(patterns, np.concatenate(list(labels.values())), kind, config)
-    return replace(model, trained_weeks=tuple(trained)), labels
+    model = train(np.concatenate([cohort.week_patterns(w) for w in trained]),
+                  np.concatenate([cohort.week_labels(w) for w in trained]), kind, config)
+    return replace(model, trained_weeks=tuple(trained))
 
 
 def train_eval_split_experiment(
@@ -386,8 +384,8 @@ def train_eval_split_experiment(
     if overlap:
         raise OverlapError(f"evaluation weeks overlap a training range: {sorted(overlap)}")
 
-    model_a, _ = train_on_weeks(cohort, a, ModelKind.POLY2)
-    model_b, _ = train_on_weeks(cohort, b, ModelKind.POLY2)
+    model_a = train_on_weeks(cohort, a, ModelKind.POLY2)
+    model_b = train_on_weeks(cohort, b, ModelKind.POLY2)
     recall_a, _ = ranked_recall(cohort, model_a, capacities, weeks=ev)
     recall_b, _ = ranked_recall(cohort, model_b, capacities, weeks=ev)
     return [{"k": int(k), "recall_a": float(np.mean(ra)), "recall_b": float(np.mean(rb))}

@@ -1090,6 +1090,45 @@ class TestGoldenArtifacts:
         assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
                 for artifact in digests} == digests
 
+    #: argv of each metric command ({cohort} and {model} filled in) and the
+    #: sha256 of each artifact. The rule ties heavily on the oracle cohort,
+    #: so these also pin the tie-order mean of the recall tables.
+    METRIC_RUNS = {
+        "correlate": (["correlate", "--cohort", "{cohort}"], {
+            "correlations.csv":
+                "12e2709b3ca0688e89f2016777096ae1a2f038a9582639d67f8a3dd0f67cc5fd"}),
+        "sweep": (["sweep", "--cohort", "{cohort}", "--rule-based", "--rho-list", "0,0.3,1",
+                   "--k-list", "100,250,1000"], {
+            "sweep.csv": "0ea188aa3df3b8c3a191c672b057240a1a9b28ca0e95450d4eabab82cbeb74e6"}),
+        "bootstrap_rule": (["bootstrap", "--cohort", "{cohort}", "--rule-based", "--k", "150",
+                            "--replicates", "40", "--seed", "3"], {
+            "bootstrap.csv": "4f15806d2e3eab0abd3d60b6777f44cb2e8f6070d6f2688b59c75a03d2d67d47"}),
+        "bootstrap_model": (["bootstrap", "--cohort", "{cohort}", "--model", "{model}",
+                             "--k", "150", "--replicates", "40", "--weeks", "3-6", "--seed", "3"], {
+            "bootstrap.csv": "8759b8c6eed8d3130197600040c0974258b1d85cdb003ea47f626ebd67693090"}),
+        "report": (["report", "--cohort", "{cohort}", "--recall-table", "--model", "{model}",
+                    "--models", "rule_based,{model}", "--crossover", "--weeks-a", "1-2",
+                    "--weeks-b", "3-4", "--weeks", "5-6", "--k-list", "100,250,400"], {
+            "weekly_counts.csv":
+                "8d56ba18699db8e59931ef95d8fdbebf9e4303795d205ebc0571b732483fe01b",
+            "weekly_correlations.csv":
+                "3d7f488517bb24582132370f3f95705c72a30d6742a24d9dc220284ee491d932",
+            "weekly_recall.csv":
+                "2987e560aab15614fe48ead21e0a01ce3d00e8d5bbabb14822aa6bbb7faccc88",
+            "model_comparison.csv":
+                "85a5fd501153915265ea443e6606f5f4042bd450a0623d9b6aee7180a37523b2",
+            "crossover.csv":
+                "d341e070b924e7c10b0aad18475f450ad46820ee00a6c0b313a6b858b6fe130f"}),
+    }
+
+    def test_metric_artifacts_are_pinned(self, workdir, small_cohort_csv, small_model):
+        for name, (argv, digests) in self.METRIC_RUNS.items():
+            out = workdir / name
+            argv = [a.format(cohort=small_cohort_csv, model=small_model) for a in argv]
+            assert run([*argv, "--out-dir", str(out), "--quiet"]) == EXIT_OK, name
+            assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                    for artifact in digests} == digests, name
+
 
 class TestSelectionsCsv:
     def test_selections_are_the_csv_writer_over_the_picks(self, workdir, small_cohort_csv,

@@ -23,8 +23,8 @@ from banditriage.evaluate import (
     weekly_recall_table,
 )
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler, rank_candidates
-from banditriage.records import FEATURE_NAMES, Cohort, Indication, TestResult
-from banditriage.scoring import rule_based_model, score_matrix
+from banditriage.records import FEATURE_NAMES, Cohort, Indication, TestResult, pattern_counts
+from banditriage.scoring import KIND_FEATURES, ModelKind, RiskModel, rule_based_model, score_matrix
 from banditriage.seeds import derive_seed
 from banditriage.simulate import PeriodRecord, run_replay
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
@@ -487,6 +487,12 @@ _SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.na
                    st.floats(allow_nan=True, allow_infinity=True))
 
 
+def one_unit_per_row(labels) -> np.ndarray:
+    """The [negatives, positives] counts of each record with these labels."""
+    labels = np.asarray(labels, dtype=bool)
+    return np.column_stack([~labels, labels]).astype(np.int64)
+
+
 def _order_key(i, scores):
     """Best first with NaN last; -0.0 and 0.0 tie."""
     s = scores[i]
@@ -515,7 +521,7 @@ def test_exact_metrics_are_the_mean_over_every_tie_order(values, data):
                    for h in hit_sums]
     want_f1 = [float(Fraction(2 * h, orders * (min(k, n) + positives))) if positives else 0.0
                for k, h in zip(ks, hit_sums)]
-    recall, f1 = _expected_recall(*score_cells(np.array(scores), np.array(labels)),
+    recall, f1 = _expected_recall(score_cells(np.array(scores), one_unit_per_row(labels)),
                                   np.minimum(ks, n))
     assert recall.tolist() == want_recall
     assert f1.tolist() == want_f1
@@ -537,8 +543,8 @@ def test_score_cells_group_as_rank_candidates_ranks(values, data, seed):
         members = list(members)
         positives = int(labels[members].sum())
         runs.append((positives, len(members) - positives))
-    rows, positives = score_cells(scores, labels)
-    assert list(zip(positives.tolist(), (rows - positives).tolist())) == runs
+    cells = score_cells(scores, one_unit_per_row(labels))
+    assert list(zip(cells[:, 1].tolist(), cells[:, 0].tolist())) == runs
 
 
 def test_untied_pool_reads_its_sorted_prefix():
@@ -548,6 +554,35 @@ def test_untied_pool_reads_its_sorted_prefix():
     scores = rng.permutation(40_000) / 7.0
     labels = rng.random(40_000) < 0.1
     ks = np.array([0, 1, 500, 39_999, 40_000, 40_001])
-    recall, _ = _expected_recall(*score_cells(scores, labels), np.minimum(ks, 40_000))
+    recall, _ = _expected_recall(score_cells(scores, one_unit_per_row(labels)),
+                                 np.minimum(ks, 40_000))
     best_first = labels[np.argsort(-scores)]
     assert recall.tolist() == [best_first[:k].sum() / labels.sum() for k in ks]
+
+
+# Weights with ties and signed zeros, bounded so that no score overflows.
+_WEIGHT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def models(draw) -> RiskModel:
+    """The fixed rule, or a model of any kind with finite drawn weights."""
+    kind = draw(st.sampled_from(ModelKind))
+    if kind is ModelKind.RULE_BASED and draw(st.booleans()):
+        return rule_based_model()
+    width = KIND_FEATURES[kind].shape[1]
+    weights = draw(st.lists(_WEIGHT, min_size=width, max_size=width), label="weights")
+    return RiskModel(kind, np.array(weights), draw(_WEIGHT, label="bias"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(), st.lists(st.integers(0, 511), min_size=1, max_size=12), st.data())
+def test_code_cells_equal_row_cells(model, values, data):
+    # A pool's cells grouped from its count table over the 512 code scores
+    # are the cells grouped from its rows' scores, one unit a row.
+    codes = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=200)))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(codes),
+                                         max_size=len(codes))))
+    by_code = score_cells(score_matrix(model, np.arange(512)), pattern_counts(codes, labels))
+    by_row = score_cells(score_matrix(model, codes), one_unit_per_row(labels))
+    assert by_code.dtype == by_row.dtype and by_code.tolist() == by_row.tolist()

@@ -50,12 +50,14 @@ def test_planted_beats_rule_on_planted_data():
 
 
 def test_each_pool_is_ranked_once_per_table(monkeypatch):
-    # Every capacity reads the cells of one grouping per (model, week).
+    # Every capacity reads the cells of one grouping per (model, week), and
+    # each grouping reads the week's count table over the 512 code scores.
     ranked = []
 
-    def counting(scores, labels):
-        ranked.append(len(scores))
-        return score_cells(scores, labels)
+    def counting(scores, counts):
+        assert len(scores) == len(counts) == 512
+        ranked.append(int(counts.sum()))
+        return score_cells(scores, counts)
 
     monkeypatch.setattr(evaluate, "score_cells", counting)
     params = small_params(weeks=(1, 5), n_per_week=150)

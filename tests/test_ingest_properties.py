@@ -82,6 +82,11 @@ def test_week_views_equal_the_per_record_encoding(rows):
         assert cohort.week_ids(week).tolist() == ids
         assert PATTERN_FEATURES[cohort.week_patterns(week)].tolist() == X
         assert cohort.week_labels(week).tolist() == y
+        counts = np.zeros((len(PATTERN_FEATURES), 2), dtype=np.int64)
+        for v, label in zip(X, y):
+            counts[sum(int(x) << (len(v) - 1 - j) for j, x in enumerate(v)), int(label)] += 1
+        assert cohort.week_counts(week).dtype == np.int64
+        assert cohort.week_counts(week).tolist() == counts.tolist()
 
 
 @settings(max_examples=80, deadline=None)

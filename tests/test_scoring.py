@@ -310,6 +310,14 @@ class TestScore:
         with pytest.raises(ValueError, match="pattern codes"):
             train(np.zeros(3), np.array([True, False, True]), ModelKind.LINEAR)
 
+    @pytest.mark.parametrize("code", [-1, 512])
+    def test_codes_outside_the_pattern_range_are_refused(self, code):
+        # Code -1 would read code 511's row, and 512 would index past the table.
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
+            score_matrix(rule_based_model(), np.array([3, code]))
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
+            train(np.array([3, code]), np.array([True, False]), ModelKind.LINEAR)
+
     def test_ranking_invariant_under_positive_affine_weights(self):
         # Power-of-two scale: exact in binary floating point, so the argsort
         # comparison is not confounded by near-tie rounding collisions.
@@ -492,3 +500,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RiskModel(kind=ModelKind.POLY2, weights=np.zeros(9), bias=0.0)
         RiskModel(kind=ModelKind.POLY2, weights=np.zeros(45), bias=0.0)
+
+    def test_a_model_equals_itself_and_hashes(self):
+        # Its weights are an array, so a model compares by identity.
+        model, twin = rule_based_model(), rule_based_model()
+        assert model == model and model != twin
+        assert hash(model) == hash(model)
+        assert model in {model} and twin not in {model}
