@@ -53,6 +53,7 @@ from .records import (
 from .scoring import (
     DegenerateTrainingError,
     ModelKind,
+    PATTERN_CODES,
     TrainConfig,
     load_model,
     rule_based_model,
@@ -347,20 +348,19 @@ def cmd_simulate(args, manifest: Manifest) -> None:
     )
 
     with manifest.artifact(args.out_trace) as tmp:
-        periods = trace.to_jsonl(tmp, manifest=manifest.name)
-    manifest.write_csv(args.out_summary, None, [summary_row(p) for p in periods])
+        summary = trace.to_jsonl(tmp, manifest=manifest.name)
+    manifest.write_csv(args.out_summary, None, summary)
 
     arm_names = ["", "", *(arm.name for arm in policy.arms)]  # at arm index + 2
     suffixes, order = [], []
     for p in trace.periods:
         sel = p.selection
-        # Scores come from a few hundred patterns, so a period's picks share
-        # few (channel, arm, score) suffixes: each distinct one is formatted
-        # once, keyed by the score's bits so that -0.0 keeps its sign. Arm
-        # index -2 marks an exploit pick.
+        # A pick's score is its pattern code's, so a period's picks share few
+        # (channel, arm, code) suffixes: each distinct one is formatted once.
+        # Arm index -2 marks an exploit pick.
         arm = np.concatenate([np.full(sel.n_exploit, -2), sel.arm]) + 2
-        _, score = np.unique(sel.scores.view(np.int64), return_inverse=True)
-        _, first, which = np.unique(score * len(arm_names) + arm, return_index=True,
+        codes = cohort.week_patterns(p.period)[sel.positions]
+        _, first, which = np.unique(arm * len(PATTERN_CODES) + codes, return_index=True,
                                     return_inverse=True)
         order.append(which + len(suffixes))
         suffixes += zip(repeat(p.period), np.where(arm[first], "explore", "exploit").tolist(),

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, Cohort
-from .scoring import RiskModel, score_matrix
+from .scoring import PATTERN_CODES, RiskModel, score_matrix
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -66,8 +66,6 @@ class CorrelationTable:
 
 #: Row c holds the features of pattern code c, as integers.
 _PATTERN_BITS = PATTERN_FEATURES.astype(np.int64)
-#: Every pattern code: a model scores these once, and a week is grouped by them.
-_CODES = np.arange(len(PATTERN_FEATURES))
 
 
 def weekly_correlations(cohort: Cohort) -> CorrelationTable:
@@ -161,7 +159,7 @@ def ranked_recall(
         raise MetricError(f"k must be >= 0, got {min(ks)}")
     recall = np.zeros((len(ks), len(weeks)))
     f1 = np.zeros_like(recall)
-    scores = score_matrix(model, _CODES)
+    scores = score_matrix(model, PATTERN_CODES)
     for i, week in enumerate(weeks):
         counts = cohort.week_counts(week)
         if not counts[:, 1].any():
@@ -245,7 +243,7 @@ def bootstrap_ci(
 
     # Scores per code are fixed by the model: group each week's table once.
     # Only the non-empty cells (each group's positive, then negative) are drawn.
-    scores, per_week, n_positive = score_matrix(model, _CODES), [], 0
+    scores, per_week, n_positive = score_matrix(model, PATTERN_CODES), [], 0
     for week in weeks:
         cells = score_cells(scores, cohort.week_counts(week))[:, ::-1].ravel()
         n, nonempty = int(cells.sum()), np.flatnonzero(cells)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import FEATURE_NAMES, PATTERN_FEATURES, one_of, read_ini, switch
-from .scoring import RiskModel, score_matrix
+from .scoring import PATTERN_CODES, RiskModel, as_pattern_codes, score_matrix
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -170,7 +170,9 @@ class Selection:
     explore_shortfall: int = 0
 
     def __post_init__(self):
-        if len(np.unique(self.positions)) != len(self.positions):
+        seen = np.zeros(self.positions.max(initial=-1) + 1, bool)
+        seen[self.positions] = True
+        if np.count_nonzero(seen) != len(self.positions):
             raise PolicyError("a pool position is picked twice")
 
 
@@ -187,19 +189,31 @@ def split_budget(capacity: int, exploration_fraction: float) -> tuple[int, int]:
     return capacity - k_explore, k_explore
 
 
-def rank_candidates(scores: np.ndarray, seed: int) -> np.ndarray:
-    """Positions of a pool's scores, best first.
+def rank_candidates(code_scores: np.ndarray, patterns: np.ndarray, k: int,
+                    seed: int) -> np.ndarray:
+    """The first ``min(k, n)`` positions of a pool's ranking, best first:
+    the pool being its records' pattern codes, ranked by their codes' scores
+    (``code_scores``, one per code).
 
     Ties are broken by a pre-shuffle: the pool is permuted uniformly at
     random (one ``rng.permutation`` draw from the stream derived from
     ``seed``) before a stable sort, so tie order is reproducible for a given
-    seed but carries no input-order bias. NaN scores rank last.
+    seed but carries no input-order bias. NaN scores rank last, and -0.0
+    ties with 0.0. The sort key is a record's score group: the rank of its
+    code's score among the distinct code scores, in uint16, so the stable
+    sort is a radix sort. Only the rows of the groups up to the first one
+    that reaches k are sorted.
     """
-    if len(scores) == 0:
+    if len(patterns) == 0:
         raise PolicyError("cannot rank an empty pool")
+    k = min(k, len(patterns))
     rng = np.random.default_rng(derive_seed(seed, "rank"))
-    perm = rng.permutation(len(scores))
-    return perm[np.argsort(-scores[perm], kind="stable")]
+    perm = rng.permutation(len(patterns))
+    _, group = np.unique(-code_scores, return_inverse=True)  # best first, NaN last
+    keys = group.astype(np.uint16)[patterns[perm]]
+    last = np.searchsorted(np.cumsum(np.bincount(keys)), k)  # the group that reaches k
+    prefix = np.flatnonzero(keys <= last)
+    return perm[prefix[np.argsort(keys[prefix], kind="stable")[:k]]]
 
 
 def thompson_allocate(
@@ -211,10 +225,11 @@ def thompson_allocate(
     """Assign up to k exploration slots across a pool's records (their
     pattern codes) by Thompson sampling.
 
-    Every draw comes first: one ``rng.permutation`` per arm, in arm order,
-    of its members in pool order (ascending record id in every pool that
-    :func:`select` builds); then one ``rng.beta`` block of ``min(k, covered)``
-    rows, a theta ~ Beta(alpha, beta) per arm in each.
+    Every draw comes first: one in-place ``rng.shuffle`` per arm, in arm
+    order, of its members in pool order (ascending record id in every pool
+    that :func:`select` builds), which draws what ``rng.permutation`` of
+    them would; then one ``rng.beta`` block of ``min(k, covered)`` rows, a
+    theta ~ Beta(alpha, beta) per arm in each.
     Slot t goes to the first argmax arm of row t, whose cursor walks its
     shuffled members past those already taken. An arm whose cursor runs off
     the end has no untested members: its column is dropped from rows t on
@@ -237,8 +252,12 @@ def thompson_allocate(
     rows = min(k, int(np.count_nonzero(np.logical_or.reduce(masks)[patterns])))
     # A cursor passes only taken records, and fewer than `rows` are taken
     # while a slot is open, so no cursor reads past the first `rows` members.
-    queues = [rng.permutation(np.flatnonzero(mask[patterns]))[:rows].tolist()
-              for mask in masks]
+    queues = []
+    for mask in masks:
+        members = np.flatnonzero(mask[patterns])
+        rng.shuffle(members)
+        queues.append(members[:rows].tolist())
+        del members  # so that no two arms' members are held at once
     theta = rng.beta([arm.alpha for arm in arms], [arm.beta for arm in arms],
                      size=(rows, len(arms)))
     winners = theta.argmax(axis=1).tolist()
@@ -277,32 +296,36 @@ def select(
     """One period's selection from the pool (its records' pattern codes)
     under the policy, its picks named by their positions in the pool.
 
-    The exploit set is the top of the ranking; the explore set is drawn
-    without replacement from the rest by the configured sampler. A pool no
-    larger than the capacity is selected in full. Pure function of
-    (pool, model, config/arm_states, seed). A strict-coverage error names
-    the uncovered members by their pool positions.
+    The exploit set is the top of the ranking (:func:`rank_candidates`, over
+    the model's scores of the 512 codes, which also give each pick's score);
+    the explore set is drawn without replacement from the rest by the
+    configured sampler. A pool no larger than the capacity is selected in
+    full. Pure function of (pool, model, config/arm_states, seed). A code
+    outside 0..511 is a ValueError. A strict-coverage error names the
+    uncovered members by their pool positions.
     """
     if len(patterns) == 0:
         raise PolicyError("cannot select from an empty pool")
+    patterns = as_pattern_codes(patterns)
     k_exploit, k_explore = split_budget(config.capacity, config.exploration_fraction)
-    scores = score_matrix(model, patterns)
-    ranked = rank_candidates(scores, seed)
+    code_scores = score_matrix(model, PATTERN_CODES)
 
     def picked(exploit: np.ndarray, explore: np.ndarray, arm: np.ndarray | None = None,
                shortfall: int = 0) -> Selection:
         positions = np.concatenate([exploit, explore])
-        return Selection(positions=positions, n_exploit=len(exploit), scores=scores[positions],
+        return Selection(positions=positions, n_exploit=len(exploit),
+                         scores=code_scores[patterns[positions]],
                          arm=np.full(len(explore), -1, dtype=np.intp) if arm is None else arm,
                          explore_shortfall=shortfall)
 
     if len(patterns) <= config.capacity:
+        ranked = rank_candidates(code_scores, patterns, len(patterns), seed)
         return picked(ranked[:k_exploit], ranked[k_exploit:])
 
-    exploit = ranked[:k_exploit]
+    exploit = rank_candidates(code_scores, patterns, k_exploit, seed)
     rest_mask = np.ones(len(patterns), dtype=bool)
     rest_mask[exploit] = False
-    rest = np.flatnonzero(rest_mask)
+    rest = np.flatnonzero(rest_mask).astype(np.int32)  # held through the exploration
 
     if k_explore == 0:
         return picked(exploit, rest[:0])
@@ -313,7 +336,7 @@ def select(
         chosen = rng.choice(rest, size=take, replace=False)
         return picked(exploit, chosen, shortfall=k_explore - take)
 
-    rest_patterns = np.asarray(patterns)[rest]
+    rest_patterns = patterns[rest]
     arms = config.arms if arm_states is None else arm_states
     if config.strict_arm_coverage:
         covered = np.logical_or.reduce(

@@ -322,7 +322,8 @@ class Cohort:
     Weeks are numbered within one ISO year: the years of the first and last
     dates must agree (the ISO year never falls as the date rises), else a
     :class:`DataError` lists the years present. A week's views list its
-    records in row order.
+    records in row order; their rows (:meth:`week_ids`) are int32, as is
+    the week arithmetic of the build.
     """
 
     test_date: np.ndarray  # datetime64[D]
@@ -351,8 +352,12 @@ class Cohort:
                 raise DataError(f"dates span ISO years {', '.join(map(str, years))}, but weeks "
                                 "are numbered within one; select one year with ingest "
                                 "--window-start/--window-end")
-            monday = date.fromisocalendar(year, 1, 1).toordinal() - _EPOCH_ORDINAL
-            week = ((day - monday) // 7 + 1).astype(np.uint8)
+            # In int32: a date of years 1..9999 counts under 3 million days.
+            week = day.astype(np.int32)
+            week -= date.fromisocalendar(year, 1, 1).toordinal() - _EPOCH_ORDINAL
+            week //= 7
+            week += 1
+            week = week.astype(np.uint8)
 
         # Pattern codes: symptoms are bits 8 to 4, indication i bit 3 - i, female
         # bit 0. The present-flags shift in one column at a time, the first
@@ -365,7 +370,8 @@ class Cohort:
         pattern |= np.right_shift(np.uint16(8), self.indication.view(np.uint8))
         pattern |= self.gender == Gender.FEMALE
 
-        order = np.argsort(week, kind="stable")  # a radix sort; keeps row order in a week
+        # A radix sort, which keeps row order in a week; rows are held in int32.
+        order = np.argsort(week, kind="stable").astype(np.int32)
         pattern = pattern[order]
         y = self.result[order] == TestResult.POSITIVE
         counts = np.bincount(week)
@@ -403,7 +409,7 @@ class Cohort:
             raise DataError(f"week {week} is not in the cohort (its weeks: {have})") from None
 
     def week_ids(self, week: int) -> np.ndarray:
-        """The rows of the week's records, ascending."""
+        """The rows of the week's records, ascending, in int32."""
         return self._view(week)[0]
 
     def week_patterns(self, week: int) -> np.ndarray:
@@ -632,6 +638,7 @@ def load_cohort(
     # Cast the distinct lines' codes, then gather: no row gathers a rejected code.
     test_date, columns = coded[0].astype("datetime64[D]")[accepted], coded[1:].astype(np.int8)
     symptoms, (result, indication, gender) = columns[:-3].T[accepted], columns[-3:, accepted]
+    del row_of, accepted, numbers, coded  # the per-line and per-row indices, before the build
     return Cohort(test_date, np.ascontiguousarray(symptoms), indication, gender, result), report
 
 

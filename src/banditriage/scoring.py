@@ -93,9 +93,12 @@ def expand_poly2(X: np.ndarray) -> np.ndarray:
 KIND_FEATURES = {kind: PATTERN_FEATURES for kind in ModelKind} | {
     ModelKind.POLY2: expand_poly2(PATTERN_FEATURES)}
 KIND_FEATURES[ModelKind.POLY2].flags.writeable = False
+#: Every pattern code: a model scores these once, and pools and weeks are
+#: ranked and grouped by them.
+PATTERN_CODES = np.arange(len(PATTERN_FEATURES))
 
 
-def _pattern_codes(X) -> np.ndarray:
+def as_pattern_codes(X) -> np.ndarray:
     """``X`` as an array of pattern codes; raises ValueError unless it is a
     1-D array of integers in 0..511."""
     codes = np.asarray(X)
@@ -153,7 +156,7 @@ def train(
     config = config or TrainConfig()
     if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
         raise ValueError(f"cannot train model kind {kind.value}")
-    codes = _pattern_codes(X)
+    codes = as_pattern_codes(X)
     positive = np.asarray(y, dtype=bool)
     if len(codes) != len(positive):
         raise ValueError("X must hold one pattern code per label")
@@ -195,7 +198,7 @@ def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
     """Risk score of every record of ``X``, an array of pattern codes, under
     the model: the rows of the kind's :data:`KIND_FEATURES` table are scored
     once and the scores gathered by code."""
-    codes = _pattern_codes(X)
+    codes = as_pattern_codes(X)
     return (KIND_FEATURES[model.kind] @ model.weights + model.bias)[codes]
 
 

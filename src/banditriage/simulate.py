@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,48 +116,87 @@ class SimulationTrace:
         for p in self.periods:
             sel = p.selection
             explore, drawn = p.record_ids[sel.n_exploit:], sel.arm >= 0
-            periods.append({
+            periods.append(dict(sorted({
+                **_period_fields(p),
                 "arm_assignments": _text_keyed(
                     explore[drawn], [self.policy.arms[i].name for i in sel.arm[drawn].tolist()]),
-                "arm_posteriors": dict(sorted(p.arm_posteriors.items())),
-                "events": p.events,
                 "exploit_ids": p.record_ids[:sel.n_exploit].tolist(),
                 "explore_ids": explore.tolist(),
-                "explore_shortfall": sel.explore_shortfall,
-                "f1": p.f1,
-                "model_version": p.model_version,
-                "period": p.period,
-                "pool_positives": p.pool_positives,
-                "pool_size": p.pool_size,
-                "precision": p.precision,
-                "recall": p.recall,
                 "revealed": _text_keyed(p.record_ids, p.labels.tolist()),
-                "type": "period",
-            })
+            }.items())))
         return periods
 
     def to_jsonl(self, path, *, manifest: str = "-") -> list[dict]:
         """One JSON object per line, keys sorted: a header, then one record
-        per period. Returns the period objects written (:meth:`period_dicts`)."""
-        periods = self.period_dicts()
+        per period, the ``json.dumps`` of its :meth:`period_dicts` object.
+        Each period's line is formatted from its picks as it is written:
+        each pick's id becomes text once, and no per-pick dict is built.
+        Returns each period's :func:`summary_row`."""
+        arm_names = [json.dumps(arm.name) for arm in self.policy.arms]
+        rows = []
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(self.header_dict(manifest), sort_keys=True) + "\n")
-            for obj in periods:
-                fh.write(json.dumps(obj) + "\n")
-        return periods
+            for p in self.periods:
+                n_exploit, fields = p.selection.n_exploit, _period_fields(p)
+                ids = list(map(str, p.record_ids.tolist()))
+                arm = np.concatenate([np.full(n_exploit, -1), p.selection.arm])
+                by_text = _text_order(p.record_ids)
+                drawn = by_text[arm[by_text] >= 0]
+                parts = {key: json.dumps(value) for key, value in fields.items()} | {
+                    "arm_assignments": _json_object(map(ids.__getitem__, drawn.tolist()), map(
+                        arm_names.__getitem__, arm[drawn].tolist())),
+                    "exploit_ids": "[%s]" % ", ".join(ids[:n_exploit]),
+                    "explore_ids": "[%s]" % ", ".join(ids[n_exploit:]),
+                    "revealed": _json_object(map(ids.__getitem__, by_text.tolist()), map(
+                        ("false", "true").__getitem__, p.labels[by_text].tolist())),
+                }
+                keys = sorted(parts)
+                fh.write(_json_object(keys, map(parts.__getitem__, keys)) + "\n")
+                rows.append(summary_row({**fields, "exploit_ids": p.record_ids[:n_exploit],
+                                         "explore_ids": p.record_ids[n_exploit:]}))
+        return rows
+
+
+def _json_object(keys: Iterable[str], values: Iterable[str]) -> str:
+    """A JSON object's text from its keys, none of which needs escaping, and
+    its values' JSON texts, in the order given."""
+    return "{%s}" % ", ".join(map('"{}": {}'.format, keys, values))
+
+
+def _period_fields(p: PeriodRecord) -> dict:
+    """A period's trace fields that do not list its picks."""
+    return {
+        "arm_posteriors": dict(sorted(p.arm_posteriors.items())),
+        "events": p.events,
+        "explore_shortfall": p.selection.explore_shortfall,
+        "f1": p.f1,
+        "model_version": p.model_version,
+        "period": p.period,
+        "pool_positives": p.pool_positives,
+        "pool_size": p.pool_size,
+        "precision": p.precision,
+        "recall": p.recall,
+        "type": "period",
+    }
 
 
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _text_keyed(ids: np.ndarray, values: list) -> dict[str, object]:
-    """``values`` keyed by the distinct ``ids`` (row numbers, so >= 0) as
-    text, in text order: the digits padded with zeros to one width, the
-    shorter first on a tie (1 < 10 < 2)."""
+def _text_order(ids: np.ndarray) -> np.ndarray:
+    """The order of the distinct ``ids`` (row numbers, so >= 0) as text:
+    the digits padded with zeros to one width, the shorter first on a tie
+    (1 < 10 < 2)."""
     size = ids.astype(np.uint64)
     digits = np.searchsorted(_POWERS_OF_TEN[1:], size, side="right")  # one less than its digits
     padded = size * _POWERS_OF_TEN[digits.max(initial=0) - digits]
-    order = np.lexsort((digits, padded))
+    return np.lexsort((digits, padded))
+
+
+def _text_keyed(ids: np.ndarray, values: list) -> dict[str, object]:
+    """``values`` keyed by the distinct ``ids`` (row numbers) as text, in
+    text order (:func:`_text_order`)."""
+    order = _text_order(ids)
     return dict(zip(map(str, ids[order].tolist()), map(values.__getitem__, order.tolist())))
 
 

@@ -109,16 +109,20 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
 
     Per week, in fixed draw order: symptom uniforms, one indication uniform,
     female uniform, label uniform, masking uniforms. Labels use the true
-    (pre-masking) features.
+    (pre-masking) features. Each week's codes are written straight into the
+    cohort's int8 and datetime64 columns.
     """
     rng = np.random.default_rng(params.seed)
     prev = params.feature_prevalence
     ind_probs = prev[_INDICATION_SLICE] / prev[_INDICATION_SLICE].sum()
     ind_cum = np.cumsum(ind_probs)
 
-    dates, symptoms, indication, gender, result = [], [], [], [], []
-    for week in params.week_list():
-        n = params.n_per_week
+    weeks, n = params.week_list(), params.n_per_week
+    test_date = np.empty(n * len(weeks), "datetime64[D]")
+    symptoms = np.empty((len(test_date), 5), np.int8)
+    indication, gender, result = (np.empty(len(test_date), np.int8) for _ in range(3))
+    for i, week in enumerate(weeks):
+        rows = slice(i * n, (i + 1) * n)
         model = planted_model(params, week)
         symptom_u = rng.random((n, 5))
         indication_u = rng.random(n)
@@ -139,20 +143,15 @@ def generate_cohort(params: GeneratorParams) -> Cohort:
 
         # Record i of the week is dated on weekday 1 + (i % 7).
         monday = np.datetime64(date.fromisocalendar(params.year, week, 1), "D")
-        dates.append(monday + np.arange(n) % 7)
+        test_date[rows] = monday + np.arange(n) % 7
         # Codes: TriState ABSENT/PRESENT are 0/1, Indication follows the one-hot order.
-        symptoms.append(np.where(masked, TriState.UNKNOWN, X[:, :5]))
-        indication.append(ind_choice)
-        gender.append(np.where(X[:, _FEMALE_IDX] == 1.0, Gender.FEMALE, Gender.MALE))
-        result.append(np.where(positive, TestResult.POSITIVE, TestResult.NEGATIVE))
+        symptoms[rows] = np.where(masked, TriState.UNKNOWN, X[:, :5])
+        indication[rows] = ind_choice
+        gender[rows] = np.where(X[:, _FEMALE_IDX] == 1.0, Gender.FEMALE, Gender.MALE)
+        result[rows] = np.where(positive, TestResult.POSITIVE, TestResult.NEGATIVE)
 
-    return Cohort(
-        test_date=np.concatenate(dates),
-        symptoms=np.concatenate(symptoms),
-        indication=np.concatenate(indication),
-        gender=np.concatenate(gender),
-        result=np.concatenate(result),
-    )
+    return Cohort(test_date=test_date, symptoms=symptoms, indication=indication, gender=gender,
+                  result=result)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
+from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
 from banditriage.records import (
     FEATURE_NAMES,
     SYMPTOM_FIELDS,
@@ -60,6 +62,36 @@ def row_wise_scores(model: RiskModel, X: np.ndarray) -> np.ndarray:
     """
     E = expand_poly2(X) if model.kind is ModelKind.POLY2 else np.asarray(X, dtype=float)
     return np.array([(np.tile(e, (8, 1)) @ model.weights + model.bias)[0] for e in E])
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pool_policy() -> PolicyConfig:
+    """A Thompson policy of capacity 6000 at rho 0.4 over five overlapping arms
+    that cover every record, as in the benchmark's Thompson pool."""
+    arms = [("contact", "contact_with_confirmed=1", 2.0, 2.0), ("abroad", "abroad=1", 1.0, 2.0),
+            ("fever", "fever=1", 1.0, 1.0), ("cough", "cough=1", 1.0, 1.0),
+            ("other", "other_indication=1", 1.0, 1.0)]
+    return PolicyConfig(capacity=6000, exploration_fraction=0.4, sampler=Sampler.THOMPSON,
+                        arms=tuple(ArmSpec(name, ArmPredicate.from_text(text), alpha, beta)
+                                   for name, text, alpha, beta in arms),
+                        strict_arm_coverage=True)
+
+
+def pool_model() -> RiskModel:
+    """A linear model with a weight on every feature, so that nearly every
+    pattern code scores apart."""
+    return RiskModel(kind=ModelKind.LINEAR, bias=-3.4, weights=feature_array(
+        cough=0.8, fever=0.9, sore_throat=0.65, shortness_of_breath=0.55, head_ache=1.6,
+        contact_with_confirmed=2.6, abroad=0.4, female=-0.05))
 
 
 def small_params(**overrides) -> GeneratorParams:

@@ -532,14 +532,18 @@ def test_exact_metrics_are_the_mean_over_every_tie_order(values, data):
 def test_score_cells_group_as_rank_candidates_ranks(values, data, seed):
     # A pool's scores drawn with repeats, ranked by the selection's seeded
     # ranking: its runs of equal scores (NaN equal to NaN) are the cells'
-    # groups, in order, with their positive and negative counts.
-    scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=200)))
+    # groups, in order, with their positive and negative counts. Each drawn
+    # value is a code's score, and each row has one of those codes.
+    code_scores = np.array(values)
+    patterns = np.array(data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1,
+                                           max_size=200)))
+    scores = code_scores[patterns]
     labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
                                          max_size=len(scores))))
     order = [_order_key(i, scores.tolist()) for i in range(len(scores))]
     runs = []
-    for _, members in itertools.groupby(rank_candidates(scores, seed).tolist(),
-                                        key=order.__getitem__):
+    ranked = rank_candidates(code_scores, patterns, len(patterns), seed)
+    for _, members in itertools.groupby(ranked.tolist(), key=order.__getitem__):
         members = list(members)
         positives = int(labels[members].sum())
         runs.append((positives, len(members) - positives))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditriage.policy import (
@@ -27,10 +27,14 @@ from banditriage.policy import (
     update_arm,
 )
 from banditriage.records import FEATURE_NAMES, PATTERN_FEATURES
-from banditriage.scoring import RiskModel, ModelKind, rule_based_model, score_matrix
+from banditriage.scoring import (PATTERN_CODES, ModelKind, RiskModel, rule_based_model,
+                                 score_matrix)
 from banditriage.seeds import derive_seed
 
-from conftest import codes_of, feature_array
+from banditriage.synthgen import generate_cohort
+
+from conftest import (codes_of, feature_array, pool_model, pool_policy, small_params,
+                      traced_peak)
 
 
 def linear_model(**kv):
@@ -45,7 +49,7 @@ def pool_of(vectors):
 
 def ranked_ids(model, ids, X, seed):
     """The pool's ids in the model's seeded ranking order."""
-    return ids[rank_candidates(score_matrix(model, X), seed)]
+    return ids[rank_candidates(score_matrix(model, PATTERN_CODES), X, len(X), seed)]
 
 
 def picked_ids(sel, ids):
@@ -133,7 +137,8 @@ class TestRankCandidates:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(PolicyError):
-            rank_candidates(score_matrix(rule_based_model(), np.zeros(0, np.uint16)), seed=0)
+            rank_candidates(score_matrix(rule_based_model(), PATTERN_CODES), np.zeros(0, np.uint16),
+                            k=0, seed=0)
 
     def test_top_k_is_prefix_of_full_ranking(self):
         # select's exploit set at capacity k is the first k of the one seeded
@@ -147,6 +152,42 @@ class TestRankCandidates:
             for k in (1, 30, 100, 150):
                 sel = select(X, model, uniform_config(k, 0.0), seed=seed)
                 assert picked_ids(sel, ids) == (full[:k].tolist(), [])
+
+
+_PALETTE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PALETTE, min_size=1, max_size=8), st.integers(1, 2000), st.data(),
+       st.integers(0, 2**32 - 1))
+@example([0.0, -0.0, np.nan], 2000, None, 7).via("every k: both zeros and NaN tie in groups")
+def test_rank_candidates_is_the_float_ranking_prefix(palette, n, data, seed):
+    # The reference ranks the rows themselves: the same pre-shuffle, then a
+    # stable float sort of the negated scores (NaN last, -0.0 equal to 0.0),
+    # cut at k. The code scores repeat a few values, so groups are large.
+    rng = np.random.default_rng(seed)
+    code_scores = np.array(palette)[rng.integers(len(palette), size=len(PATTERN_CODES))]
+    patterns = rng.integers(0, len(PATTERN_CODES), size=n).astype(np.uint16)
+    perm = np.random.default_rng(derive_seed(seed, "rank")).permutation(n)
+    reference = perm[np.argsort(-code_scores[patterns][perm], kind="stable")]
+    ks = range(n + 2) if data is None else [data.draw(st.integers(0, n + 1), label="k")]
+    for k in ks:
+        ranked = rank_candidates(code_scores, patterns, k, seed)
+        assert ranked.tolist() == reference[:k].tolist()
+
+
+def test_thompson_select_peak_memory_is_bounded_per_row():
+    # A 50k-row pool at capacity 6000 with Thompson exploration: only the
+    # exploit prefix is sorted, on uint16 score-group keys, and each arm's
+    # members are shuffled in int32. Sorting the whole pool by its float
+    # scores peaked near 47 bytes a row.
+    cohort = generate_cohort(small_params(n_per_week=25_000, weeks=(1, 2), seed=5))
+    pool = np.concatenate([cohort.week_patterns(week) for week in cohort.weeks])
+    model, config = pool_model(), pool_policy()
+    select(pool, model, config, seed=1)
+    sel, peak = traced_peak(lambda: select(pool, model, config, seed=1))
+    assert peak <= 32 * len(pool)
+    assert len(sel.positions) == config.capacity and sel.n_exploit == 3600
 
 
 def uniform_config(capacity, rho, **kv):

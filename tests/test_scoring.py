@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
+from banditriage.policy import PolicyConfig, select
 from banditriage.records import N_FEATURES, PATTERN_FEATURES
 from banditriage.scoring import (
     DegenerateTrainingError,
@@ -317,6 +318,8 @@ class TestScore:
             score_matrix(rule_based_model(), np.array([3, code]))
         with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
             train(np.array([3, code]), np.array([True, False]), ModelKind.LINEAR)
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
+            select(np.array([3, code]), rule_based_model(), PolicyConfig(capacity=1), seed=0)
 
     def test_ranking_invariant_under_positive_affine_weights(self):
         # Power-of-two scale: exact in binary floating point, so the argsort

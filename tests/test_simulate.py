@@ -18,13 +18,14 @@ from banditriage.simulate import (
     OverlapError,
     _text_keyed,
     run_replay,
+    summary_row,
     sweep_exploration,
     train_eval_split_experiment,
     train_on_weeks,
 )
 from banditriage.synthgen import generate_cohort, planted_model, resolve_scenario
 
-from conftest import make_record, small_params
+from conftest import make_record, pool_model, pool_policy, small_params, traced_peak
 
 
 def uniform_policy(capacity, rho=0.0, **kv):
@@ -223,9 +224,10 @@ class TestRunReplay:
                               sampler=Sampler.THOMPSON, arms=arms)
         trace = run_replay(cohort, None, policy, retrain_every=1, seed=4)
         path = tmp_path / "t.jsonl"
-        written = trace.to_jsonl(path)
+        summary = trace.to_jsonl(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1:] == [json.dumps(obj) for obj in written]
+        assert lines[1:] == [json.dumps(obj) for obj in trace.period_dicts()]
+        assert summary == [summary_row(obj) for obj in trace.period_dicts()]
         for line in lines:
             assert line == json.dumps(json.loads(line), sort_keys=True)
         first = json.loads(lines[1])
@@ -233,6 +235,19 @@ class TestRunReplay:
             ids = [int(text) for text in first[key]]
             assert ids != sorted(ids) and len(ids) == len(set(ids)) > 0
         assert list(first["arm_posteriors"]) == ["contacts", "others"]
+
+
+def test_trace_peak_memory_is_bounded_per_pick(tmp_path):
+    # Two 25k-row weeks at capacity 6000: each period's line is written as
+    # it is formatted, with no per-pick dict. Building every period's
+    # object first peaked near 300 bytes a pick.
+    cohort = generate_cohort(small_params(n_per_week=25_000, weeks=(1, 2), seed=5))
+    trace = run_replay(cohort, pool_model(), pool_policy(), retrain_every=0, seed=7)
+    picks = sum(len(p.record_ids) for p in trace.periods)
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    _, peak = traced_peak(lambda: trace.to_jsonl(path))
+    assert picks == 12_000 and peak <= 160 * picks
 
 
 @given(st.dictionaries(st.integers(0, 2**63 - 1) | st.integers(0, 200), st.booleans(),
