@@ -5,9 +5,9 @@ L2-regularized logistic loss.
 A trained model's score is its margin w.x + b, an estimate of the log-odds
 of a positive result. Any monotone calibration of a margin induces the same
 ranking, and ranking is the only downstream use, so no calibration step
-exists here. Records enter as pattern codes (:data:`PATTERN_FEATURES`), and
-each model kind reads its features of a code from one table
-(:data:`KIND_FEATURES`).
+exists here. Scoring reads records as pattern codes (:data:`PATTERN_FEATURES`),
+training reads their (pattern code, label) count table, and each model kind
+reads its features of a code from one table (:data:`KIND_FEATURES`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, pattern_counts, read_text
+from .records import FEATURE_NAMES, N_FEATURES, PATTERN_FEATURES, read_text
 
 log = logging.getLogger(__name__)
 
@@ -116,30 +116,28 @@ class TrainConfig:
     epochs: int = 20  # cap on Newton iterations
 
     def __post_init__(self):
-        if self.regularization <= 0:
-            raise ValueError("regularization must be > 0")
+        if not 0 < self.regularization < np.inf:
+            raise ValueError("regularization must be a finite number > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
 
-def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    kind: ModelKind,
-    config: TrainConfig | None = None,
-) -> RiskModel:
-    """Fit a log-odds ranker on (pattern code per record, binary label).
+def train(X: np.ndarray, kind: ModelKind, config: TrainConfig | None = None) -> RiskModel:
+    """Fit a log-odds ranker on a (pattern code, label) count table ``X``:
+    (512, 2) non-negative integers in the layout of
+    :func:`~banditriage.records.pattern_counts`. A table of another shape or
+    dtype, with a negative count, or all zero is a ValueError; a table of one
+    class is a :class:`DegenerateTrainingError`.
 
     L2-regularized logistic regression: minimize the mean log-loss plus
     lam/2 ||w||^2, the bias being an augmented, regularized constant
-    coordinate, by damped Newton's method from w = 0 (IRLS; McCullagh &
-    Nelder, *Generalized Linear Models*, 1989, ch. 4).
+    coordinate, by damped Newton's method from w = 0 (IRLS on grouped binomial
+    data; McCullagh & Nelder, *Generalized Linear Models*, 1989, ch. 4).
 
-    ``X`` holds one pattern code per record, so the records fall into at
-    most 2 * 192 groups of equal (pattern, label), their nonzero cells of
-    :func:`~banditriage.records.pattern_counts` in ascending order. The loss,
-    gradient and Hessian are sums over the groups weighted by their record
-    counts; each group's features are its code's row of :data:`KIND_FEATURES`.
+    The groups are the table's nonzero cells, at most 2 * 192, in ascending
+    order. The loss, gradient and Hessian are sums over the groups weighted
+    by their counts; each group's features are its code's row of
+    :data:`KIND_FEATURES`.
 
     Damping: a Newton step n that moves some group's margin by at most
     delta = max_g |x_g.n| is scaled by log(1 + delta)/delta. The log-loss
@@ -150,28 +148,30 @@ def train(
 
     The fit stops once a step's max-norm is <= 1e-10, or after
     ``config.epochs`` steps with a logged warning. It draws no random
-    numbers, and rows enter only through their group counts, so the same
-    rows in any order give bitwise-identical weights.
+    numbers, so the same table gives bitwise-identical weights.
     """
     config = config or TrainConfig()
     if kind not in (ModelKind.LINEAR, ModelKind.POLY2):
         raise ValueError(f"cannot train model kind {kind.value}")
-    codes = as_pattern_codes(X)
-    positive = np.asarray(y, dtype=bool)
-    if len(codes) != len(positive):
-        raise ValueError("X must hold one pattern code per label")
-    if len(codes) == 0:
+    counts = np.asarray(X)
+    if counts.shape != (len(PATTERN_FEATURES), 2) or counts.dtype.kind not in "iu":
+        raise ValueError(f"want a ({len(PATTERN_FEATURES)}, 2) table of integer counts, got "
+                         f"{counts.dtype} of shape {counts.shape}")
+    if counts.min() < 0:
+        raise ValueError("counts must be >= 0")
+    total = counts.sum()
+    if not total:
         raise ValueError("empty training set")
-    if positive.all() or not positive.any():
+    if not counts.any(axis=0).all():  # a class without records
         raise DegenerateTrainingError("training set contains a single class")
-    counts = pattern_counts(codes, positive).ravel()
+    counts = counts.ravel()
     groups = np.flatnonzero(counts)
     lam = config.regularization
 
     x = KIND_FEATURES[kind][groups >> 1]
     x = np.hstack([x, np.ones((len(x), 1))])  # bias as last coordinate
     sign = np.where(groups & 1, 1.0, -1.0)
-    share = counts[groups] / len(codes)
+    share = counts[groups] / total
 
     w = np.zeros(x.shape[1])
     for _ in range(config.epochs):
@@ -207,6 +207,8 @@ def score_matrix(model: RiskModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FORMAT_TAG = "banditriage-model v1"
+#: The header fields :func:`save_model` writes, ``weights`` last.
+_FIELDS = ("manifest", "trained_weeks", "kind", "base_dim", "feature_hash", "bias", "weights")
 
 
 def feature_order_hash() -> str:
@@ -229,20 +231,26 @@ def save_model(model: RiskModel, path: str | Path, *, manifest: str = "-") -> No
 
 
 def load_model(path: str | Path) -> RiskModel:
-    """The model a :func:`save_model` file holds. A malformed file, one for
-    another encoding, or a model :class:`RiskModel` refuses is a ValueError
-    naming the file. A file without a ``trained_weeks`` line, or with ``-``
-    there, holds a model of no training weeks."""
+    """The model a :func:`save_model` file holds. A malformed file (an
+    unknown or repeated header field, or other than ``weights`` lines after
+    it, trailing blank lines aside), one for another encoding, or a model
+    :class:`RiskModel` refuses is a ValueError naming the file. A file
+    without a ``trained_weeks`` line, or with ``-`` there, holds a model of
+    no training weeks."""
     lines = read_text(path, ValueError, "model file").splitlines()
     if not lines or lines[0] != _FORMAT_TAG:
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
     fields, rest = {}, []
     for i, line in enumerate(lines[1:], start=1):
         key, _, value = line.partition(" ")
+        if key not in _FIELDS or key in fields:
+            raise ValueError(f"{path}: {'repeated' if key in fields else 'unknown'} field {key!r}")
         fields[key] = value
         if key == "weights":
             rest = lines[i + 1 :]
             break
+    while rest and not rest[-1].strip():  # trailing blank lines
+        rest.pop()
     for required in ("kind", "base_dim", "feature_hash", "bias", "weights"):
         if required not in fields:
             raise ValueError(f"{path}: missing field {required!r}")
@@ -253,9 +261,9 @@ def load_model(path: str | Path) -> RiskModel:
     weeks = fields.get("trained_weeks", "-")
     try:
         n_weights = int(fields["weights"])
-        weights = np.array([float(line) for line in rest[:n_weights]])
-        if len(weights) != n_weights:
-            raise ValueError(f"expected {n_weights} weight lines")
+        if len(rest) != n_weights:
+            raise ValueError(f"expected {n_weights} weight lines, got {len(rest)}")
+        weights = np.array([float(line) for line in rest])
         trained = () if weeks in ("-", "") else tuple(map(int, weeks.split(",")))
         return RiskModel(ModelKind(fields["kind"]), weights, float(fields["bias"]), trained)
     except ValueError as exc:

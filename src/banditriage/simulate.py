@@ -1,10 +1,11 @@
 """Period-by-period replay of a cohort under a testing policy.
 
 Each week: score the pool, select per policy, reveal labels only for the
-selected records, fold the revealed labels into the labeled store, and
-retrain at period boundaries per the cadence. The model active in period t
-was trained only on labels revealed before t; traces carry enough lineage
-to assert that. The exploration sweep is the exact mean of static replays.
+selected records, add their (pattern code, label) counts to the labeled
+store, and retrain on the store at period boundaries per the cadence. The
+model active in period t was trained only on labels revealed before t;
+traces carry enough lineage to assert that. The exploration sweep is the
+exact mean of static replays.
 """
 
 from __future__ import annotations
@@ -19,15 +20,9 @@ import numpy as np
 from .evaluate import ranked_recall
 from .policy import (PolicyConfig, Selection, UncoveredCandidateError, select, split_budget,
                      update_arm)
-from .records import Cohort
-from .scoring import (
-    DegenerateTrainingError,
-    ModelKind,
-    RiskModel,
-    TrainConfig,
-    rule_based_model,
-    train,
-)
+from .records import Cohort, pattern_counts
+from .scoring import (PATTERN_CODES, DegenerateTrainingError, ModelKind, RiskModel, TrainConfig,
+                      rule_based_model, train)
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -232,7 +227,8 @@ def run_replay(
     ``model0`` is the cold-start scorer (the fixed rule when omitted).
     ``retrain_every`` is the cadence in periods; 0 never retrains (static
     model); each retrain fits ``retrain_kind`` under the default
-    :class:`TrainConfig`. Labels enter the labeled store per
+    :class:`TrainConfig`. The labeled store is one running (pattern code,
+    label) count table, which the picks' counts enter per
     ``policy.retrain_on``: both channels, or the exploration channel only.
     Retraining failure on a single-class store keeps the current model and
     logs an event; a surveillance loop must not halt on a degenerate week.
@@ -264,8 +260,7 @@ def run_replay(
     version = 0
 
     arm_states = policy.arms
-    labeled_patterns: list[np.ndarray] = []
-    labeled_y: list[np.ndarray] = []
+    store = np.zeros((len(PATTERN_CODES), 2), dtype=np.int64)
     labeled_periods: list[int] = []
 
     for step, period in enumerate(weeks, start=1):
@@ -300,8 +295,7 @@ def run_replay(
         if policy.retrain_on == "exploration_only":
             rows = rows[selection.n_exploit:]
         if len(rows):
-            labeled_patterns.append(patterns[rows])
-            labeled_y.append(y[rows])
+            store += pattern_counts(patterns[rows], y[rows])
             labeled_periods.append(period)
 
         trace.periods.append(
@@ -322,10 +316,9 @@ def run_replay(
         )
 
         is_last = step == len(weeks)
-        if retrain_every and step % retrain_every == 0 and not is_last and labeled_patterns:
-            y_train = np.concatenate(labeled_y)
+        if retrain_every and step % retrain_every == 0 and not is_last and labeled_periods:
             try:
-                model = train(np.concatenate(labeled_patterns), y_train, retrain_kind)
+                model = train(store, retrain_kind)
             except DegenerateTrainingError:
                 trace.periods[-1].events.append(
                     "retrain skipped: labeled store is single-class; model carried over"
@@ -342,8 +335,8 @@ def run_replay(
                             f"{labeled_periods[0]}..{labeled_periods[-1]}"
                         ),
                         source_periods=tuple(labeled_periods),
-                        n_labeled=len(y_train),
-                        n_positive=int(y_train.sum()),
+                        n_labeled=int(store.sum()),
+                        n_positive=int(store[:, 1].sum()),
                     )
                 )
     return trace
@@ -389,8 +382,9 @@ def sweep_exploration(
 
 def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
                    config: TrainConfig | None = None) -> RiskModel:
-    """A model fitted on the cohort's records of those of ``weeks`` that the
-    cohort holds, which become the model's ``trained_weeks``.
+    """A model fitted on the summed count tables (:meth:`Cohort.week_counts`)
+    of those of ``weeks`` that the cohort holds, which become the model's
+    ``trained_weeks``.
 
     Raises ValueError if none of the weeks holds a record.
     """
@@ -398,8 +392,7 @@ def train_on_weeks(cohort: Cohort, weeks: Sequence[int], kind: ModelKind,
     trained = [w for w in cohort.weeks if w in wanted]
     if not trained:
         raise ValueError(f"no records in training weeks {list(weeks)}")
-    model = train(np.concatenate([cohort.week_patterns(w) for w in trained]),
-                  np.concatenate([cohort.week_labels(w) for w in trained]), kind, config)
+    model = train(sum(map(cohort.week_counts, trained)), kind, config)
     return replace(model, trained_weeks=tuple(trained))
 
 

@@ -605,15 +605,26 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("case, message", [
         ("trained-weeks-1,x", "invalid literal for int() with base 10: 'x'"),
         ("linear-45-weights", "linear model needs 9 weights, got 45"),
-    ], ids=["trained-weeks-1,x", "linear-45-weights"])
+        ("unknown-field", "unknown field 'colour'"),
+        ("repeated-field", "repeated field 'kind'"),
+        ("45-lines-under-weights-9", "expected 9 weight lines, got 45"),
+    ], ids=["trained-weeks-1,x", "linear-45-weights", "unknown-field", "repeated-field",
+            "45-lines-under-weights-9"])
     def test_bad_model_header_is_data_error_naming_it(self, workdir, small_cohort_csv,
                                                       small_model, capsys, command, case,
                                                       message):
-        # Every command that reads a model file reads its header the same way.
+        # Every command that reads a model file reads its header the same way,
+        # and refuses what save_model never writes.
         text = small_model.read_text(encoding="utf-8")
+        assert "\nkind linear\n" in text and "\nweights 9\n" in text
         if case == "linear-45-weights":
-            assert "\nkind linear\n" in text and "\nweights 9\n" in text
             text = text.replace("\nweights 9\n", "\nweights 45\n") + "0.0\n" * 36
+        elif case == "unknown-field":
+            text = text.replace("\nkind linear\n", "\ncolour blue\nkind linear\n")
+        elif case == "repeated-field":
+            text = text.replace("\nkind linear\n", "\nkind linear\nkind linear\n")
+        elif case == "45-lines-under-weights-9":
+            text += "0.0\n" * 36
         else:
             assert "\ntrained_weeks 1,2\n" in text
             text = text.replace("\ntrained_weeks 1,2\n", "\ntrained_weeks 1,x\n")
@@ -1077,6 +1088,16 @@ class TestGoldenArtifacts:
                         "selections.csv":
                             "be6cb79b6ebf525e7db473cecbdc70acec7cfc6b3d53e5622d9099a795a41b5d",
                     }),
+        "exploration_only": ("[policy]\ncapacity = 120\nexploration_fraction = 0.4\n"
+                             "retrain_on = exploration_only\n",
+                             ["--retrain-every", "1", "--retrain-kind", "linear", "--seed", "9"], {
+                        "trace.jsonl":
+                            "a15501efe685beba8fcb9f7fc153c5efbff06c2e971b7b99b403b46fe2682a28",
+                        "summary.csv":
+                            "09e93f21e02f85e8d3d95659d9d763dd38063ce9380c04e2f16892e3d3292fd9",
+                        "selections.csv":
+                            "472db0364a9d75d0e0f12f6bae2ae884d852fda678a5c604eb1faaa935f20ac9",
+                    }),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -1089,6 +1110,27 @@ class TestGoldenArtifacts:
                     "--out-dir", str(out), "--quiet"]) == EXIT_OK
         assert {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
                 for artifact in digests} == digests
+
+    #: train flags and the sha256 of the model file they write; "capped"
+    #: stops at its iteration cap before converging.
+    MODEL_RUNS = {
+        "poly2": (["--kind", "poly2"],
+                  "10f3f540a154be7b6f6b3d4dfd510e38606b3ed0645f7c375ebc34458b88231a"),
+        "linear": (["--kind", "linear"],
+                   "1419d9c234accd1d43ce886cd1ac9c0d8497f313cca07d5245afa3e6fcf356cf"),
+        "capped": (["--kind", "poly2", "--regularization", "1e-2", "--epochs", "2"],
+                   "a0e30637d5be1b44c27e1fa729bd817b55a07d32415f662f8f2f11734747ab72"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODEL_RUNS))
+    def test_trained_models_are_pinned(self, workdir, small_cohort_csv, capsys, name):
+        flags, digest = self.MODEL_RUNS[name]
+        out = workdir / name
+        capsys.readouterr()
+        assert run(["train", "--cohort", str(small_cohort_csv), *flags, "--out", "model.txt",
+                    "--out-dir", str(out), "--seed", "5"]) == EXIT_OK
+        assert ("stopped at the cap" in capsys.readouterr().err) == (name == "capped")
+        assert hashlib.sha256((out / "model.txt").read_bytes()).hexdigest() == digest
 
     #: argv of each metric command ({cohort} and {model} filled in) and the
     #: sha256 of each artifact. The rule ties heavily on the oracle cohort,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
 from banditriage.policy import PolicyConfig, select
-from banditriage.records import N_FEATURES, PATTERN_FEATURES
+from banditriage.records import N_FEATURES, PATTERN_FEATURES, pattern_counts
 from banditriage.scoring import (
     DegenerateTrainingError,
     KIND_FEATURES,
@@ -205,29 +205,30 @@ class TestTrain:
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.POLY2])
     def test_separable_set_is_ranked_perfectly(self, kind):
         X, y = separable_dataset()
-        model = train(X, y, kind, TrainConfig())
+        model = train(pattern_counts(X, y), kind, TrainConfig())
         scores = score_matrix(model, X)
         assert scores[y].min() > scores[~y].max()
 
     def test_same_seed_bitwise_equal(self):
         X, y = separable_dataset(seed=4)
-        a = train(X, y, ModelKind.POLY2, TrainConfig())
-        b = train(X, y, ModelKind.POLY2, TrainConfig())
+        a = train(pattern_counts(X, y), ModelKind.POLY2, TrainConfig())
+        b = train(pattern_counts(X, y), ModelKind.POLY2, TrainConfig())
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_single_class_errors(self):
         X, _ = separable_dataset()
         with pytest.raises(DegenerateTrainingError):
-            train(X, np.ones(len(X), dtype=bool), ModelKind.LINEAR, TrainConfig())
+            train(pattern_counts(X, np.ones(len(X), dtype=bool)), ModelKind.LINEAR, TrainConfig())
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            train(np.zeros(0, np.uint16), np.zeros(0, dtype=bool), ModelKind.LINEAR, TrainConfig())
+        with pytest.raises(ValueError, match="empty training set"):
+            train(pattern_counts(np.zeros(0, np.uint16), np.zeros(0, dtype=bool)),
+                  ModelKind.LINEAR, TrainConfig())
 
     def test_rule_based_not_trainable(self):
         X, y = separable_dataset()
         with pytest.raises(ValueError):
-            train(X, y, ModelKind.RULE_BASED, TrainConfig())
+            train(pattern_counts(X, y), ModelKind.RULE_BASED, TrainConfig())
 
     def test_objective_no_worse_than_zero_vector(self):
         # Holds on an easy set and on a sparse noisy one.
@@ -236,7 +237,7 @@ class TestTrain:
             X = np.concatenate([cohort.week_patterns(w) for w in cohort.weeks])
             y = np.concatenate([cohort.week_labels(w) for w in cohort.weeks])
             config = TrainConfig()
-            model = train(X, y, ModelKind.POLY2, config)
+            model = train(pattern_counts(X, y), ModelKind.POLY2, config)
             Xa = augmented(PATTERN_FEATURES[X], ModelKind.POLY2)
             w_full = np.concatenate([model.weights, [model.bias]])
             trained = logistic_objective(Xa, y, w_full, config.regularization)
@@ -248,7 +249,7 @@ class TestTrain:
     def test_converged_fit_has_zero_gradient(self, data, kind, config):
         X, y = data
         with logged_warnings() as warnings:
-            model = train(X, y, kind, config)
+            model = train(pattern_counts(X, y), kind, config)
         assert len(warnings) <= 1
         if not warnings:  # converged within the cap
             w_full = np.concatenate([model.weights, [model.bias]])
@@ -260,7 +261,7 @@ class TestTrain:
     @given(data=binary_training_sets(), kind=KINDS, config=CONFIGS)
     def test_matches_per_row_reference(self, data, kind, config):
         X, y = data
-        got = train(X, y, kind, config)
+        got = train(pattern_counts(X, y), kind, config)
         want = _reference_train(PATTERN_FEATURES[X], y, kind, config)
         assert np.max(np.abs(got.weights - want.weights)) <= 1e-9
         assert abs(got.bias - want.bias) <= 1e-9
@@ -271,13 +272,14 @@ class TestTrain:
     def test_row_order_does_not_change_weights(self, data, kind, config, seed):
         X, y = data
         order = np.random.default_rng(seed).permutation(len(y))
-        a = train(X, y, kind, config)
-        b = train(X[order], y[order], kind, config)
+        a = train(pattern_counts(X, y), kind, config)
+        b = train(pattern_counts(X[order], y[order]), kind, config)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            TrainConfig(regularization=0.0)
+        for regularization in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="regularization"):
+                TrainConfig(regularization=regularization)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
@@ -302,22 +304,32 @@ class TestScore:
         assert score_one(model, fv) == rule_score(fv) == 3.0
 
     def test_dimension_mismatch(self):
-        # A feature matrix, or codes held as floats, is no array of codes.
+        # A feature matrix, or codes held as floats, is no array of codes;
+        # nor is either, or a table of float or bool counts, a count table.
         model = rule_based_model()
         with pytest.raises(ValueError, match="pattern codes"):
             score_matrix(model, np.zeros((3, N_FEATURES)))
         with pytest.raises(ValueError, match="pattern codes"):
             score_matrix(model, np.zeros(3))
-        with pytest.raises(ValueError, match="pattern codes"):
-            train(np.zeros(3), np.array([True, False, True]), ModelKind.LINEAR)
+        for table in (np.zeros((3, N_FEATURES), dtype=np.int64), np.zeros(3, dtype=np.int64),
+                      np.ones((len(PATTERN_FEATURES), 2)),
+                      np.ones((len(PATTERN_FEATURES), 2), dtype=bool)):
+            with pytest.raises(ValueError, match=r"want a \(512, 2\) table of integer counts"):
+                train(table, ModelKind.LINEAR)
 
     @pytest.mark.parametrize("code", [-1, 512])
     def test_codes_outside_the_pattern_range_are_refused(self, code):
         # Code -1 would read code 511's row, and 512 would index past the table.
         with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
             score_matrix(rule_based_model(), np.array([3, code]))
-        with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
-            train(np.array([3, code]), np.array([True, False]), ModelKind.LINEAR)
+        # A count table holds no such code: a count of -1, or a 513th row, is malformed.
+        table = pattern_counts(np.array([3, 4]), np.array([True, False]))
+        if code < 0:
+            table[3, 1] = code
+        else:
+            table = np.vstack([table, [[0, 1]]])
+        with pytest.raises(ValueError, match="counts must be >= 0" if code < 0 else "want a"):
+            train(table, ModelKind.LINEAR)
         with pytest.raises(ValueError, match=r"must lie in 0\.\.511"):
             select(np.array([3, code]), rule_based_model(), PolicyConfig(capacity=1), seed=0)
 
@@ -325,7 +337,7 @@ class TestScore:
         # Power-of-two scale: exact in binary floating point, so the argsort
         # comparison is not confounded by near-tie rounding collisions.
         X, y = separable_dataset(seed=8)
-        base = train(X, y, ModelKind.LINEAR, TrainConfig())
+        base = train(pattern_counts(X, y), ModelKind.LINEAR, TrainConfig())
         scaled = RiskModel(
             kind=ModelKind.LINEAR, weights=base.weights * 4.0, bias=base.bias * 4.0
         )
@@ -411,9 +423,8 @@ class TestRecallMarginGrowsWithSignal:
                     ),
                 )
                 cohort = generate_cohort(params)
-                X = np.concatenate([cohort.week_patterns(w) for w in (1, 2)])
-                y = np.concatenate([cohort.week_labels(w) for w in (1, 2)])
-                model = train(X, y, ModelKind.POLY2, TrainConfig())
+                model = train(sum(map(cohort.week_counts, (1, 2))), ModelKind.POLY2,
+                              TrainConfig())
                 recalls.append(
                     mean_weekly_recall(cohort, model, k, weeks=(3, 4))
                 )
@@ -425,7 +436,7 @@ class TestRecallMarginGrowsWithSignal:
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         X, y = separable_dataset(seed=12)
-        model = train(X, y, ModelKind.POLY2, TrainConfig())
+        model = train(pattern_counts(X, y), ModelKind.POLY2, TrainConfig())
         path = tmp_path / "m.txt"
         save_model(model, path, manifest="train.manifest.json")
         loaded = load_model(path)
@@ -498,6 +509,12 @@ class TestSerialization:
         path.write_text("\n".join(l for l in lines if not l.startswith("trained_weeks "))
                         + "\n", encoding="utf-8")
         assert load_model(path).trained_weeks == ()
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(rule_based_model(), path)
+        path.write_text(path.read_text(encoding="utf-8") + "\n \n\n", encoding="utf-8")
+        assert load_model(path).weights.tobytes() == RULE_WEIGHTS.tobytes()
 
     def test_model_dim_validation(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
 from banditriage.policy import ArmPredicate, ArmSpec, PolicyConfig, Sampler
-from banditriage.records import Cohort, TestResult
-from banditriage.scoring import ModelKind
+from banditriage.records import Cohort, TestResult, pattern_counts
+from banditriage.scoring import ModelKind, train
 from banditriage.simulate import (
     OverlapError,
     _text_keyed,
@@ -144,6 +144,32 @@ class TestRunReplay:
             retrain_every=1, seed=4,
         )
         assert explore_only.lineage[-1].n_labeled < all_labels.lineage[-1].n_labeled
+
+    @pytest.mark.parametrize("retrain_on", ["all_labeled", "exploration_only"])
+    @pytest.mark.parametrize("sampler", [Sampler.UNIFORM_RANDOM, Sampler.THOMPSON])
+    def test_store_holds_exactly_the_revealed_labels(self, sampler, retrain_on):
+        # Each retrained version is the fit on the picks its source periods
+        # revealed, all of them or the explore picks only, read from the trace.
+        cohort = generate_cohort(small_params(n_per_week=300))
+        arms = (ArmSpec("contacts", ArmPredicate.from_text("contact_with_confirmed=1")),
+                ArmSpec("others", ArmPredicate.from_text("contact_with_confirmed=0")))
+        policy = PolicyConfig(capacity=60, exploration_fraction=0.5, sampler=sampler,
+                              arms=arms if sampler is Sampler.THOMPSON else (),
+                              retrain_on=retrain_on)
+        trace = run_replay(cohort, None, policy, retrain_every=1, seed=6)
+        assert len(trace.lineage) == len(trace.periods)  # a version after each period but the last
+        for v in trace.lineage[1:]:
+            revealed = trace.periods[:v.version]
+            assert v.source_periods == tuple(p.period for p in revealed)
+            first = [p.selection.n_exploit if retrain_on == "exploration_only" else 0
+                     for p in revealed]
+            codes = np.concatenate([cohort.week_patterns(p.period)[p.selection.positions[i:]]
+                                    for p, i in zip(revealed, first)])
+            labels = np.concatenate([p.labels[i:] for p, i in zip(revealed, first)])
+            want = train(pattern_counts(codes, labels), ModelKind.POLY2)
+            assert v.model.weights.tobytes() == want.weights.tobytes()
+            assert v.model.bias == want.bias
+            assert (v.n_labeled, v.n_positive) == (len(labels), int(labels.sum()))
 
     def test_random_policy_matches_binomial_envelope(self):
         # rho=1 uniform selection: mean recall across periods and runs stays
