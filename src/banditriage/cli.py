@@ -24,7 +24,6 @@ import logging
 import math
 import os
 import sys
-import uuid
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from itertools import repeat
@@ -99,7 +98,7 @@ def _atomic(path: Path):
     """Yield a new, uniquely named temp path beside the target; on success
     rename it over the target, on failure remove it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         yield tmp

@@ -141,6 +141,8 @@ class PolicyConfig:
         if self.sampler is Sampler.THOMPSON and not self.arms:
             raise PolicyError("Thompson sampling needs at least one arm")
         names = [a.name for a in self.arms]
+        if not all(names):  # an empty arm cell in selections.csv marks a pick no arm drew
+            raise PolicyError("an arm name must not be empty")
         if len(set(names)) != len(names):
             raise PolicyError("arm names must be unique")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,51 +105,53 @@ class SimulationTrace:
         }
 
     def period_dicts(self) -> list[dict]:
-        """One JSON object per period: the trace's record of that period. Its
-        keys are in sorted order at every level, record ids sorted as text
-        (id 10 before id 9), so it dumps as ``sort_keys`` would write it."""
+        """One JSON object per period: the trace's record of that period, its
+        field names sorted. Keys that are data follow the run: ``revealed``
+        maps each pick's record id (as text) to its label in pick order, the
+        exploit picks by rank and then the explore picks by draw;
+        ``arm_assignments`` maps each explore pick that an arm drew to the
+        arm's name in draw order; ``arm_posteriors`` lists the arms in the
+        policy's order."""
         periods = []
         for p in self.periods:
             sel = p.selection
             explore, drawn = p.record_ids[sel.n_exploit:], sel.arm >= 0
             periods.append(dict(sorted({
                 **_period_fields(p),
-                "arm_assignments": _text_keyed(
-                    explore[drawn], [self.policy.arms[i].name for i in sel.arm[drawn].tolist()]),
+                "arm_assignments": dict(zip(map(str, explore[drawn].tolist()), [
+                    self.policy.arms[i].name for i in sel.arm[drawn].tolist()])),
                 "exploit_ids": p.record_ids[:sel.n_exploit].tolist(),
                 "explore_ids": explore.tolist(),
-                "revealed": _text_keyed(p.record_ids, p.labels.tolist()),
+                "revealed": dict(zip(map(str, p.record_ids.tolist()), p.labels.tolist())),
             }.items())))
         return periods
 
     def to_jsonl(self, path, *, manifest: str = "-") -> list[dict]:
-        """One JSON object per line, keys sorted: a header, then one record
-        per period, the ``json.dumps`` of its :meth:`period_dicts` object.
-        Each period's line is formatted from its picks as it is written:
-        each pick's id becomes text once, and no per-pick dict is built.
-        Returns each period's :func:`summary_row`."""
+        """One JSON object per line: a header with its keys sorted at every
+        level, then one record per period, the ``json.dumps`` of its
+        :meth:`period_dicts` object. Each period's line is formatted from its
+        picks as it is written: each pick's id becomes text once, and no
+        per-pick dict is built. Returns each period's :func:`summary_row`."""
         arm_names = [json.dumps(arm.name) for arm in self.policy.arms]
         rows = []
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(self.header_dict(manifest), sort_keys=True) + "\n")
             for p in self.periods:
-                n_exploit, fields = p.selection.n_exploit, _period_fields(p)
+                sel, fields = p.selection, _period_fields(p)
                 ids = list(map(str, p.record_ids.tolist()))
-                arm = np.concatenate([np.full(n_exploit, -1), p.selection.arm])
-                by_text = _text_order(p.record_ids)
-                drawn = by_text[arm[by_text] >= 0]
+                explore, drawn = ids[sel.n_exploit:], sel.arm >= 0
                 parts = {key: json.dumps(value) for key, value in fields.items()} | {
-                    "arm_assignments": _json_object(map(ids.__getitem__, drawn.tolist()), map(
-                        arm_names.__getitem__, arm[drawn].tolist())),
-                    "exploit_ids": "[%s]" % ", ".join(ids[:n_exploit]),
-                    "explore_ids": "[%s]" % ", ".join(ids[n_exploit:]),
-                    "revealed": _json_object(map(ids.__getitem__, by_text.tolist()), map(
-                        ("false", "true").__getitem__, p.labels[by_text].tolist())),
+                    "arm_assignments": _json_object(compress(explore, drawn.tolist()), map(
+                        arm_names.__getitem__, sel.arm[drawn].tolist())),
+                    "exploit_ids": "[%s]" % ", ".join(ids[:sel.n_exploit]),
+                    "explore_ids": "[%s]" % ", ".join(explore),
+                    "revealed": _json_object(ids, map(("false", "true").__getitem__,
+                                                      p.labels.tolist())),
                 }
                 keys = sorted(parts)
                 fh.write(_json_object(keys, map(parts.__getitem__, keys)) + "\n")
-                rows.append(summary_row({**fields, "exploit_ids": p.record_ids[:n_exploit],
-                                         "explore_ids": p.record_ids[n_exploit:]}))
+                rows.append(summary_row({**fields, "exploit_ids": p.record_ids[:sel.n_exploit],
+                                         "explore_ids": explore}))
         return rows
 
 
@@ -161,7 +164,7 @@ def _json_object(keys: Iterable[str], values: Iterable[str]) -> str:
 def _period_fields(p: PeriodRecord) -> dict:
     """A period's trace fields that do not list its picks."""
     return {
-        "arm_posteriors": dict(sorted(p.arm_posteriors.items())),
+        "arm_posteriors": p.arm_posteriors,
         "events": p.events,
         "explore_shortfall": p.selection.explore_shortfall,
         "f1": p.f1,
@@ -175,30 +178,11 @@ def _period_fields(p: PeriodRecord) -> dict:
     }
 
 
-_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
-
-
-def _text_order(ids: np.ndarray) -> np.ndarray:
-    """The order of the distinct ``ids`` (row numbers, so >= 0) as text:
-    the digits padded with zeros to one width, the shorter first on a tie
-    (1 < 10 < 2)."""
-    size = ids.astype(np.uint64)
-    digits = np.searchsorted(_POWERS_OF_TEN[1:], size, side="right")  # one less than its digits
-    padded = size * _POWERS_OF_TEN[digits.max(initial=0) - digits]
-    return np.lexsort((digits, padded))
-
-
-def _text_keyed(ids: np.ndarray, values: list) -> dict[str, object]:
-    """``values`` keyed by the distinct ``ids`` (row numbers) as text, in
-    text order (:func:`_text_order`)."""
-    order = _text_order(ids)
-    return dict(zip(map(str, ids[order].tolist()), map(values.__getitem__, order.tolist())))
-
-
 def summary_row(period: dict) -> dict:
     """The summary CSV row of one trace period object: an entry of
     :meth:`SimulationTrace.period_dicts`, or the same object read back from
-    a trace file."""
+    a trace file. It reads the period's scalar fields and the lengths of its
+    ``exploit_ids`` and ``explore_ids``, none of the keyed fields."""
     return {
         "period": period["period"],
         "pool": period["pool_size"],

@@ -26,16 +26,21 @@ def run(argv: list[str]) -> int:
     return main(argv)
 
 
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` with ``args`` in a fresh interpreter that imports the
+    banditriage under test."""
+    src = str(Path(banditriage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def run_subprocess(argv: list[str], preamble: str = "") -> subprocess.CompletedProcess:
     """``main(argv)`` in a fresh interpreter (its own logging setup), after
     running ``preamble``."""
-    src = str(Path(banditriage.__file__).resolve().parents[1])
-    script = ("import sys\n" + preamble + "from banditriage.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", script, *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return run_python("import sys\n" + preamble + "from banditriage.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))\n", *argv)
 
 
 @pytest.fixture
@@ -187,6 +192,18 @@ class TestSynthTrainSimulate:
         code = run(["train", "--cohort", str(small_cohort_csv), "--weeks", "40-41",
                     "--out-dir", str(workdir), "--quiet"])
         assert code == EXIT_DATA
+
+    def test_unnamed_arm_is_data_error(self, workdir, small_cohort_csv, capsys):
+        # selections.csv leaves the arm cell of a pick no arm drew empty
+        policy = workdir / "p.policy"
+        policy.write_text("[policy]\ncapacity = 10\nexploration_fraction = 0.5\n"
+                          "sampler = thompson\n[arm ]\npredicate = cough=1\n", encoding="utf-8")
+        assert run(["simulate", "--cohort", str(small_cohort_csv), "--rule-based",
+                    "--policy", str(policy), "--out-dir", str(workdir / "out"),
+                    "--quiet"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: data: {policy}: an arm name must not be empty\n")
+        assert not (workdir / "out" / "selections.csv").exists()
 
     def test_simulate_outputs(self, workdir, small_cohort_csv, small_model):
         policy = workdir / "p.policy"
@@ -657,6 +674,17 @@ class TestWithoutScipy:
         assert (workdir / "bootstrap.csv").exists()
 
 
+class TestImportCost:
+    def test_cli_import_adds_no_uuid(self):
+        # uuid, which imports platform, costs milliseconds of every run's
+        # start-up. Modules loaded before the import (by site hooks) do not count.
+        proc = run_python("import sys\nbefore = set(sys.modules)\nimport banditriage.cli\n"
+                          "print(*sorted(set(sys.modules) - before))\n")
+        assert proc.returncode == 0, proc.stderr
+        added = proc.stdout.split()
+        assert "banditriage.cli" in added and "uuid" not in added
+
+
 class TestLeakageGuard:
     def test_overlap_rejected_and_override(self, workdir, small_cohort_csv, small_model, capsys):
         policy = workdir / "p.policy"
@@ -1074,7 +1102,7 @@ class TestGoldenArtifacts:
         "uniform": ("[policy]\ncapacity = 120\nexploration_fraction = 0.4\n",
                     ["--retrain-every", "1", "--seed", "9"], {
                         "trace.jsonl":
-                            "91ec7299902d7664fae81bae1c9cb99f719b9a98de4535772b7955ae45a241b1",
+                            "801445276120f5ab1d7026c4e5bcbc8182401b4029380d00c21446b249b63788",
                         "summary.csv":
                             "a96a5fd78d8d683cc7aa7018f578fb44ae4520196fe6815cefe8cb1c707e80dc",
                         "selections.csv":
@@ -1082,7 +1110,7 @@ class TestGoldenArtifacts:
                     }),
         "thompson": (THOMPSON_POLICY, ["--retrain-every", "2", "--weeks", "2-6", "--seed", "4"], {
                         "trace.jsonl":
-                            "b4873dbd7fc8ae38e4a4c7828a6960b86615626cdd03e6e9f9095ed45355f38a",
+                            "004d0e2575ed893cccb24fdcc6726e916123707a2d7dcdef21aff26d50e761cf",
                         "summary.csv":
                             "849980b1e9d6c7e6fb6a4040cdcf4a919e059be3c501df613317afb5d97dee57",
                         "selections.csv":
@@ -1092,7 +1120,7 @@ class TestGoldenArtifacts:
                              "retrain_on = exploration_only\n",
                              ["--retrain-every", "1", "--retrain-kind", "linear", "--seed", "9"], {
                         "trace.jsonl":
-                            "a15501efe685beba8fcb9f7fc153c5efbff06c2e971b7b99b403b46fe2682a28",
+                            "6da8375c99036bf4aad9627752815198ffd0a82af332e83b451d656d9d6717e5",
                         "summary.csv":
                             "09e93f21e02f85e8d3d95659d9d763dd38063ce9380c04e2f16892e3d3292fd9",
                         "selections.csv":
@@ -1227,9 +1255,9 @@ class TestRecordIds:
         cohort.write_text("\n".join(with_gaps) + "\n", encoding="utf-8")
         policy = workdir / "p.policy"
         policy.write_text("[policy]\ncapacity = 60\nexploration_fraction = 0.5\n"
-                          "sampler = thompson\n[arm contacts]\n"
-                          "predicate = contact_with_confirmed=1\n[arm others]\n"
-                          "predicate = contact_with_confirmed=0\n", encoding="utf-8")
+                          "sampler = thompson\n[arm others]\n"
+                          "predicate = contact_with_confirmed=0\n[arm contacts]\n"
+                          "predicate = contact_with_confirmed=1\n", encoding="utf-8")
         assert run(["simulate", "--cohort", str(cohort), "--rule-based", "--policy", str(policy),
                     "--weeks", "2-5", "--out-dir", str(workdir / "out"), "--seed", "3",
                     "--quiet"]) == EXIT_OK
@@ -1241,8 +1269,21 @@ class TestRecordIds:
         revealed = {int(i): label for p in periods for i, label in p["revealed"].items()}
         assert len(revealed) == 4 * 60 and any(revealed.values())
         assert all(label == positive[i] for i, label in revealed.items())
-        selections = (workdir / "out" / "selections.csv").read_text().splitlines()[2:]
-        assert sorted(int(line.split(",")[0]) for line in selections) == sorted(revealed)
+        # A period's picks are in one order in every artifact: exploit picks
+        # by rank, then explore picks by draw.
+        selections = [line.split(",") for line in
+                      (workdir / "out" / "selections.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in selections] == [i for p in periods for i in p["revealed"]]
+        arm_names = [arm["name"] for arm in json.loads(trace[0])["policy"]["arms"]]
+        assert arm_names == ["others", "contacts"]
+        for p in periods:
+            picks = list(map(str, p["exploit_ids"] + p["explore_ids"]))
+            rows = [row for row in selections if row[1] == str(p["period"])]
+            assert [row[0] for row in rows] == list(p["revealed"]) == picks
+            assert [row[2] for row in rows] == (["exploit"] * len(p["exploit_ids"])
+                                                + ["explore"] * len(p["explore_ids"]))
+            assert [row[3] for row in rows] == [p["arm_assignments"].get(i, "") for i in picks]
+            assert list(p["arm_posteriors"]) == arm_names
 
     def test_uncovered_candidates_are_named_by_record_id(self, workdir, capsys):
         # Week 12's rows come first, so week 11's pool positions are not its ids.

@@ -593,6 +593,15 @@ predicate = cough=1 & fever=1
         with pytest.raises(PolicyError, match=re.escape(message)):
             PolicyConfig.from_file(path)
 
+    def test_arm_name_must_not_be_empty(self, tmp_path):
+        with pytest.raises(PolicyError, match="an arm name must not be empty"):
+            PolicyConfig(capacity=10, arms=(ArmSpec("", CONTACT),))
+        path = tmp_path / "p.policy"
+        path.write_text("[policy]\ncapacity = 10\n[arm ]\npredicate = cough=1\n",
+                        encoding="utf-8")
+        with pytest.raises(PolicyError, match=re.escape(f"{path}: an arm name must not be empty")):
+            PolicyConfig.from_file(path)
+
     def test_from_file_errors(self, tmp_path):
         path = tmp_path / "p.policy"
         path.write_text("[policy]\ncapacity = 10\nsampler = magic\n", encoding="utf-8")

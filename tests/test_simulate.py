@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditriage.evaluate import mean_weekly_recall
@@ -16,7 +18,6 @@ from banditriage.records import Cohort, TestResult, pattern_counts
 from banditriage.scoring import ModelKind, train
 from banditriage.simulate import (
     OverlapError,
-    _text_keyed,
     run_replay,
     summary_row,
     sweep_exploration,
@@ -237,9 +238,8 @@ class TestRunReplay:
         assert [l["type"] for l in lines[1:]] == ["period"] * len(trace.periods)
         assert lines[1]["pool_size"] == 100
 
-    def test_trace_lines_are_written_with_sorted_keys(self, tmp_path):
-        # Ids 0-149 in week 1 mix one-, two- and three-digit ids, whose text
-        # order (10 before 9) differs from their numeric order; the arms are
+    def test_trace_lines_list_data_keys_in_run_order(self, tmp_path):
+        # Ids 0-149 in week 1 mix one-, two- and three-digit ids; the arms are
         # listed out of name order.
         cohort = generate_cohort(small_params(n_per_week=150))
         arms = (
@@ -254,13 +254,16 @@ class TestRunReplay:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1:] == [json.dumps(obj) for obj in trace.period_dicts()]
         assert summary == [summary_row(obj) for obj in trace.period_dicts()]
-        for line in lines:
-            assert line == json.dumps(json.loads(line), sort_keys=True)
-        first = json.loads(lines[1])
-        for key in ("revealed", "arm_assignments"):
-            ids = [int(text) for text in first[key]]
-            assert ids != sorted(ids) and len(ids) == len(set(ids)) > 0
-        assert list(first["arm_posteriors"]) == ["contacts", "others"]
+        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)
+        for line in lines[1:]:
+            obj = json.loads(line)
+            assert list(obj) == sorted(obj)
+            picks = obj["exploit_ids"] + obj["explore_ids"]
+            assert list(obj["revealed"]) == list(map(str, picks)) != sorted(map(str, picks))
+            drawn = [int(text) for text in obj["arm_assignments"]]
+            assert drawn == [i for i in obj["explore_ids"] if str(i) in obj["arm_assignments"]]
+            assert len(drawn) > 0 and drawn != sorted(drawn)
+            assert list(obj["arm_posteriors"]) == ["others", "contacts"]
 
 
 def test_trace_peak_memory_is_bounded_per_pick(tmp_path):
@@ -276,13 +279,47 @@ def test_trace_peak_memory_is_bounded_per_pick(tmp_path):
     assert picks == 12_000 and peak <= 160 * picks
 
 
-@given(st.dictionaries(st.integers(0, 2**63 - 1) | st.integers(0, 200), st.booleans(),
-                       max_size=40))
-@example({10: False, 1: True, 100: False, 20: True, 2: False, 0: True})  # equal padded digits
-def test_text_keyed_sorts_int64_keys_as_text(mapping):
-    keyed = _text_keyed(np.fromiter(mapping, np.int64, len(mapping)), list(mapping.values()))
-    assert list(keyed) == sorted(map(str, mapping))
-    assert keyed == {str(k): v for k, v in mapping.items()}
+#: Arm names that JSON must escape or that are not ASCII, and predicates
+#: that leave some candidates to no arm.
+_ARM_NAMES = ("a,b", 'say "hi"', "back\\slash", "חיובי")
+_PREDICATES = ("contact_with_confirmed=1", "fever=1", "contact_with_confirmed=0")
+
+
+@st.composite
+def _small_replays(draw):
+    n, weeks = draw(st.integers(20, 120)), draw(st.integers(1, 3))
+    cohort = generate_cohort(small_params(n_per_week=n, weeks=(1, weeks),
+                                          seed=draw(st.integers(0, 2**16))))
+    capacity = draw(st.integers(1, 130))  # up to past the largest pool
+    rho = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    names = draw(st.lists(st.sampled_from(_ARM_NAMES), min_size=1, max_size=3, unique=True))
+    arms = tuple(ArmSpec(name, ArmPredicate.from_text(draw(st.sampled_from(_PREDICATES))))
+                 for name in names)
+    policy = draw(st.sampled_from([
+        PolicyConfig(capacity=capacity, exploration_fraction=rho),
+        PolicyConfig(capacity=capacity, exploration_fraction=rho, sampler=Sampler.THOMPSON,
+                     arms=arms)]))
+    return run_replay(cohort, None, policy, retrain_every=draw(st.integers(0, 1)),
+                      seed=draw(st.integers(0, 2**16)))
+
+
+@settings(deadline=None)
+@given(_small_replays())
+def test_trace_period_lines_follow_the_run(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        trace.to_jsonl(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    arm_names = [arm["name"] for arm in json.loads(lines[0])["policy"]["arms"]]
+    for line, expected in zip(lines[1:], trace.period_dicts(), strict=True):
+        obj = json.loads(line)
+        # compared as text: the reference's posteriors are tuples, which parse back as lists
+        assert line == json.dumps(obj) == json.dumps(expected)
+        assert list(obj) == sorted(obj)
+        assert list(obj["revealed"]) == list(map(str, obj["exploit_ids"] + obj["explore_ids"]))
+        explore = iter(map(str, obj["explore_ids"]))
+        assert all(i in explore for i in obj["arm_assignments"])  # a subsequence
+        assert list(obj["arm_posteriors"]) == arm_names
 
 
 class TestSweepExploration:
